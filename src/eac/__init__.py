@@ -21,7 +21,7 @@ from .solver import (PulledBackSystem, SolutionPoint, SolveReport,
                      SolverConfig, harvest_density)
 from .variety import EllipticFactor, ExactSubspace, ProductVariety
 from .weierstrass import (AtInfinity, ProductEvaluator, WpEvaluator,
-                          bidegree_of, count_roots_on_fiber, delta_map,
+                          bidegree_of, count_roots_on_fiber,
                           jacobian_probe, point_count_on_curve)
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "WpEvaluator", "bidegree_of", "builtin_instance", "catalog_names",
     "certify", "check_free", "check_pair", "check_rotund",
     "class_of_hypersurface", "complexification", "count_roots_on_fiber",
-    "decide", "delta_map", "density_summary", "eac_certificate",
+    "decide", "density_summary", "eac_certificate",
     "form_of_subspace", "harvest_density", "holomorphic_form_realized",
     "hull_chain", "hypersurface_form", "instance_from_dict", "integrate_top",
     "jacobian_probe", "load_instance", "parse_mq", "point_count_on_curve",

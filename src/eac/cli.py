@@ -134,15 +134,14 @@ def _get_instance(spec: str) -> Instance:
 
 
 def _apply_overrides(instance: Instance, args) -> Instance:
-    cfg = instance.config
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.replace(seed=args.seed)
-    if getattr(args, "budget", None) is not None:
-        cfg = cfg.replace(budget_cells=args.budget)
-    if getattr(args, "grid", None) is not None:
-        cfg = cfg.replace(grid=args.grid)
-    if getattr(args, "target", None) is not None:
-        cfg = cfg.replace(target_count=args.target)
+    options = {"seed": "seed", "budget": "budget_cells", "grid": "grid",
+               "target": "target_count"}
+    overrides = {field: getattr(args, opt) for opt, field in options.items()
+                 if getattr(args, opt, None) is not None}
+    try:
+        cfg = instance.config.replace(**overrides)
+    except ValueError as e:
+        raise InstanceError(f"solver override: {e}") from None
     from dataclasses import replace
 
     return replace(instance, config=cfg)

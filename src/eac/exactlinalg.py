@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from numbers import Rational
 
 from .multiquad import ComplexMQ, MultiQuadElem
 
@@ -89,21 +88,6 @@ def _one_like(x):
     return Fraction(1)
 
 
-def solve_exact(rows: list[list], rhs: list):
-    """One solution of M x = b, or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None
-    one = _one_like(rows[0][0]) if rows else Fraction(1)
-    zero = one - one
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
 def primitive_integer_covector(v: list[Fraction]) -> list[int]:
     """Scale a rational covector to coprime integers, first nonzero positive."""
     fracs = [Fraction(x) for x in v]
@@ -122,16 +106,3 @@ def primitive_integer_covector(v: list[Fraction]) -> list[int]:
         ints = [-a for a in ints]
     return ints
 
-
-def is_rational_matrix(rows: list[list]) -> bool:
-    for r in rows:
-        for x in r:
-            if isinstance(x, MultiQuadElem):
-                if not x.is_rational():
-                    return False
-            elif isinstance(x, ComplexMQ):
-                if not (x.im.is_zero() and x.re.is_rational()):
-                    return False
-            elif not isinstance(x, Rational):
-                return False
-    return True

@@ -355,16 +355,6 @@ class HomologyClass:
                 items.append((tuple(k), v))
         return cls(degree, ambient, tuple(items))
 
-    def pair_with_form(self, form: ExteriorForm):
-        """Integrate a form of the same degree over this cycle."""
-        if form.degree != self.degree or form.ambient != self.ambient:
-            raise DegreeMismatch("cycle and form degrees differ")
-        total = Fraction(0)
-        for k, c in self.coeffs:
-            if k in form.coeffs:
-                total = _scal_add(total, _scal_mul(c, form.coeffs[k]))
-        return total
-
     def dual_form(self) -> ExteriorForm:
         """Form eta with integral(alpha ^ eta) = pairing(self, alpha) for all alpha."""
         n = self.ambient

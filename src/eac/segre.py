@@ -42,20 +42,21 @@ class SegrePoint:
         """The affine coordinate vector; poles raise, callers check finite."""
         if not self.finite:
             raise ValueError("point sits at infinity in some factor")
-        if self.g == 1:
-            return np.array([1.0, self.wp[0], self.wp_prime[0]], dtype=complex)
-        if self.g == 2:
-            p1, p2 = self.wp
-            q1, q2 = self.wp_prime
-            return np.array([1.0, p2, q2, p1, p1 * p2, p1 * q2,
-                             q1, q1 * p2, q1 * q2], dtype=complex)
-        raise ValueError("Segre coordinates are implemented for one or two factors")
+        return np.array(segre_stack(self.wp, self.wp_prime, 1.0), dtype=complex)
 
 
-def segre_products(p1, q1, p2, q2):
-    """Vectorized affine coordinate stack for two factors (arrays allowed)."""
-    one = np.ones_like(p1)
-    return [one, p2, q2, p1, p1 * p2, p1 * q2, q1, q1 * p2, q1 * q2]
+def segre_stack(wps, wpps, one) -> list:
+    """Affine coordinates Z0.. from per-factor wp and wp' values.
+
+    Entries may be scalars, numpy arrays of one shape or mpmath numbers; one
+    is Z0 in the same type, so every coordinate matches the others.
+    """
+    if len(wps) == 1:
+        return [one, wps[0], wpps[0]]
+    if len(wps) == 2:
+        (p1, p2), (q1, q2) = wps, wpps
+        return [one, p2, q2, p1, p1 * p2, p1 * q2, q1, q1 * p2, q1 * q2]
+    raise ValueError("Segre coordinates are implemented for one or two factors")
 
 
 @dataclass(frozen=True)
@@ -114,33 +115,3 @@ class SegrePolynomial:
                     term = term * zi ** e
             total = term if total is None else total + term
         return total
-
-    def eval_point(self, pt: SegrePoint) -> complex:
-        return complex(self.eval_affine(pt.coords()))
-
-    def max_wp_degree(self) -> tuple[int, int] | int:
-        """Per-factor bound d with |F| growing like |wp|^(d/2)-ish near poles.
-
-        Returns the weighted degree 2*j + 3*k per factor where j is the wp
-        exponent and k the wp' exponent, maximized over monomials. Used only
-        as an upper bound for fiber root counts.
-        """
-        if self.g == 1:
-            best = 0
-            for expo, _ in self.monomials:
-                best = max(best, 2 * expo[1] + 3 * expo[2])
-            return best
-        best1 = best2 = 0
-        # exponents of wp_1: Z3, Z4, Z5; wp_1': Z6, Z7, Z8
-        # exponents of wp_2: Z1, Z4, Z7; wp_2': Z2, Z5, Z8
-        for expo, _ in self.monomials:
-            j1 = expo[3] + expo[4] + expo[5]
-            k1 = expo[6] + expo[7] + expo[8]
-            j2 = expo[1] + expo[4] + expo[7]
-            k2 = expo[2] + expo[5] + expo[8]
-            best1 = max(best1, 2 * j1 + 3 * k1)
-            best2 = max(best2, 2 * j2 + 3 * k2)
-        return best1, best2
-
-    def to_table(self) -> dict[tuple[int, ...], complex]:
-        return dict(self.monomials)

@@ -8,10 +8,12 @@ Each cell gets a coarse grid scan for local minima of |G|, Newton refinement
 with central differences, an independent verification pass, and group-level
 deduplication of the resulting points of the product variety.
 
-Verification never reuses the solver arithmetic: residuals are recomputed
-with mpmath at doubled precision, and each solution must carry winding
-number >= 1 on a small circle, so spurious minima and pseudo-roots are
-rejected rather than reported.
+Verification recomputes each residual with mpmath at 30 digits, using the
+same theta series (weierstrass.theta_sums) as the scan but none of its
+double-precision arithmetic, and each solution must carry winding number
+>= 1 on a small circle, so spurious minima and pseudo-roots are rejected
+rather than reported. The lattice-sum backend, which shares no formula with
+the theta series, is the independent cross-check of harvested points.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .segre import SegrePolynomial, segre_products
+from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
-from .weierstrass import ContourError, ProductEvaluator, _winding
+from .weierstrass import ContourError, ProductEvaluator, _winding, theta_sums
 
 
 class UncertifiedError(RuntimeError):
@@ -44,6 +46,18 @@ class SolverConfig:
     dedup_tol: float = 1e-6
     newton_steps: int = 50
     seeds_per_cell: int = 64
+
+    def __post_init__(self):
+        """Reject out-of-range settings by field name, with the schema's bounds."""
+        minimums = {"seed": 0, "grid": 10, "budget_cells": 1, "target_count": 1,
+                    "newton_steps": 1, "seeds_per_cell": 1}
+        for name, low in minimums.items():
+            if getattr(self, name) < low:
+                raise ValueError(
+                    f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name in ("coarse_threshold", "solve_tol", "dedup_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def replace(self, **kw) -> SolverConfig:
         from dataclasses import replace as _r
@@ -99,13 +113,15 @@ def spiral_cells():
 
 
 def thread_count() -> int:
+    """Scan threads: EAC_THREADS if set, else up to 4, never above the CPU count."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("EAC_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            return min(max(1, int(env)), cpus)
         except ValueError:
             pass
-    return min(4, os.cpu_count() or 1)
+    return min(4, cpus)
 
 
 class PulledBackSystem:
@@ -132,19 +148,8 @@ class PulledBackSystem:
 
     def eval_grid_complex(self, l: np.ndarray) -> np.ndarray:
         l = np.asarray(l, dtype=complex)
-        if self.A.g == 1:
-            z1 = l * self.v[0]
-            p1 = self.pe.evals[0].wp_grid(z1)
-            q1 = self.pe.evals[0].wp_prime_grid(z1)
-            stack = [np.ones_like(p1), p1, q1]
-        else:
-            z1 = l * self.v[0]
-            z2 = l * self.v[1]
-            p1 = self.pe.evals[0].wp_grid(z1)
-            q1 = self.pe.evals[0].wp_prime_grid(z1)
-            p2 = self.pe.evals[1].wp_grid(z2)
-            q2 = self.pe.evals[1].wp_prime_grid(z2)
-            stack = segre_products(p1, q1, p2, q2)
+        wps, wpps = zip(*(ev.wp_pair_grid(l * c) for ev, c in zip(self.pe.evals, self.v)))
+        stack = segre_stack(wps, wpps, np.ones_like(wps[0]))
         with np.errstate(invalid="ignore", over="ignore"):
             return np.asarray(self.F.eval_affine(stack), dtype=complex)
 
@@ -221,67 +226,30 @@ def newton_refine(system: PulledBackSystem, seed: complex, cfg: SolverConfig,
     return None, f"no convergence, residual {g:.2e}"
 
 
-def _wp_mp(z, tau, nterms: int, mp):
-    q = mp.exp(2j * mp.pi * tau)
-    u = mp.exp(2j * mp.pi * z)
-    s = mp.mpf(1) / 12 + u / (1 - u) ** 2
-    qn = mp.mpc(1)
-    for _ in range(nterms):
-        qn *= q
-        w = qn * u
-        x = qn / u
-        s += w / (1 - w) ** 2 + x / (1 - x) ** 2 - 2 * qn / (1 - qn) ** 2
-    return (2j * mp.pi) ** 2 * s
-
-
-def _wp_prime_mp(z, tau, nterms: int, mp):
-    q = mp.exp(2j * mp.pi * tau)
-    u = mp.exp(2j * mp.pi * z)
-    s = u * (1 + u) / (1 - u) ** 3
-    qn = mp.mpc(1)
-    for _ in range(nterms):
-        qn *= q
-        w = qn * u
-        x = qn / u
-        s += w * (1 + w) / (1 - w) ** 3 - x * (1 + x) / (1 - x) ** 3
-    return (2j * mp.pi) ** 3 * s
-
-
 def verify_solution(system: PulledBackSystem, l: complex, cfg: SolverConfig,
                     winding_radius: float = 1e-3) -> tuple[bool, float, int, str]:
     """Independent acceptance test for a refined point.
 
-    Re-evaluates the residual with mpmath at doubled working precision and
-    requires a positive winding of G on a small circle around l. Returns
-    (accepted, verified residual, winding, reason).
+    Re-evaluates the residual with mpmath at 30 digits, eight more series
+    terms and the theta series of the scan, and requires a positive winding
+    of G on a small circle around l. Returns (accepted, verified residual,
+    winding, reason).
     """
     from mpmath import mp
 
     old_dps = mp.dps
     try:
         mp.dps = 30
-        zs = []
+        two_pi_i = 2j * mp.pi
+        wps, wpps = [], []
         for zj, ev in zip(system.z_of(l), system.pe.evals):
             zr = ev.reduce(zj)
-            zs.append(mp.mpc(zr.real, zr.imag))
-        vals = []
-        for zj, ev in zip(zs, system.pe.evals):
-            tau = mp.mpc(ev.tau.real, ev.tau.imag)
-            nt = ev.nterms + 8
-            vals.append((_wp_mp(zj, tau, nt, mp), _wp_prime_mp(zj, tau, nt, mp)))
-        if system.A.g == 1:
-            stack = [mp.mpc(1), vals[0][0], vals[0][1]]
-        else:
-            (p1, q1), (p2, q2) = vals
-            stack = [mp.mpc(1), p2, q2, p1, p1 * p2, p1 * q2, q1, q1 * p2, q1 * q2]
-        total = mp.mpc(0)
-        for expo, coeff in system.F.monomials:
-            term = mp.mpc(coeff.real, coeff.imag)
-            for e, zi in zip(expo, stack):
-                for _ in range(e):
-                    term *= zi
-            total += term
-        vres = float(abs(total))
+            u = mp.exp(two_pi_i * mp.mpc(zr.real, zr.imag))
+            q = mp.exp(two_pi_i * mp.mpc(ev.tau.real, ev.tau.imag))
+            s, sp = theta_sums(u, q, ev.nterms + 8, mp.mpf(1))
+            wps.append(two_pi_i ** 2 * s)
+            wpps.append(two_pi_i ** 3 * sp)
+        vres = float(abs(system.F.eval_affine(segre_stack(wps, wpps, mp.mpf(1)))))
     finally:
         mp.dps = old_dps
     if vres > 10.0 * cfg.solve_tol:
@@ -330,50 +298,48 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
         p, q = cell
         return coarse_scan(system, p, q, cfg)
 
-    batch = max(1, workers)
-    i = 0
-    while i < len(cells):
-        chunk = cells[i:i + batch]
-        ts = time.perf_counter()
-        if workers > 1 and len(chunk) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                seed_lists = list(ex.map(scan, chunk))
-        else:
-            seed_lists = [scan(c) for c in chunk]
-        t_scan += time.perf_counter() - ts
-        for offset, (cell, seeds) in enumerate(zip(chunk, seed_lists)):
-            cell_index = i + offset
-            report.cells_scanned += 1
-            for seed, _ in seeds:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i in range(0, len(cells), workers):
+            chunk = cells[i:i + workers]
+            ts = time.perf_counter()
+            if workers > 1 and len(chunk) > 1:
+                seed_lists = list(pool.map(scan, chunk))
+            else:
+                seed_lists = [scan(c) for c in chunk]
+            t_scan += time.perf_counter() - ts
+            for offset, seeds in enumerate(seed_lists):
+                cell_index = i + offset
+                report.cells_scanned += 1
+                for seed, _ in seeds:
+                    if report.target_reached:
+                        break
+                    report.seeds_refined += 1
+                    l, res = newton_refine(system, seed, cfg)
+                    if l is None:
+                        report.failures.append(
+                            FailureRecord(complex(seed), cell_index, res))
+                        continue
+                    z = system.z_of(l)
+                    zred = system.A.reduce_point(z)
+                    if any(system.A.torus_distance(zred, s.z) < cfg.dedup_tol
+                           for s in report.solutions):
+                        continue
+                    ok, vres, wind, reason = verify_solution(system, l, cfg)
+                    if not ok:
+                        report.failures.append(FailureRecord(l, cell_index, reason))
+                        continue
+                    rank = jacobian_cb(l) if jacobian_cb is not None else -1
+                    report.solutions.append(SolutionPoint(
+                        l=complex(l), z=tuple(complex(x) for x in zred),
+                        residual=float(res), verified_residual=float(vres),
+                        winding=int(wind), jacobian_rank=int(rank), cell=cell_index))
+                    report.cells_with_solutions.add(cell_index)
+                    if len(report.solutions) >= cfg.target_count:
+                        report.target_reached = True
                 if report.target_reached:
                     break
-                report.seeds_refined += 1
-                l, res = newton_refine(system, seed, cfg)
-                if l is None:
-                    report.failures.append(FailureRecord(complex(seed), cell_index, res))
-                    continue
-                z = system.z_of(l)
-                zred = system.A.reduce_point(z)
-                if any(system.A.torus_distance(zred, s.z) < cfg.dedup_tol
-                       for s in report.solutions):
-                    continue
-                ok, vres, wind, reason = verify_solution(system, l, cfg)
-                if not ok:
-                    report.failures.append(FailureRecord(l, cell_index, reason))
-                    continue
-                rank = jacobian_cb(l) if jacobian_cb is not None else -1
-                report.solutions.append(SolutionPoint(
-                    l=complex(l), z=tuple(complex(x) for x in zred),
-                    residual=float(res), verified_residual=float(vres),
-                    winding=int(wind), jacobian_rank=int(rank), cell=cell_index))
-                report.cells_with_solutions.add(cell_index)
-                if len(report.solutions) >= cfg.target_count:
-                    report.target_reached = True
             if report.target_reached:
                 break
-        if report.target_reached:
-            break
-        i += batch
     report.budget_exhausted = not report.target_reached
     report.defect = certified and not report.solutions and report.budget_exhausted
     report.timings = {"total_s": time.perf_counter() - t0, "scan_s": t_scan}

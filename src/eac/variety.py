@@ -186,10 +186,6 @@ class ExactSubspace:
         return cls("complex", tuple(tuple(v) for v in vectors), g)
 
     @classmethod
-    def real_span(cls, vectors, two_g: int) -> ExactSubspace:
-        return cls("real", tuple(tuple(v) for v in vectors), two_g)
-
-    @classmethod
     def full_complex(cls, g: int) -> ExactSubspace:
         rows = [[ComplexMQ(1 if i == j else 0) for j in range(g)] for i in range(g)]
         return cls("complex", tuple(tuple(r) for r in rows), g)

@@ -4,12 +4,17 @@ Two independent evaluation backends share one interface:
 
   "theta"        q-expansions in u = exp(2 pi i z), q = exp(2 pi i tau).
                  Terms decay like |q|^n, so a tail bound picks the
-                 truncation order from the target accuracy.
+                 truncation order from the target accuracy. The series is
+                 written once, in theta_sums, for the scalar and the numpy
+                 paths here and the mpmath recomputation in the solver's
+                 verification; only this backend evaluates on grids.
   "lattice-sum"  row-resummed series: the double sum over the lattice is
                  collapsed along the real direction into cosecant rows,
                  sum_n pi^2 / sin^2(pi (z - n tau)) minus matching
                  constants, which again decays geometrically in n.
 
+The lattice-sum backend shares no formula with the theta series, so it is
+the independent cross-check that harvested points are re-evaluated with.
 Both reduce the argument to the fundamental domain first, so truncation
 orders stay uniform. A point within eps of the lattice raises AtInfinity, a
 typed signal the callers turn into projective bookkeeping, never a NaN.
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segre import SegrePoint, SegrePolynomial, segre_products
+from .segre import SegrePoint, SegrePolynomial, segre_stack
 from .variety import ProductVariety
 
 TWO_PI = 2.0 * math.pi
@@ -65,6 +70,29 @@ def _qseries_terms(tau: complex, eps: float) -> int:
     return max(n, 6)
 
 
+def theta_sums(u, q, nterms: int, one):
+    """The q-series S, S' with wp = (2 pi i)^2 S and wp' = (2 pi i)^3 S'.
+
+    u = exp(2 pi i z) and q = exp(2 pi i tau) for a reduced z (DLMF 23.8),
+    summed to nterms powers of q. The body uses only + - * /, so Python
+    complex, numpy arrays and mpmath numbers all work; one is the unit of
+    the caller's number type.
+    """
+    d = one - u
+    s = one / 12 + u / d ** 2
+    sp = u * (one + u) / d ** 3
+    qn = one
+    for _ in range(nterms):
+        qn = qn * q
+        w = qn * u
+        x = qn / u
+        dw = one - w
+        dx = one - x
+        s = s + w / dw ** 2 + x / dx ** 2 - 2 * qn / (one - qn) ** 2
+        sp = sp + w * (one + w) / dw ** 3 - x * (one + x) / dx ** 3
+    return s, sp
+
+
 class WpEvaluator:
     """Weierstrass wp and wp' for one lattice Z + tau Z.
 
@@ -92,10 +120,6 @@ class WpEvaluator:
 
     def dist_to_lattice(self, z: complex) -> float:
         return abs(self.reduce(z))
-
-    def _check_finite(self, z: complex):
-        if self.dist_to_lattice(z) < 1e-12:
-            raise AtInfinity()
 
     # invariants
 
@@ -143,45 +167,21 @@ class WpEvaluator:
 
     # scalar evaluation
 
-    def wp(self, z: complex) -> complex:
+    def wp_pair(self, z: complex) -> tuple[complex, complex]:
+        """(wp(z), wp'(z)); a lattice point raises AtInfinity."""
         z = self.reduce(complex(z))
         if abs(z) < 1e-12:
             raise AtInfinity()
-        if self.backend == "theta":
-            return self._wp_q(z)
-        return self._wp_rows(z)
+        if self.backend == "lattice-sum":
+            return self._wp_rows(z), self._wp_prime_rows(z)
+        s, sp = theta_sums(cmath.exp(2j * math.pi * z), self.q, self.nterms, 1.0)
+        return (2j * math.pi) ** 2 * s, (2j * math.pi) ** 3 * sp
+
+    def wp(self, z: complex) -> complex:
+        return self.wp_pair(z)[0]
 
     def wp_prime(self, z: complex) -> complex:
-        z = self.reduce(complex(z))
-        if abs(z) < 1e-12:
-            raise AtInfinity()
-        if self.backend == "theta":
-            return self._wp_prime_q(z)
-        return self._wp_prime_rows(z)
-
-    def _wp_q(self, z: complex) -> complex:
-        q = self.q
-        u = cmath.exp(2j * math.pi * z)
-        s = 1.0 / 12.0 + u / (1.0 - u) ** 2
-        qn = 1.0 + 0.0j
-        for _ in range(self.nterms):
-            qn *= q
-            w = qn * u
-            x = qn / u
-            s += w / (1.0 - w) ** 2 + x / (1.0 - x) ** 2 - 2.0 * qn / (1.0 - qn) ** 2
-        return (2j * math.pi) ** 2 * s
-
-    def _wp_prime_q(self, z: complex) -> complex:
-        q = self.q
-        u = cmath.exp(2j * math.pi * z)
-        s = u * (1.0 + u) / (1.0 - u) ** 3
-        qn = 1.0 + 0.0j
-        for _ in range(self.nterms):
-            qn *= q
-            w = qn * u
-            x = qn / u
-            s += w * (1.0 + w) / (1.0 - w) ** 3 - x * (1.0 + x) / (1.0 - x) ** 3
-        return (2j * math.pi) ** 3 * s
+        return self.wp_pair(z)[1]
 
     def _wp_rows(self, z: complex) -> complex:
         tau = self.tau
@@ -205,45 +205,29 @@ class WpEvaluator:
 
     # vectorized evaluation over numpy arrays, pole entries become inf
 
-    def wp_grid(self, z: np.ndarray) -> np.ndarray:
+    def wp_pair_grid(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(wp, wp') over an array of points, theta backend only."""
+        if self.backend != "theta":
+            raise ValueError(
+                f"grid evaluation needs the theta backend, not {self.backend!r}")
         z = np.asarray(z, dtype=complex)
         b = np.round(z.imag / self.tau.imag)
         a = np.round(z.real - (z.imag / self.tau.imag) * self.tau.real)
         zr = z - a - b * self.tau
         pole = np.abs(zr) < 1e-12
         zr = np.where(pole, 0.25, zr)
-        q = self.q
-        u = np.exp(2j * math.pi * zr)
-        s = 1.0 / 12.0 + u / (1.0 - u) ** 2
-        qn = 1.0 + 0.0j
-        for _ in range(self.nterms):
-            qn *= q
-            w = qn * u
-            x = qn / u
-            s = s + w / (1.0 - w) ** 2 + x / (1.0 - x) ** 2 - 2.0 * qn / (1.0 - qn) ** 2
-        out = (2j * math.pi) ** 2 * s
-        out[pole] = np.inf
-        return out
+        s, sp = theta_sums(np.exp(2j * math.pi * zr), self.q, self.nterms, 1.0)
+        wp = (2j * math.pi) ** 2 * s
+        wpp = (2j * math.pi) ** 3 * sp
+        wp[pole] = np.inf
+        wpp[pole] = np.inf
+        return wp, wpp
+
+    def wp_grid(self, z: np.ndarray) -> np.ndarray:
+        return self.wp_pair_grid(z)[0]
 
     def wp_prime_grid(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        b = np.round(z.imag / self.tau.imag)
-        a = np.round(z.real - (z.imag / self.tau.imag) * self.tau.real)
-        zr = z - a - b * self.tau
-        pole = np.abs(zr) < 1e-12
-        zr = np.where(pole, 0.25, zr)
-        q = self.q
-        u = np.exp(2j * math.pi * zr)
-        s = u * (1.0 + u) / (1.0 - u) ** 3
-        qn = 1.0 + 0.0j
-        for _ in range(self.nterms):
-            qn *= q
-            w = qn * u
-            x = qn / u
-            s = s + w * (1.0 + w) / (1.0 - w) ** 3 - x * (1.0 + x) / (1.0 - x) ** 3
-        out = (2j * math.pi) ** 3 * s
-        out[pole] = np.inf
-        return out
+        return self.wp_pair_grid(z)[1]
 
 
 class ProductEvaluator:
@@ -260,13 +244,13 @@ class ProductEvaluator:
         wps, wpps, flags = [], [], []
         for zj, ev in zip(z, self.evals):
             try:
-                wps.append(ev.wp(zj))
-                wpps.append(ev.wp_prime(zj))
+                p, pp = ev.wp_pair(zj)
                 flags.append(False)
             except AtInfinity:
-                wps.append(complex("inf"))
-                wpps.append(complex("inf"))
+                p = pp = complex("inf")
                 flags.append(True)
+            wps.append(p)
+            wpps.append(pp)
         return SegrePoint(tuple(wps), tuple(wpps), tuple(flags))
 
     def eval_polynomial(self, F: SegrePolynomial, z: tuple[complex, ...]) -> complex:
@@ -351,19 +335,15 @@ def count_roots_on_fiber(F: SegrePolynomial, which: int, fixed: complex,
     if pe is None:
         pe = ProductEvaluator(A)
     tau = pe.evals[which].tau
+    other = 1 - which
+    fixed_wp, fixed_wpp = pe.evals[other].wp_pair(fixed)
 
     def f_vec(zs: np.ndarray) -> np.ndarray:
-        if which == 0:
-            p1 = pe.evals[0].wp_grid(zs)
-            q1 = pe.evals[0].wp_prime_grid(zs)
-            p2 = np.full_like(zs, pe.evals[1].wp(fixed))
-            q2 = np.full_like(zs, pe.evals[1].wp_prime(fixed))
-        else:
-            p2 = pe.evals[1].wp_grid(zs)
-            q2 = pe.evals[1].wp_prime_grid(zs)
-            p1 = np.full_like(zs, pe.evals[0].wp(fixed))
-            q1 = np.full_like(zs, pe.evals[0].wp_prime(fixed))
-        stack = segre_products(p1, q1, p2, q2)
+        wps, wpps = [None, None], [None, None]
+        wps[which], wpps[which] = pe.evals[which].wp_pair_grid(zs)
+        wps[other] = np.full_like(zs, fixed_wp)
+        wpps[other] = np.full_like(zs, fixed_wpp)
+        stack = segre_stack(wps, wpps, np.ones_like(wps[which]))
         return np.asarray(F.eval_affine(stack), dtype=complex)
 
     _reject_degenerate(f_vec, tau)
@@ -386,9 +366,8 @@ def point_count_on_curve(F: SegrePolynomial, A: ProductVariety,
     tau = pe.evals[0].tau
 
     def f_vec(zs: np.ndarray) -> np.ndarray:
-        p = pe.evals[0].wp_grid(zs)
-        q = pe.evals[0].wp_prime_grid(zs)
-        stack = [np.ones_like(p), p, q]
+        p, q = pe.evals[0].wp_pair_grid(zs)
+        stack = segre_stack([p], [q], np.ones_like(p))
         return np.asarray(F.eval_affine(stack), dtype=complex)
 
     _reject_degenerate(f_vec, tau)
@@ -440,13 +419,6 @@ def bidegree_of(F: SegrePolynomial, A: ProductVariety,
                 raise ContourError("fiber counts disagree across base points")
         out.append(counts[0])
     return out[0], out[1]
-
-
-def delta_map(z_of_l: tuple[complex, ...], w: tuple[complex, ...],
-              A: ProductVariety) -> tuple[complex, ...]:
-    """Group difference w - exp(z) in A, reduced to the centered domain."""
-    diff = tuple(wj - zj for wj, zj in zip(w, z_of_l))
-    return A.reduce_point(diff)
 
 
 def jacobian_probe(l: complex, L_direction: tuple[complex, ...],

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eac.exactlinalg import (is_rational_matrix, primitive_integer_covector,
-                             rank_exact, right_nullspace, rref, solve_exact)
+from eac.exactlinalg import (primitive_integer_covector, rank_exact,
+                             right_nullspace, rref)
 from eac.multiquad import MultiQuadElem
 
 
@@ -58,21 +58,6 @@ def test_nullspace_of_empty_matrix_is_identity():
     assert ns == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] or len(ns) == 3
 
 
-def test_solve_exact_consistent_and_inconsistent():
-    rng = random.Random(9)
-    for _ in range(25):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        M = random_rational_matrix(rng, m, n)
-        x = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-        b = [sum(a * c for a, c in zip(row, x)) for row in M]
-        sol = solve_exact(M, b)
-        assert sol is not None
-        for row, bi in zip(M, b):
-            assert sum(a * c for a, c in zip(row, sol)) == bi
-    # 0 = 1 has no solution
-    assert solve_exact([[Fraction(0)]], [Fraction(1)]) is None
-
-
 def test_primitive_integer_covector_pinned():
     assert primitive_integer_covector(
         [Fraction(2, 3), Fraction(-1, 3), Fraction(0), Fraction(0)]) == [2, -1, 0, 0]
@@ -113,13 +98,6 @@ def test_exact_arithmetic_over_multiquad_entries():
         for a, b in zip(row, v):
             acc = acc + a * b
         assert acc.is_zero()
-
-
-def test_is_rational_matrix():
-    s2 = MultiQuadElem.sqrt_of(2)
-    assert is_rational_matrix([[Fraction(1, 2), 3]])
-    assert is_rational_matrix([[MultiQuadElem.from_rational(4)]])
-    assert not is_rational_matrix([[s2]])
 
 
 def test_rank_two_realified_diagonal_rows():

@@ -172,7 +172,8 @@ def test_duality_pairing_consistency():
     assert eta.coeffs == {(1, 2): Fraction(2), (3, 4): Fraction(3)}
     for _ in range(20):
         alpha = random_form(rng, 2, 4)
-        want = cls.pair_with_form(alpha)
+        want = sum((c * alpha.coeffs[k] for k, c in cls.coeffs if k in alpha.coeffs),
+                   Fraction(0))
         got = integrate_top(alpha.wedge(eta), 2)
         assert got == want
 

@@ -105,13 +105,6 @@ def test_solver_block_round_trips():
     assert inst.config.solve_tol == 1e-10
 
 
-def test_docs_schemas_match_packaged_copies():
-    for name in ("instance.schema.json", "report.schema.json"):
-        packaged = (PKG_ROOT / "src" / "eac" / "schemas" / name).read_bytes()
-        docs = (PKG_ROOT / "docs" / name).read_bytes()
-        assert packaged == docs
-
-
 def test_report_validator_rejects_malformed():
     assert "properties" in report_schema()
     assert "properties" in instance_schema()
@@ -217,14 +210,30 @@ def test_cli_solve_uncertified_exit_code(tmp_path):
 
 
 def test_cli_solve_certified_but_empty(tmp_path, capsys):
+    # an impossible coarse threshold leaves every cell without seeds
+    data = flagship_dict()
+    data["solver"] = {"budget_cells": 1, "coarse_threshold": 1e-15}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
     out = tmp_path / "r.json"
-    code = run_cli(["solve", "catalog:diag-prod-one", "--budget", "0",
-                    "--out", str(out)])
+    code = run_cli(["solve", str(path), "--out", str(out)])
     assert code == 5
     assert "defect" in capsys.readouterr().out
     report = json.loads(out.read_text())
     assert report["solve"]["defect"] is True
     assert report["certificate"]["nonzero"] is True
+
+
+@pytest.mark.parametrize("option, value, field", [
+    ("--budget", "0", "budget_cells"),
+    ("--budget", "-3", "budget_cells"),
+    ("--grid", "0", "grid"),
+    ("--grid", "2", "grid"),
+    ("--target", "0", "target_count"),
+])
+def test_cli_rejects_out_of_range_overrides(option, value, field, capsys):
+    assert run_cli(["solve", "catalog:irrational-slope", option, value]) == 1
+    assert f"error: solver override: {field} must be" in capsys.readouterr().err
 
 
 def test_cli_density_defaults_and_stats(tmp_path, capsys):

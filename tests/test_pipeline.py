@@ -123,7 +123,9 @@ def test_solve_refuses_before_scanning(pe2):
 
 
 def test_solve_reports_certified_emptiness(flagship, pe2):
-    out = solve(flagship, pe2, config=SolverConfig(budget_cells=0))
+    # an impossible coarse threshold leaves every cell without seeds
+    cfg = SolverConfig(budget_cells=1, coarse_threshold=1e-15)
+    out = solve(flagship, pe2, config=cfg)
     assert out.exit_code == 5
     assert out.certify.certificate.nonzero
     assert out.report.defect

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eac.segre import SEGRE_DIM, SegrePoint, SegrePolynomial, segre_products
+from eac.segre import SEGRE_DIM, SegrePoint, SegrePolynomial, segre_stack
 
 
 def test_coordinate_ordering_pinned():
@@ -28,7 +28,7 @@ def test_coords_raise_at_infinity():
 def test_segre_products_match_point_coords():
     rng = np.random.default_rng(1)
     p1, q1, p2, q2 = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(4))
-    stack = segre_products(p1, q1, p2, q2)
+    stack = segre_stack((p1, p2), (q1, q2), np.ones_like(p1))
     for i in range(4):
         pt = SegrePoint(wp=(p1[i], p2[i]), wp_prime=(q1[i], q2[i]),
                         at_infinity=(False, False))
@@ -55,9 +55,9 @@ def test_linear_polynomial_evaluation():
     # F = Z4 - Z0, the flagship shape wp_1 wp_2 = 1
     F = SegrePolynomial.linear(2, {4: 1, 0: -1})
     pt = SegrePoint(wp=(2, 0.5), wp_prime=(0, 0), at_infinity=(False, False))
-    assert abs(F.eval_point(pt)) < 1e-15
+    assert abs(F.eval_affine(pt.coords())) < 1e-15
     pt2 = SegrePoint(wp=(2, 2), wp_prime=(0, 0), at_infinity=(False, False))
-    assert abs(F.eval_point(pt2) - 3) < 1e-15
+    assert abs(F.eval_affine(pt2.coords()) - 3) < 1e-15
 
 
 def test_from_dict_validation():
@@ -77,7 +77,7 @@ def test_from_dict_drops_zero_monomials_and_sorts():
     e0 = tuple([1] + [0] * 8)
     e4 = (0, 0, 0, 0, 1, 0, 0, 0, 0)
     F = SegrePolynomial.from_dict(2, {e4: 1.0, e0: -1.0, (0, 1) + (0,) * 7: 0.0})
-    assert F.to_table() == {e0: -1.0, e4: 1.0}
+    assert dict(F.monomials) == {e0: -1.0, e4: 1.0}
     assert [e for e, _ in F.monomials] == sorted([e0, e4])
 
 
@@ -85,12 +85,12 @@ def test_eval_affine_vectorized_matches_scalar():
     F = SegrePolynomial.linear(2, {4: 1, 0: -1, 2: 3j})
     rng = np.random.default_rng(3)
     p1, q1, p2, q2 = (rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(4))
-    stack = segre_products(p1, q1, p2, q2)
+    stack = segre_stack((p1, p2), (q1, q2), np.ones_like(p1))
     vec = F.eval_affine(stack)
     for i in range(6):
         pt = SegrePoint(wp=(p1[i], p2[i]), wp_prime=(q1[i], q2[i]),
                         at_infinity=(False, False))
-        assert abs(vec[i] - F.eval_point(pt)) < 1e-12
+        assert abs(vec[i] - F.eval_affine(pt.coords())) < 1e-12
 
 
 def test_higher_monomials_evaluate_affinely():
@@ -99,15 +99,5 @@ def test_higher_monomials_evaluate_affinely():
     e[3], e[1] = 2, 1
     F = SegrePolynomial.from_dict(2, {tuple(e): 2.0})
     pt = SegrePoint(wp=(3, 5), wp_prime=(0, 0), at_infinity=(False, False))
-    assert abs(F.eval_point(pt) - 2 * 9 * 5) < 1e-12
+    assert abs(F.eval_affine(pt.coords()) - 2 * 9 * 5) < 1e-12
 
-
-def test_max_wp_degree_weighted_counts():
-    F = SegrePolynomial.linear(2, {4: 1, 0: -1})
-    # Z4 = wp_1 wp_2: weighted degree 2 in each factor
-    assert F.max_wp_degree() == (2, 2)
-    G = SegrePolynomial.linear(2, {8: 1})
-    # Z8 = wp_1' wp_2': weighted degree 3 in each factor
-    assert G.max_wp_degree() == (3, 3)
-    H = SegrePolynomial.linear(1, {2: 1, 1: 5})
-    assert H.max_wp_degree() == 3

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -31,8 +32,11 @@ def test_spiral_covers_square_rings():
 
 
 def test_thread_count_env_override(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("EAC_THREADS", "3")
     assert thread_count() == 3
+    monkeypatch.setenv("EAC_THREADS", "64")
+    assert thread_count() == 8
     monkeypatch.setenv("EAC_THREADS", "0")
     assert thread_count() == 1
     monkeypatch.setenv("EAC_THREADS", "junk")

@@ -93,7 +93,7 @@ def test_complex_span_rejects_dependent_vectors():
     with pytest.raises(ValueError):
         ExactSubspace.complex_span([[1, 1], [2, 2]], 2)
     with pytest.raises(ValueError):
-        ExactSubspace.real_span([[1, 0, 0, 0], [1, 0, 0, 0]], 4)
+        ExactSubspace("real", ((1, 0, 0, 0), (1, 0, 0, 0)), 4)
 
 
 def test_contains_vector_exact():

@@ -9,7 +9,7 @@ from eac.segre import SegrePolynomial
 from eac.variety import ProductVariety
 from eac.weierstrass import (AtInfinity, ContourError, DegenerateFiber,
                              ProductEvaluator, WpEvaluator, bidegree_of,
-                             count_roots_on_fiber, delta_map, jacobian_probe,
+                             count_roots_on_fiber, jacobian_probe,
                              point_count_on_curve, reduce_to_fundamental)
 from tests.conftest import factor_sqrt
 
@@ -141,6 +141,14 @@ def test_wp_grid_matches_scalar_and_flags_poles():
             assert abs(gridp[i] - ev.wp_prime(z)) < 1e-10 * max(abs(gridp[i]), 1.0)
 
 
+def test_grid_paths_refuse_the_lattice_sum_backend():
+    ev = WpEvaluator(1j * math.sqrt(2), backend="lattice-sum")
+    zs = np.array([0.3 + 0.4j, 0.25 + 0.1j])
+    for grid in (ev.wp_pair_grid, ev.wp_grid, ev.wp_prime_grid):
+        with pytest.raises(ValueError, match="theta"):
+            grid(zs)
+
+
 def test_product_evaluator_segre_and_poles(A2, pe2):
     z = (0.3 + 0.2j, 0.1 + 0.5j)
     pt = pe2.exp_segre(z)
@@ -225,17 +233,6 @@ def test_point_count_on_single_curve(A1):
     assert point_count_on_curve(F3, A1, pe) == 3
     with pytest.raises(ValueError):
         point_count_on_curve(F2, ProductVariety((factor_sqrt(2), factor_sqrt(5))))
-
-
-def test_delta_map_zero_iff_match(A2):
-    z = (0.21 + 0.4j, -0.3 + 0.9j)
-    d = delta_map(z, z, A2)
-    assert max(abs(x) for x in d) < 1e-12
-    tau2 = A2.factors[1].tau
-    d2 = delta_map(z, (z[0] + 2, z[1] - tau2), A2)
-    assert max(abs(x) for x in d2) < 1e-9
-    d3 = delta_map(z, (z[0] + 0.1, z[1]), A2)
-    assert max(abs(x) for x in d3) > 0.05
 
 
 def test_jacobian_probe_full_rank_at_transverse_solution(A2, pe2):
