@@ -11,7 +11,7 @@ from .forms import (Certificate, ExteriorForm, HomologyClass,
                     class_of_hypersurface, eac_certificate, form_of_subspace,
                     holomorphic_form_realized, hypersurface_form, integrate_top)
 from .hull import (HullChain, HullResult, complexification, hull_chain,
-                   rational_hull)
+                   kernel_lattice, rational_hull)
 from .instance import (Instance, InstanceError, builtin_instance,
                        catalog_names, instance_from_dict, load_instance)
 from .multiquad import ComplexMQ, MultiQuadElem, parse_mq, render_mq
@@ -36,6 +36,6 @@ __all__ = [
     "decide", "density_summary", "eac_certificate",
     "form_of_subspace", "harvest_density", "holomorphic_form_realized",
     "hull_chain", "hypersurface_form", "instance_from_dict", "integrate_top",
-    "jacobian_probe", "load_instance", "parse_mq", "point_count_on_curve",
+    "jacobian_probe", "kernel_lattice", "load_instance", "parse_mq", "point_count_on_curve",
     "rational_hull", "reduce_L", "render_mq", "solve",
 ]

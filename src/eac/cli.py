@@ -12,7 +12,7 @@ JSON (schema-validated, keys sorted, reproducible for a fixed seed except
 the "timings" block) written to --out, with a human summary on stdout.
 Exit codes: check 0 passed / 2 failed / 3 indeterminate; certify 0 emitted /
 2 refused / 3 indeterminate; solve and density 0 found / 4 uncertified /
-5 certified but empty within budget; file problems 1.
+5 certified but empty within budget or all distinct cells; file problems 1.
 """
 
 from __future__ import annotations
@@ -92,8 +92,10 @@ def _solve_block(report: SolveReport, cfg) -> dict:
         "cells_scanned": report.cells_scanned,
         "cells_with_solutions": sorted(report.cells_with_solutions),
         "seeds_refined": report.seeds_refined,
+        "seeds_duplicate": report.seeds_duplicate,
         "failures": len(report.failures),
         "budget_exhausted": report.budget_exhausted,
+        "cells_exhausted": report.cells_exhausted,
         "target_reached": report.target_reached,
         "defect": report.defect,
     }
@@ -244,14 +246,17 @@ def _run_solve(args, command: str) -> int:
         print(f"{command} {instance.label}: refused, uncertified "
               f"({outcome.certify.reason})")
     elif outcome.exit_code == 5:
+        r = outcome.report
+        where = (f"in all {r.cells_scanned} distinct cell(s)" if r.cells_exhausted
+                 else f"within {instance.config.budget_cells} cells")
         print(f"{command} {instance.label}: certificate nonzero but no point "
-              f"passed verification within {instance.config.budget_cells} cells; "
-              "reported as a defect")
+              f"passed verification {where}; reported as a defect")
     else:
         r = outcome.report
+        scanned = (f"all {r.cells_scanned} distinct cell(s) scanned" if r.cells_exhausted
+                   else f"{r.cells_scanned} cell(s) scanned")
         print(f"{command} {instance.label}: {len(r.solutions)} verified point(s) "
-              f"across {len(r.cells_with_solutions)} cell(s), "
-              f"{r.cells_scanned} cell(s) scanned")
+              f"across {len(r.cells_with_solutions)} cell(s), {scanned}")
         if command == "density" and report["density"]:
             d = report["density"]
             if d["min_pairwise_distance"] is not None:

@@ -2,7 +2,9 @@
 
 Works uniformly for Fraction, MultiQuadElem, and ComplexMQ scalars. Matrices
 are lists of row lists. Nothing here is numeric; pivoting is on the first
-nonzero entry, which is safe because arithmetic is exact.
+nonzero entry, which is safe because arithmetic is exact. Integer lattices
+get the Hermite normal form (Cohen, A Course in Computational Algebraic
+Number Theory, section 2.4.2), built from unimodular row operations only.
 """
 
 from __future__ import annotations
@@ -106,3 +108,59 @@ def primitive_integer_covector(v: list[Fraction]) -> list[int]:
         ints = [-a for a in ints]
     return ints
 
+
+
+def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form of an integer matrix, zero rows dropped.
+
+    The rows returned span the same lattice as the input rows. They are in
+    echelon form with positive pivots, and every entry above a pivot lies in
+    [0, pivot), so two generating sets of one lattice give the same result.
+    """
+    m = [[int(x) for x in r] for r in rows if any(r)]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        for i in range(r + 1, len(m)):
+            a, b = m[r][c], m[i][c]
+            if b == 0:
+                continue
+            # (x, y; -b/g, a/g) has determinant 1 and clears m[i][c]
+            g, x, y = _xgcd(a, b)
+            m[r], m[i] = ([x * s + y * t for s, t in zip(m[r], m[i])],
+                          [(a // g) * t - (b // g) * s for s, t in zip(m[r], m[i])])
+        if r == len(m) or m[r][c] == 0:
+            continue
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+        for i in range(r):
+            k = m[i][c] // m[r][c]
+            m[i] = [s - k * t for s, t in zip(m[i], m[r])]
+        r += 1
+    return m[:r]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) > 0 and x a + y b = g, for (a, b) != 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
+
+
+def integer_kernel(rows: list[list[Fraction]], ncols: int) -> list[list[int]]:
+    """Hermite-normal basis of the lattice {x in Z^ncols : M x = 0}.
+
+    Row-reduces the transpose of M beside an identity block with unimodular
+    operations. The identity parts of the rows whose M part becomes zero are
+    a basis of the integer kernel, and they come out already in Hermite
+    normal form because they are the tail of the reduced block.
+    """
+    ints = [primitive_integer_covector(r) for r in rows if any(x != 0 for x in r)]
+    k = len(ints)
+    block = [[r[j] for r in ints] + [int(i == j) for i in range(ncols)]
+             for j in range(ncols)]
+    return [r[k:] for r in hermite_normal_form(block) if not any(r[:k])]

@@ -15,6 +15,13 @@ Iterating hull and complexification grows a chain
 which strictly increases in real dimension until it stabilizes. Stabilizing
 at C^g is the unobstructed outcome; stabilizing at a proper complex
 Lambda-rational subspace flags the obstruction and names it.
+
+Dually, the lattice points on realified L form the kernel of exp on L,
+
+    Lambda_L = L_R  intersect  Z^(2g),
+
+so that exp(L) is L / Lambda_L; the solver walks the parameter plane
+modulo it.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlinalg import primitive_integer_covector, right_nullspace, rref
+from .exactlinalg import (integer_kernel, primitive_integer_covector,
+                          right_nullspace, rref)
 from .multiquad import MultiQuadElem
 from .variety import ExactSubspace, ProductVariety
 
@@ -104,6 +112,21 @@ def rational_hull(L: ExactSubspace, A: ProductVariety) -> HullResult:
     if not T.contains(Lr):
         raise AssertionError("hull failed to contain the realified subspace")
     return HullResult(T=T, equations=eqs)
+
+
+def kernel_lattice(L: ExactSubspace, A: ProductVariety) -> tuple[tuple[int, ...], ...]:
+    """Hermite normal form basis of Lambda_L = L_R intersect Z^(2g).
+
+    The dual of rational_hull: the real equations of realified L are
+    multiquadratic covectors, and an integer vector satisfies one iff it
+    satisfies each of its rational component rows, so Lambda_L is the integer
+    kernel of those rows. An empty basis means exp is injective on L.
+    """
+    if L.kind != "complex":
+        raise ValueError("kernel_lattice needs a complex subspace")
+    n = 2 * A.g
+    eqs = right_nullspace([list(v) for v in L.realified(A).basis], ncols=n)
+    return tuple(tuple(r) for r in integer_kernel(rational_component_rows(eqs), n))
 
 
 def complexification(T: ExactSubspace, A: ProductVariety) -> ExactSubspace:

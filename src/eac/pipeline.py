@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .checker import PairVerdict, SubvarietyData, check_pair, reduce_L
 from .forms import Certificate, eac_certificate, hypersurface_form
-from .hull import HullChain, HullResult, hull_chain, rational_hull
+from .hull import (HullChain, HullResult, hull_chain, kernel_lattice,
+                   rational_hull)
 from .instance import Instance
 from .solver import (PulledBackSystem, SolveReport, SolverConfig,
                      harvest_density)
@@ -144,7 +145,10 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
     """Certify, then harvest verified intersection points.
 
     Exit code 0: at least one verified point. 4: refused before solving.
-    5: certified but nothing verified within budget (reported as a defect).
+    5: certified but nothing verified within budget, or in any of the finitely
+    many distinct cells (reported as a defect). The kernel of exp on L is
+    computed here, once per harvest, so that the walk skips cells whose
+    image in the product was already scanned.
     """
     pe = pe or ProductEvaluator(instance.A)
     cfg = config or instance.config
@@ -167,7 +171,8 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
                 return -1
     else:
         jac = None
-    report = harvest_density(system, cfg, certified=True, jacobian_cb=jac)
+    report = harvest_density(system, cfg, certified=True, jacobian_cb=jac,
+                             kernel=kernel_lattice(L, instance.A))
     code = 0 if report.solutions else 5
     return SolveOutcome(outcome, report, code)
 

@@ -4,9 +4,20 @@ The parameter space is L itself: for a one-dimensional L with direction v the
 pulled-back function is G(l) = F(exp(l v)). The plane of l is tiled by
 preimages of period cells of an anchor factor (the first with a nonzero
 direction entry), walked in a deterministic spiral outward from the origin.
+
+exp is not injective on L when L meets the period lattice: its kernel
+Lambda_L (hull.kernel_lattice) shifts whole cells, by the cell-shift lattice
+K in Z^2 that is Lambda_L read in the anchor's lattice coordinates, onto
+cells with the same image in the product. The walk therefore reduces each
+spiral cell modulo K and scans only the first cell of each class of Z^2/K,
+so the cell budget counts distinct cells of L / Lambda_L. When K has rank 2
+the walk is finite and ends after the last class; when Lambda_L = 0, as for
+an irrational slope, it is the plain spiral.
+
 Each cell gets a coarse grid scan for local minima of |G|, Newton refinement
 with central differences, an independent verification pass, and group-level
-deduplication of the resulting points of the product variety.
+deduplication of the resulting points of the product variety, which still
+catches seeds of one cell, or of neighbouring cells, converging to one root.
 
 Verification recomputes each residual with mpmath at 30 digits, using the
 same theta series (weierstrass.theta_sums) as the scan but none of its
@@ -18,6 +29,7 @@ the theta series, is the independent cross-check of harvested points.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -26,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exactlinalg import hermite_normal_form
 from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
 from .weierstrass import ContourError, ProductEvaluator, _winding, theta_sums
@@ -90,7 +103,9 @@ class SolveReport:
     cells_scanned: int = 0
     cells_with_solutions: set = field(default_factory=set)
     seeds_refined: int = 0
+    seeds_duplicate: int = 0
     budget_exhausted: bool = False
+    cells_exhausted: bool = False
     target_reached: bool = False
     defect: bool = False
     timings: dict = field(default_factory=dict)
@@ -110,6 +125,41 @@ def spiral_cells():
         for p in range(-r + 1, r + 1):
             yield (p, -r)
         r += 1
+
+
+def reduce_cell(cell: tuple[int, int],
+                shifts: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """Canonical representative of a cell modulo the lattice of HNF rows shifts."""
+    p = cell
+    for row in shifts:
+        c = 0 if row[0] else 1
+        k = p[c] // row[c]
+        p = (p[0] - k * row[0], p[1] - k * row[1])
+    return p
+
+
+def class_count(shifts: tuple[tuple[int, int], ...]) -> int | None:
+    """The index [Z^2 : K], or None when K has rank below 2."""
+    if len(shifts) < 2:
+        return None
+    return shifts[0][0] * shifts[1][1]
+
+
+def distinct_cells(shifts: tuple[tuple[int, int], ...]):
+    """The spiral walk modulo K: each class of Z^2 / K once, as its reduced cell.
+
+    shifts is the Hermite normal form basis of K. The walk is infinite unless
+    K has rank 2, and then ends after the last of the [Z^2 : K] classes.
+    """
+    total = class_count(shifts)
+    seen = set()
+    for cell in spiral_cells():
+        cell = reduce_cell(cell, shifts)
+        if cell not in seen:
+            seen.add(cell)
+            yield cell
+            if len(seen) == total:
+                return
 
 
 def thread_count() -> int:
@@ -165,6 +215,17 @@ class PulledBackSystem:
         for zj, ev in zip(self.z_of(l), self.pe.evals):
             dists.append(ev.dist_to_lattice(zj))
         return min(dists)
+
+    def cell_shifts(self, kernel) -> tuple[tuple[int, int], ...]:
+        """HNF basis of K, the cell shifts (p, q) that l -> l + lambda makes.
+
+        kernel is an integer basis of Lambda_L in the lattice chart. A kernel
+        vector moves the anchor coordinate l v_anchor by its two anchor
+        entries, which is a shift of whole cells; the projection is injective
+        on realified L, so K has the rank of Lambda_L.
+        """
+        j = 2 * self.anchor
+        return tuple(tuple(r) for r in hermite_normal_form([k[j:j + 2] for k in kernel]))
 
     def cell_box(self, p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Map unit-box grid coordinates into cell (p, q) of the l-plane."""
@@ -273,12 +334,14 @@ def verify_solution(system: PulledBackSystem, l: complex, cfg: SolverConfig,
 
 
 def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
-                    certified: bool = False,
-                    jacobian_cb=None) -> SolveReport:
-    """Scan cells in spiral order until the target count or the cell budget.
+                    certified: bool = False, jacobian_cb=None,
+                    kernel=()) -> SolveReport:
+    """Scan distinct cells in spiral order until the target count or the budget.
 
     Requires certified=True: running without a nonzero certificate is a
-    precondition violation, not a soft warning. Deduplication is by group
+    precondition violation, not a soft warning. kernel is an integer basis of
+    Lambda_L (hull.kernel_lattice); cells are walked modulo the shifts it
+    induces, and an empty kernel walks every cell. Deduplication is by group
     distance on the product variety at dedup_tol. jacobian_cb, when given,
     maps an accepted parameter to a recorded rank.
     """
@@ -287,10 +350,10 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
             "harvest requires a certified instance (nonzero certificate)")
     report = SolveReport()
     t0 = time.perf_counter()
-    cells = []
-    walker = spiral_cells()
-    for _ in range(cfg.budget_cells):
-        cells.append(next(walker))
+    shifts = system.cell_shifts(kernel)
+    cells = list(itertools.islice(distinct_cells(shifts), cfg.budget_cells))
+    walks_all = len(cells) == class_count(shifts)
+    accepted = np.empty((0, system.A.g), dtype=complex)
     workers = thread_count()
     t_scan = 0.0
 
@@ -319,10 +382,9 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                         report.failures.append(
                             FailureRecord(complex(seed), cell_index, res))
                         continue
-                    z = system.z_of(l)
-                    zred = system.A.reduce_point(z)
-                    if any(system.A.torus_distance(zred, s.z) < cfg.dedup_tol
-                           for s in report.solutions):
+                    zred = system.A.reduce_point(system.z_of(l))
+                    if np.any(system.A.torus_distances(zred, accepted) < cfg.dedup_tol):
+                        report.seeds_duplicate += 1
                         continue
                     ok, vres, wind, reason = verify_solution(system, l, cfg)
                     if not ok:
@@ -333,6 +395,7 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                         l=complex(l), z=tuple(complex(x) for x in zred),
                         residual=float(res), verified_residual=float(vres),
                         winding=int(wind), jacobian_rank=int(rank), cell=cell_index))
+                    accepted = np.vstack([accepted, zred])
                     report.cells_with_solutions.add(cell_index)
                     if len(report.solutions) >= cfg.target_count:
                         report.target_reached = True
@@ -340,7 +403,8 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                     break
             if report.target_reached:
                 break
-    report.budget_exhausted = not report.target_reached
-    report.defect = certified and not report.solutions and report.budget_exhausted
+    report.cells_exhausted = walks_all and not report.target_reached
+    report.budget_exhausted = not (report.target_reached or report.cells_exhausted)
+    report.defect = not report.solutions
     report.timings = {"total_s": time.perf_counter() - t0, "scan_s": t_scan}
     return report

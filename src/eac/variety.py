@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .exactlinalg import rank_exact, rref
 from .multiquad import ComplexMQ, MultiQuadElem
 
@@ -133,6 +135,22 @@ class ProductVariety:
         diff = tuple(a - b for a, b in zip(z, w))
         red = self.reduce_point(diff)
         return sum(abs(d) ** 2 for d in red) ** 0.5
+
+    def torus_distances(self, z: tuple[complex, ...], others: np.ndarray) -> np.ndarray:
+        """torus_distance from z to each row of an (n, g) complex array at once.
+
+        Same steps as the scalar form: the difference, its lattice coordinates
+        reduced to [-1/2, 1/2], and the norm of their image in C^g. numpy's
+        complex abs and powers round differently from Python's, so the two
+        forms agree to about one ulp rather than bit for bit.
+        """
+        diff = np.asarray(z, dtype=complex) - others
+        total = np.zeros(len(others))
+        for j, f in enumerate(self.factors):
+            b = diff[:, j].imag / float(f.tau_im)
+            a = diff[:, j].real - b * float(f.tau_re)
+            total = total + np.abs((a - np.round(a)) + (b - np.round(b)) * f.tau) ** 2
+        return total ** 0.5
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eac.exactlinalg import (primitive_integer_covector, rank_exact,
+from eac.exactlinalg import (hermite_normal_form, integer_kernel,
+                             primitive_integer_covector, rank_exact,
                              right_nullspace, rref)
 from eac.multiquad import MultiQuadElem
 
@@ -110,3 +111,51 @@ def test_rank_two_realified_diagonal_rows():
     M = [[one, zero, one, zero], [zero, s2, zero, s5]]
     assert rank_exact(M) == 2
     assert len(right_nullspace(M)) == 2
+
+
+def test_hermite_normal_form_is_canonical_per_lattice():
+    # (2, 0), (0, 4), (1, 1) and (1, 1), (0, 2) generate the same lattice
+    assert hermite_normal_form([[2, 0], [0, 4], [1, 1]]) == [[1, 1], [0, 2]]
+    assert hermite_normal_form([[-1, -1], [1, 3]]) == [[1, 1], [0, 2]]
+    assert hermite_normal_form([[4, 6]]) == [[4, 6]]
+    assert hermite_normal_form([[0, -3], [0, 6]]) == [[0, 3]]
+    assert hermite_normal_form([[0, 0]]) == []
+    assert hermite_normal_form([]) == []
+    rng = random.Random(5)
+    for _ in range(30):
+        rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(rng.randint(1, 4))]
+        h = hermite_normal_form(rows)
+        # same lattice: a unimodular shuffle of the generators gives the same form
+        mixed = [list(r) for r in rows]
+        for _ in range(5):
+            i, j = rng.sample(range(len(mixed)), 2) if len(mixed) > 1 else (0, 0)
+            if i != j:
+                k = rng.randint(-3, 3)
+                mixed[i] = [a + k * b for a, b in zip(mixed[i], mixed[j])]
+        assert hermite_normal_form(mixed[::-1]) == h
+        assert len(h) == rank_exact([[Fraction(x) for x in r] for r in rows] or [[0]])
+        for r, row in enumerate(h):
+            c = next(j for j, x in enumerate(row) if x)
+            assert row[c] > 0
+            assert all(h[i][c] == 0 for i in range(r + 1, len(h)))
+            assert all(0 <= h[i][c] < row[c] for i in range(r))
+
+
+def test_integer_kernel_is_saturated():
+    # 2x = 3y has the integer points Z(3, 2), not only multiples of a scaled vector
+    assert integer_kernel([[Fraction(2), Fraction(-3)]], 2) == [[3, 2]]
+    assert integer_kernel([[Fraction(1, 2), Fraction(-1, 3)]], 2) == [[2, 3]]
+    assert integer_kernel([], 2) == [[1, 0], [0, 1]]
+    assert integer_kernel([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]], 2) == []
+    rng = random.Random(9)
+    for _ in range(20):
+        M = random_rational_matrix(rng, rng.randint(1, 3), 4)
+        K = integer_kernel(M, 4)
+        assert len(K) == 4 - rank_exact(M)
+        assert hermite_normal_form(K) == K
+        for x in K:
+            assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in M)
+        # saturated: a rational kernel vector scaled to integers lies in span_Z K
+        for v in right_nullspace(M, ncols=4):
+            w = primitive_integer_covector(v)
+            assert hermite_normal_form(K + [w]) == K

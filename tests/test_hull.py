@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from eac.hull import (complexification, hull_chain, rational_component_rows,
-                      rational_hull)
+from eac.hull import (complexification, hull_chain, kernel_lattice,
+                      rational_component_rows, rational_hull)
 from eac.multiquad import MultiQuadElem
 from eac.variety import ExactSubspace
 
@@ -132,3 +132,29 @@ def test_chain_dimensions_never_decrease(A2, A3):
         assert real_dims == sorted(real_dims)
         if not c.non_free:
             assert c.chain[-1].dim == A.g
+
+
+@pytest.mark.parametrize("direction, kernel", [
+    ([1, 1], ((1, 0, 1, 0),)),
+    ([1, -1], ((1, 0, -1, 0),)),
+    ([1, 2], ((1, 0, 2, 0),)),
+    ([2, 1], ((2, 0, 1, 0),)),
+    ([1, MultiQuadElem.sqrt_of(2)], ()),
+    ([1, 0], ((1, 0, 0, 0), (0, 1, 0, 0))),
+])
+def test_kernel_lattice_of_lines(A2, direction, kernel):
+    # Lambda_L = {l v in Z^4}: l = 1 for the rational slopes, since
+    # i sqrt(2) Z and i sqrt(5) Z meet only in 0
+    L = ExactSubspace.complex_span([direction], 2)
+    assert kernel_lattice(L, A2) == kernel
+    Lr = L.realified(A2)
+    for k in kernel:
+        assert Lr.contains_vector([MultiQuadElem.from_rational(x) for x in k])
+
+
+def test_kernel_lattice_of_full_spaces(A1, A2):
+    assert kernel_lattice(ExactSubspace.complex_span([[1]], 1), A1) == ((1, 0), (0, 1))
+    assert kernel_lattice(ExactSubspace.full_complex(2), A2) == tuple(
+        tuple(int(i == j) for j in range(4)) for i in range(4))
+    with pytest.raises(ValueError):
+        kernel_lattice(rational_hull(ExactSubspace.full_complex(2), A2).T, A2)

@@ -298,3 +298,40 @@ def test_cli_single_factor_end_to_end(tmp_path):
     for s in report["solve"]["solutions"]:
         assert len(s["z"]) == 1
         assert s["jacobian_rank"] == -1
+
+
+def test_cli_single_factor_scans_every_distinct_cell_once(tmp_path, capsys):
+    # exp is onto the curve from one period cell of l, so the walk has one
+    # cell; the old walk scanned 64 cells and refined 224 seeds here
+    inst = {
+        "label": "wp-level-1.7",
+        "factors": [{"tau_re": "0", "tau_im": {"d": 3, "q": "1"}}],
+        "L": {"basis": [["1"]]},
+        "W": {
+            "kind": "segre-hypersurface",
+            "dim": 0,
+            "monomials": [
+                {"exponents": [0, 1, 0], "re": 1.0},
+                {"exponents": [1, 0, 0], "re": -1.7},
+            ],
+        },
+        "solver": {"target_count": 30},
+    }
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps(inst))
+    out = tmp_path / "r.json"
+    assert run_cli(["solve", str(path), "--out", str(out)]) == 0
+    assert "all 1 distinct cell(s) scanned" in capsys.readouterr().out
+    sol = json.loads(out.read_text())["solve"]
+    assert sol["cells_scanned"] == 1
+    assert sol["distinct_count"] == 2
+    assert sol["cells_exhausted"] is True
+    assert sol["budget_exhausted"] is False
+    assert sol["defect"] is False
+    assert sol["seeds_refined"] == 2 + sol["failures"] + sol["seeds_duplicate"]
+    inst["solver"]["coarse_threshold"] = 1e-15
+    path.write_text(json.dumps(inst))
+    assert run_cli(["solve", str(path), "--out", str(out)]) == 5
+    assert "in all 1 distinct cell(s); reported as a defect" in capsys.readouterr().out
+    sol = json.loads(out.read_text())["solve"]
+    assert sol["defect"] is True and sol["cells_exhausted"] is True

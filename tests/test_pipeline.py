@@ -115,6 +115,18 @@ def test_solve_flagship_small_budget(flagship, pe2):
     assert any(s.jacobian_rank == 2 for s in out.report.solutions)
 
 
+def test_solve_anti_diagonal_reaches_its_target():
+    # exp has the kernel Z(1, 0, -1, 0) on this line; walking every cell of
+    # the plane stopped at 27 of 30 points within the 64-cell budget
+    inst = builtin_instance("anti-diagonal")
+    assert inst.config.target_count == 30
+    out = solve(inst)
+    assert out.exit_code == 0
+    assert len(out.report.solutions) == 30
+    assert out.report.target_reached
+    assert out.report.cells_scanned <= 16
+
+
 def test_solve_refuses_before_scanning(pe2):
     out = solve(builtin_instance("axis-line"))
     assert out.exit_code == 4

@@ -5,17 +5,26 @@ import os
 import numpy as np
 import pytest
 
+from eac.hull import kernel_lattice
+from eac.multiquad import MultiQuadElem
 from eac.segre import SegrePolynomial
 from eac.solver import (PulledBackSystem, SolverConfig, UncertifiedError,
-                        coarse_scan, harvest_density, newton_refine,
+                        class_count, coarse_scan, distinct_cells,
+                        harvest_density, newton_refine, reduce_cell,
                         spiral_cells, thread_count, verify_solution)
-from eac.variety import ProductVariety
+from eac.variety import ExactSubspace, ProductVariety
 from tests.conftest import factor_sqrt
+
+DIAGONAL_KERNEL = ((1, 0, 1, 0),)
 
 
 def flagship_system(pe2, A2):
     F = SegrePolynomial.linear(2, {4: 1, 0: -1})
     return PulledBackSystem(F, (1, 1), A2, pe2)
+
+
+def one_factor_system(A1, level=1.7):
+    return PulledBackSystem(SegrePolynomial.linear(1, {1: 1, 0: -level}), (1,), A1)
 
 
 def test_spiral_first_ring_pinned():
@@ -151,18 +160,107 @@ def test_harvest_flagship_small_budget(A2, pe2):
     assert report.timings["total_s"] > 0
 
 
-def test_harvest_dedups_p_translates(A2, pe2):
+def test_p_translate_cells_give_the_same_points(A2, pe2):
     # for the diagonal direction, cell (1, 0) shifts l by one, which moves
-    # exp(l v) by the lattice vector (1, 1): every point there is a duplicate
+    # exp(l v) by the lattice vector (1, 1): both cells hold the same points
     sys_ = flagship_system(pe2, A2)
-    one = harvest_density(sys_, SolverConfig(budget_cells=1, target_count=40),
-                          certified=True)
-    two = harvest_density(sys_, SolverConfig(budget_cells=2, target_count=40),
-                          certified=True)
-    assert len(two.solutions) == len(one.solutions)
-    zs1 = {tuple(round(x.real, 8) for x in s.z) for s in one.solutions}
-    zs2 = {tuple(round(x.real, 8) for x in s.z) for s in two.solutions}
-    assert zs1 == zs2
+    cfg = SolverConfig()
+
+    def refined_zs(p, q):
+        zs = []
+        for seed, _ in coarse_scan(sys_, p, q, cfg):
+            l, _ = newton_refine(sys_, seed, cfg)
+            if l is not None:
+                z = A2.reduce_point(sys_.z_of(l))
+                if all(A2.torus_distance(z, w) > cfg.dedup_tol for w in zs):
+                    zs.append(z)
+        return zs
+
+    def same_points(xs, ys):
+        return all(any(A2.torus_distance(x, y) < cfg.dedup_tol for y in ys) for x in xs)
+
+    here, right = refined_zs(0, 0), refined_zs(1, 0)
+    assert len(here) >= 2
+    assert len(right) == len(here)
+    assert same_points(here, right) and same_points(right, here)
+    assert sys_.cell_shifts(DIAGONAL_KERNEL) == ((1, 0),)
+
+
+@pytest.mark.parametrize("shifts", [(), ((1, 0),), ((2, 0),), ((1, 1),),
+                                    ((0, 3),), ((2, 1), (0, 3)), ((1, 0), (0, 1))])
+def test_walk_yields_one_cell_per_class(shifts):
+    cells = list(itertools.islice(distinct_cells(shifts), 40))
+    total = class_count(shifts)
+    assert len(cells) == (40 if total is None else min(total, 40))
+    assert all(reduce_cell(c, shifts) == c for c in cells)
+    assert len(set(cells)) == len(cells)
+    # two cells share a class iff their difference lies in K
+    for c in cells:
+        for k in shifts:
+            assert reduce_cell((c[0] + 3 * k[0], c[1] + 3 * k[1]), shifts) == c
+            assert reduce_cell((c[0] - 2 * k[0], c[1] - 2 * k[1]), shifts) == c
+    if not shifts:
+        assert cells == list(itertools.islice(spiral_cells(), 40))
+
+
+def test_walk_modulo_a_rank_one_kernel_visits_rows():
+    assert list(itertools.islice(distinct_cells(((1, 0),)), 5)) == [
+        (0, 0), (0, 1), (0, -1), (0, 2), (0, -2)]
+    # K = Z(2, 0) leaves two classes in each row
+    assert list(itertools.islice(distinct_cells(((2, 0),)), 6)) == [
+        (0, 0), (1, 0), (1, 1), (0, 1), (1, -1), (0, -1)]
+    assert list(distinct_cells(((2, 1), (0, 3)))) == [
+        (0, 0), (1, 0), (1, 1), (0, 1), (1, 2), (0, 2)]
+    assert class_count(((2, 1), (0, 3))) == 6
+
+
+@pytest.mark.parametrize("direction, shifts", [
+    ((1, 1), ((1, 0),)),
+    ((1, 2), ((1, 0),)),
+    ((2, 1), ((2, 0),)),
+    ((1, MultiQuadElem.sqrt_of(2)), ()),
+])
+def test_cell_shift_lattice_per_direction(A2, pe2, direction, shifts):
+    L = ExactSubspace.complex_span([direction], 2)
+    F = SegrePolynomial.linear(2, {4: 1, 0: -1})
+    sys_ = PulledBackSystem(F, tuple(complex(x) for x in L.basis[0]), A2, pe2)
+    assert sys_.cell_shifts(kernel_lattice(L, A2)) == shifts
+
+
+def test_one_factor_kernel_has_rank_two_and_index_one(A1):
+    L = ExactSubspace.complex_span([[1]], 1)
+    shifts = one_factor_system(A1).cell_shifts(kernel_lattice(L, A1))
+    assert len(shifts) == 2
+    assert class_count(shifts) == 1
+
+
+def test_one_factor_harvest_scans_one_cell(A1):
+    # wp = 1.7 has two roots per period cell, and every l-cell is a period
+    # cell, so a walk of the whole plane would only re-find those two
+    sys_ = one_factor_system(A1)
+    report = harvest_density(sys_, SolverConfig(target_count=30), certified=True,
+                             kernel=((1, 0), (0, 1)))
+    assert report.cells_scanned == 1
+    assert len(report.solutions) == 2
+    assert report.cells_exhausted
+    assert not report.budget_exhausted
+    assert not report.target_reached
+    assert not report.defect
+    assert report.seeds_refined == (len(report.solutions) + len(report.failures)
+                                    + report.seeds_duplicate)
+
+
+def test_harvest_counts_duplicate_seeds(A2, pe2):
+    sys_ = flagship_system(pe2, A2)
+    cfg = SolverConfig(budget_cells=2, target_count=40)
+    plain = harvest_density(sys_, cfg, certified=True)
+    walked = harvest_density(sys_, cfg, certified=True, kernel=DIAGONAL_KERNEL)
+    for r in (plain, walked):
+        assert r.seeds_refined == len(r.solutions) + len(r.failures) + r.seeds_duplicate
+    # the plain walk's second cell is (1, 0), a translate of (0, 0)
+    assert plain.seeds_duplicate >= len(plain.solutions)
+    assert len(walked.solutions) > len(plain.solutions)
+    assert walked.seeds_duplicate < plain.seeds_duplicate
 
 
 def test_harvest_deterministic_across_thread_counts(A2, pe2, monkeypatch):
@@ -198,6 +296,17 @@ def test_harvest_defect_flag_when_nothing_survives(A2, pe2):
         certified=True)
     assert not report.solutions
     assert report.budget_exhausted
+    assert not report.cells_exhausted
+    assert report.defect
+
+
+def test_harvest_defect_when_every_distinct_cell_is_empty(A1):
+    report = harvest_density(one_factor_system(A1),
+                             SolverConfig(coarse_threshold=1e-15), certified=True,
+                             kernel=((1, 0), (0, 1)))
+    assert report.cells_scanned == 1
+    assert report.cells_exhausted
+    assert not report.budget_exhausted
     assert report.defect
 
 

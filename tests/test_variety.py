@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eac.multiquad import ComplexMQ, MultiQuadElem
@@ -76,6 +77,21 @@ def test_torus_distance_invariances(A2):
     zt = (z[0] + 3, z[1] - 2 * tau2 + 1)
     assert A2.torus_distance(z, zt) < 1e-9
     assert abs(A2.torus_distance(zt, w) - A2.torus_distance(z, w)) < 1e-9
+
+
+def test_torus_distances_match_the_scalar_form(A2):
+    sheared = ProductVariety((EllipticFactor(Fraction(1, 3), MultiQuadElem.sqrt_of(2)),
+                              EllipticFactor(Fraction(-1, 2), MultiQuadElem.sqrt_of(7))))
+    rng = np.random.default_rng(4)
+    for A in (A2, sheared):
+        z = tuple(complex(x) for x in rng.normal(size=2) + 1j * rng.normal(size=2))
+        others = rng.normal(size=(50, 2)) * 3 + 3j * rng.normal(size=(50, 2))
+        others[7] = A.reduce_point(z)
+        got = A.torus_distances(z, others)
+        want = np.array([A.torus_distance(z, tuple(w)) for w in others])
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
+        assert got[7] < 1e-12
+    assert A2.torus_distances(z, np.empty((0, 2), dtype=complex)).shape == (0,)
 
 
 # subspaces
