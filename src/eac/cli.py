@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import __version__
 from .instance import (Instance, InstanceError, builtin_instance, catalog_names,
@@ -238,7 +239,9 @@ def _run_solve(args, command: str) -> int:
         report["solve"] = _solve_block(outcome.report, instance.config)
         report["timings"] = {k: float(v) for k, v in outcome.report.timings.items()}
         if command == "density":
+            t0 = time.perf_counter()
             report["density"] = density_summary(instance, outcome.report)
+            report["timings"]["density_s"] = time.perf_counter() - t0
         if args.csv:
             _write_csv(outcome.report, args.csv)
     _emit(report, args.out)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
+import numpy as np
+
 from .checker import PairVerdict, SubvarietyData, check_pair, reduce_L
 from .forms import Certificate, eac_certificate, hypersurface_form
 from .hull import (HullChain, HullResult, hull_chain, kernel_lattice,
@@ -190,18 +192,12 @@ def density_summary(instance: Instance, report: SolveReport) -> dict:
              for c in report.cells_with_solutions]),
     }
     if len(pts) >= 2:
-        A = instance.A
+        zs = np.array(pts, dtype=complex)
         nearest = []
-        minall = None
         for i, p in enumerate(pts):
-            dmin = None
-            for j, q in enumerate(pts):
-                if i == j:
-                    continue
-                d = A.torus_distance(p, q)
-                dmin = d if dmin is None else min(dmin, d)
-            nearest.append(dmin)
-            minall = dmin if minall is None else min(minall, dmin)
-        out["min_pairwise_distance"] = minall
+            d = instance.A.torus_distances(p, zs)
+            d[i] = np.inf
+            nearest.append(float(d.min()))
+        out["min_pairwise_distance"] = min(nearest)
         out["median_nearest_distance"] = statistics.median(nearest)
     return out

@@ -18,10 +18,15 @@ Each cell gets a coarse grid scan for local minima of |G|, Newton refinement
 with central differences, an independent verification pass, and group-level
 deduplication of the resulting points of the product variety, which still
 catches seeds of one cell, or of neighbouring cells, converging to one root.
+On the grid of cell (p, q) the anchor coordinate is (p + a) + (q + b) tau, a
+lattice translate of the same unit-box grid in every cell, so the anchor
+factor's wp and wp' are computed once per harvest and grid size
+(PulledBackSystem.anchor_grid) and each scan evaluates only the other factor.
 
 Verification recomputes each residual with mpmath at 30 digits, using the
 same theta series (weierstrass.theta_sums) as the scan but none of its
-double-precision arithmetic, and each solution must carry winding number
+double-precision arithmetic, summed to the length whose tail bound is 1e-30
+for each factor's tau, and each solution must carry winding number
 >= 1 on a small circle, so spurious minima and pseudo-roots are rejected
 rather than reported. The lattice-sum backend, which shares no formula with
 the theta series, is the independent cross-check of harvested points.
@@ -32,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,7 +47,8 @@ import numpy as np
 from .exactlinalg import hermite_normal_form
 from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
-from .weierstrass import ContourError, ProductEvaluator, _winding, theta_sums
+from .weierstrass import (ContourError, ProductEvaluator, _qseries_terms, _winding,
+                          theta_sums)
 
 
 class UncertifiedError(RuntimeError):
@@ -188,17 +195,45 @@ class PulledBackSystem:
             raise ValueError("zero direction vector")
         self.pe = pe or ProductEvaluator(A)
         self.anchor = next(j for j, c in enumerate(self.v) if c != 0)
+        self._anchor_grids = {}
+        self._anchor_lock = threading.Lock()
 
-    def eval_grid(self, l: np.ndarray) -> np.ndarray:
+    def anchor_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(wp, wp') of the anchor factor on the n x n unit-box grid of a cell.
+
+        At box point (a, b) of cell (p, q) the anchor coordinate l v_anchor is
+        (p + a) + (q + b) tau_anchor, a lattice translate of a + b tau_anchor,
+        so one grid serves every cell. It is built on first use, once per grid
+        size, under a lock so that concurrent scans never both build it.
+        """
+        with self._anchor_lock:
+            if n not in self._anchor_grids:
+                aa, bb = unit_box(n)
+                ev = self.pe.evals[self.anchor]
+                self._anchor_grids[n] = ev.wp_pair_grid(aa + bb * ev.tau)
+            return self._anchor_grids[n]
+
+    def eval_grid(self, l: np.ndarray, anchor_pair=None) -> np.ndarray:
         """|G| on an array of parameter values, inf at pole hits."""
-        vals = self.eval_grid_complex(l)
+        vals = self.eval_grid_complex(l, anchor_pair)
         out = np.abs(vals)
         out[~np.isfinite(out)] = np.inf
         return out
 
-    def eval_grid_complex(self, l: np.ndarray) -> np.ndarray:
+    def eval_grid_complex(self, l: np.ndarray, anchor_pair=None) -> np.ndarray:
+        """G on an array of parameter values.
+
+        anchor_pair, when given, is the anchor factor's (wp, wp') at l, shaped
+        like l, as anchor_grid holds it for the cell grids; only the other
+        factors are then evaluated.
+        """
         l = np.asarray(l, dtype=complex)
-        wps, wpps = zip(*(ev.wp_pair_grid(l * c) for ev, c in zip(self.pe.evals, self.v)))
+        wps, wpps = [], []
+        for j, (ev, c) in enumerate(zip(self.pe.evals, self.v)):
+            p, pp = (anchor_pair if j == self.anchor and anchor_pair is not None
+                     else ev.wp_pair_grid(l * c))
+            wps.append(p)
+            wpps.append(pp)
         stack = segre_stack(wps, wpps, np.ones_like(wps[0]))
         with np.errstate(invalid="ignore", over="ignore"):
             return np.asarray(self.F.eval_affine(stack), dtype=complex)
@@ -234,15 +269,23 @@ class PulledBackSystem:
         return ((p + a) + (q + b) * tau) / va
 
 
+def unit_box(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-centred n x n grid coordinates (a, b) in the unit box."""
+    a = (np.arange(n) + 0.5) / n
+    return np.meshgrid(a, a, indexing="ij")
+
+
 def coarse_scan(system: PulledBackSystem, p: int, q: int,
                 cfg: SolverConfig) -> list[tuple[complex, float]]:
-    """Local minima of |G| below the coarse threshold on one cell grid."""
+    """Local minima of |G| below the coarse threshold on one cell grid.
+
+    The anchor factor's values come from the shared anchor_grid; only the
+    other factor is evaluated on this cell.
+    """
     n = cfg.grid
-    a = (np.arange(n) + 0.5) / n
-    b = (np.arange(n) + 0.5) / n
-    aa, bb = np.meshgrid(a, b, indexing="ij")
+    aa, bb = unit_box(n)
     grid = system.cell_box(p, q, aa, bb)
-    vals = system.eval_grid(grid.ravel()).reshape(n, n)
+    vals = system.eval_grid(grid, system.anchor_grid(n))
     padded = np.pad(vals, 1, constant_values=np.inf)
     neigh = np.minimum.reduce([
         padded[i:i + n, j:j + n]
@@ -291,10 +334,10 @@ def verify_solution(system: PulledBackSystem, l: complex, cfg: SolverConfig,
                     winding_radius: float = 1e-3) -> tuple[bool, float, int, str]:
     """Independent acceptance test for a refined point.
 
-    Re-evaluates the residual with mpmath at 30 digits, eight more series
-    terms and the theta series of the scan, and requires a positive winding
-    of G on a small circle around l. Returns (accepted, verified residual,
-    winding, reason).
+    Re-evaluates the residual with mpmath at 30 digits through the theta
+    series of the scan, summed to the length whose tail bound is 1e-30, and
+    requires a positive winding of G on a small circle around l. Returns
+    (accepted, verified residual, winding, reason).
     """
     from mpmath import mp
 
@@ -307,7 +350,7 @@ def verify_solution(system: PulledBackSystem, l: complex, cfg: SolverConfig,
             zr = ev.reduce(zj)
             u = mp.exp(two_pi_i * mp.mpc(zr.real, zr.imag))
             q = mp.exp(two_pi_i * mp.mpc(ev.tau.real, ev.tau.imag))
-            s, sp = theta_sums(u, q, ev.nterms + 8, mp.mpf(1))
+            s, sp = theta_sums(u, q, _qseries_terms(ev.tau, 1e-30), mp.mpf(1))
             wps.append(two_pi_i ** 2 * s)
             wpps.append(two_pi_i ** 3 * sp)
         vres = float(abs(system.F.eval_affine(segre_stack(wps, wpps, mp.mpf(1)))))
@@ -355,7 +398,13 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     walks_all = len(cells) == class_count(shifts)
     accepted = np.empty((0, system.A.g), dtype=complex)
     workers = thread_count()
-    t_scan = 0.0
+    stage = dict.fromkeys(("scan_s", "newton_s", "dedup_s", "verify_s", "jacobian_s"), 0.0)
+
+    def timed(name, fn, *args):
+        ts = time.perf_counter()
+        out = fn(*args)
+        stage[name] += time.perf_counter() - ts
+        return out
 
     def scan(cell):
         p, q = cell
@@ -364,12 +413,8 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for i in range(0, len(cells), workers):
             chunk = cells[i:i + workers]
-            ts = time.perf_counter()
-            if workers > 1 and len(chunk) > 1:
-                seed_lists = list(pool.map(scan, chunk))
-            else:
-                seed_lists = [scan(c) for c in chunk]
-            t_scan += time.perf_counter() - ts
+            mapper = pool.map if workers > 1 and len(chunk) > 1 else map
+            seed_lists = timed("scan_s", lambda: list(mapper(scan, chunk)))
             for offset, seeds in enumerate(seed_lists):
                 cell_index = i + offset
                 report.cells_scanned += 1
@@ -377,20 +422,23 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                     if report.target_reached:
                         break
                     report.seeds_refined += 1
-                    l, res = newton_refine(system, seed, cfg)
+                    l, res = timed("newton_s", newton_refine, system, seed, cfg)
                     if l is None:
                         report.failures.append(
                             FailureRecord(complex(seed), cell_index, res))
                         continue
                     zred = system.A.reduce_point(system.z_of(l))
-                    if np.any(system.A.torus_distances(zred, accepted) < cfg.dedup_tol):
+                    dists = timed("dedup_s", system.A.torus_distances, zred, accepted)
+                    if np.any(dists < cfg.dedup_tol):
                         report.seeds_duplicate += 1
                         continue
-                    ok, vres, wind, reason = verify_solution(system, l, cfg)
+                    ok, vres, wind, reason = timed(
+                        "verify_s", verify_solution, system, l, cfg)
                     if not ok:
                         report.failures.append(FailureRecord(l, cell_index, reason))
                         continue
-                    rank = jacobian_cb(l) if jacobian_cb is not None else -1
+                    rank = (timed("jacobian_s", jacobian_cb, l)
+                            if jacobian_cb is not None else -1)
                     report.solutions.append(SolutionPoint(
                         l=complex(l), z=tuple(complex(x) for x in zred),
                         residual=float(res), verified_residual=float(vres),
@@ -406,5 +454,5 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     report.cells_exhausted = walks_all and not report.target_reached
     report.budget_exhausted = not (report.target_reached or report.cells_exhausted)
     report.defect = not report.solutions
-    report.timings = {"total_s": time.perf_counter() - t0, "scan_s": t_scan}
+    report.timings = {"total_s": time.perf_counter() - t0, **stage}
     return report

@@ -7,7 +7,9 @@ Two independent evaluation backends share one interface:
                  truncation order from the target accuracy. The series is
                  written once, in theta_sums, for the scalar and the numpy
                  paths here and the mpmath recomputation in the solver's
-                 verification; only this backend evaluates on grids.
+                 verification; only this backend evaluates on grids. Each
+                 term costs two reciprocals and multiplications, and the
+                 constant q-sum is added once, not per array term.
   "lattice-sum"  row-resummed series: the double sum over the lattice is
                  collapsed along the real direction into cosecant rows,
                  sum_n pi^2 / sin^2(pi (z - n tau)) minus matching
@@ -77,20 +79,32 @@ def theta_sums(u, q, nterms: int, one):
     summed to nterms powers of q. The body uses only + - * /, so Python
     complex, numpy arrays and mpmath numbers all work; one is the unit of
     the caller's number type.
+
+    Each geometric factor w takes one reciprocal r = 1/(1 - w), and the
+    terms w/(1 - w)^2 = w r^2 and w(1 + w)/(1 - w)^3 = (w r^2)(1 + w) r
+    are built from it by multiplication. 1/u is taken once. The constant
+    sum of 2 q^n/(1 - q^n)^2 is accumulated apart from the sums in u and
+    subtracted once.
     """
-    d = one - u
-    s = one / 12 + u / d ** 2
-    sp = u * (one + u) / d ** 3
+    iu = one / u
+    r = one / (one - u)
+    s = u * r * r
+    sp = s * (one + u) * r
+    const = one / 12
     qn = one
     for _ in range(nterms):
         qn = qn * q
         w = qn * u
-        x = qn / u
-        dw = one - w
-        dx = one - x
-        s = s + w / dw ** 2 + x / dx ** 2 - 2 * qn / (one - qn) ** 2
-        sp = sp + w * (one + w) / dw ** 3 - x * (one + x) / dx ** 3
-    return s, sp
+        x = qn * iu
+        rw = one / (one - w)
+        rx = one / (one - x)
+        tw = w * rw * rw
+        tx = x * rx * rx
+        s = s + tw + tx
+        sp = sp + tw * (one + w) * rw - tx * (one + x) * rx
+        rq = one / (one - qn)
+        const = const - 2 * qn * rq * rq
+    return s + const, sp
 
 
 class WpEvaluator:

@@ -248,6 +248,9 @@ def test_cli_density_defaults_and_stats(tmp_path, capsys):
     assert dens["cells"] == len(report["solve"]["cells_with_solutions"])
     assert dens["min_pairwise_distance"] > 1e-6
     assert "median nearest" in capsys.readouterr().out
+    assert set(report["timings"]) == {"total_s", "scan_s", "newton_s", "dedup_s",
+                                      "verify_s", "jacobian_s", "density_s"}
+    assert report["timings"]["total_s"] >= report["timings"]["scan_s"] > 0
 
 
 def test_cli_reports_reproducible_modulo_timings(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import statistics
 
 import pytest
 
@@ -151,6 +152,13 @@ def test_density_summary_statistics(flagship, pe2):
     assert 0 < stats["min_pairwise_distance"] <= stats["median_nearest_distance"]
     assert sum(n for _, n in stats["per_cell"]) == stats["points"]
     assert stats["per_cell"] == sorted(stats["per_cell"])
+    # the scalar torus_distance is the oracle for the vectorized rows
+    zs = [s.z for s in out.report.solutions]
+    nearest = [min(flagship.A.torus_distance(p, q) for j, q in enumerate(zs) if j != i)
+               for i, p in enumerate(zs)]
+    assert stats["min_pairwise_distance"] == pytest.approx(min(nearest), rel=1e-12)
+    assert stats["median_nearest_distance"] == pytest.approx(
+        statistics.median(nearest), rel=1e-12)
 
 
 def test_density_summary_degenerate_sizes(flagship, pe2):

@@ -8,11 +8,13 @@ import pytest
 from eac.hull import kernel_lattice
 from eac.multiquad import MultiQuadElem
 from eac.segre import SegrePolynomial
+from eac import solver
 from eac.solver import (PulledBackSystem, SolverConfig, UncertifiedError,
                         class_count, coarse_scan, distinct_cells,
                         harvest_density, newton_refine, reduce_cell,
-                        spiral_cells, thread_count, verify_solution)
+                        spiral_cells, thread_count, unit_box, verify_solution)
 from eac.variety import ExactSubspace, ProductVariety
+from eac.weierstrass import _qseries_terms, theta_sums
 from tests.conftest import factor_sqrt
 
 DIAGONAL_KERNEL = ((1, 0, 1, 0),)
@@ -120,6 +122,83 @@ def test_newton_refine_reports_pole_landing(A2, pe2):
     assert "pole" in reason
 
 
+def anchor_cases(A1, A2, pe2):
+    sqrt2 = complex(MultiQuadElem.sqrt_of(2))
+    return {
+        "diagonal": flagship_system(pe2, A2),
+        "irrational": PulledBackSystem(SegrePolynomial.linear(2, {4: 1, 0: -1}),
+                                       (1, sqrt2), A2, pe2),
+        "one-factor": one_factor_system(A1),
+        "anchor-1": PulledBackSystem(SegrePolynomial.linear(2, {1: 1, 0: -1.5}),
+                                     (0, 1), A2, pe2),
+    }
+
+
+@pytest.mark.parametrize("case", ["diagonal", "irrational", "one-factor", "anchor-1"])
+def test_shared_anchor_grid_matches_direct_evaluation(A1, A2, pe2, case, monkeypatch):
+    sys_ = anchor_cases(A1, A2, pe2)[case]
+    cfg = SolverConfig()
+    n = cfg.grid
+    cells = ((0, 0), (3, -2), (-5, 7))
+    aa, bb = unit_box(n)
+    for p, q in cells:
+        grid = sys_.cell_box(p, q, aa, bb)
+        shared = sys_.eval_grid(grid, sys_.anchor_grid(n))
+        direct = sys_.eval_grid(grid)
+        assert np.all(np.isfinite(direct))
+        assert np.max(np.abs(shared - direct) / direct) < 1e-12
+    seeds = {cell: dict(coarse_scan(sys_, *cell, cfg)) for cell in cells}
+    # without the shared grid, coarse_scan evaluates every factor directly
+    monkeypatch.setattr(sys_, "anchor_grid", lambda n: None)
+    tau = sys_.pe.evals[sys_.anchor].tau
+    step = (1 + abs(tau)) / (n * abs(sys_.v[sys_.anchor]))
+    for cell, got in seeds.items():
+        want = dict(coarse_scan(sys_, *cell, cfg))
+        assert got and set(got) <= set(want)
+        for l, g in got.items():
+            assert abs(g - want[l]) <= 1e-12 * want[l]
+        # direct evaluation rounds the translated coordinate before reducing
+        # it, and that noise can split one minimum into twin seeds one grid
+        # step apart with equal |G|
+        for l in set(want) - set(got):
+            twin = min(got, key=lambda m: abs(m - l))
+            assert abs(twin - l) <= step
+            assert abs(want[l] - got[twin]) <= 1e-12 * want[l]
+
+
+def test_harvest_builds_the_anchor_grid_once(A2, pe2, monkeypatch):
+    # an unreachable threshold leaves only the scan: 19 cells on 2 threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("EAC_THREADS", "2")
+    sys_ = PulledBackSystem(SegrePolynomial.linear(2, {4: 1, 0: -1}),
+                            (1, complex(MultiQuadElem.sqrt_of(2))), A2, pe2)
+    anchor = pe2.evals[sys_.anchor]
+    calls = []
+    build = anchor.wp_pair_grid
+
+    def counting(z):
+        calls.append(np.shape(z))
+        return build(z)
+
+    monkeypatch.setattr(anchor, "wp_pair_grid", counting)
+    cfg = SolverConfig(grid=80, budget_cells=19, coarse_threshold=1e-15)
+    report = harvest_density(sys_, cfg, certified=True)
+    assert report.cells_scanned == 19
+    assert calls == [(80, 80)]
+
+
+def test_verify_solution_sums_to_the_30_digit_tail_bound(A2, pe2, monkeypatch):
+    lengths = []
+
+    def recording(u, q, nterms, one):
+        lengths.append(nterms)
+        return theta_sums(u, q, nterms, one)
+
+    monkeypatch.setattr(solver, "theta_sums", recording)
+    verify_solution(flagship_system(pe2, A2), 0.31 + 0.27j, SolverConfig())
+    assert lengths == [_qseries_terms(ev.tau, 1e-30) for ev in pe2.evals]
+
+
 def test_verify_solution_accepts_true_roots_rejects_perturbed(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig()
@@ -157,7 +236,11 @@ def test_harvest_flagship_small_budget(A2, pe2):
     for i, s in enumerate(report.solutions):
         for t in report.solutions[i + 1:]:
             assert A2.torus_distance(s.z, t.z) > cfg.dedup_tol
-    assert report.timings["total_s"] > 0
+    stages = ("scan_s", "newton_s", "dedup_s", "verify_s", "jacobian_s")
+    assert set(report.timings) == {"total_s", *stages}
+    assert report.timings["newton_s"] > 0 and report.timings["verify_s"] > 0
+    assert report.timings["jacobian_s"] == 0.0
+    assert sum(report.timings[k] for k in stages) <= report.timings["total_s"]
 
 
 def test_p_translate_cells_give_the_same_points(A2, pe2):

@@ -9,8 +9,9 @@ from eac.segre import SegrePolynomial
 from eac.variety import ProductVariety
 from eac.weierstrass import (AtInfinity, ContourError, DegenerateFiber,
                              ProductEvaluator, WpEvaluator, bidegree_of,
-                             count_roots_on_fiber, jacobian_probe,
-                             point_count_on_curve, reduce_to_fundamental)
+                             _qseries_terms, count_roots_on_fiber,
+                             jacobian_probe, point_count_on_curve,
+                             reduce_to_fundamental, theta_sums)
 from tests.conftest import factor_sqrt
 
 TAUS = [1j, 0.5 + 0.5j * math.sqrt(3), 1j * math.sqrt(2), 1j * math.sqrt(5),
@@ -99,6 +100,44 @@ def test_backends_agree_pointwise():
             assert abs(pa - pb) < 1e-9 * max(abs(pa), 1.0)
             qa, qb = a.wp_prime(z), b.wp_prime(z)
             assert abs(qa - qb) < 1e-9 * max(abs(qa), 1.0)
+
+
+def reduced_probe_points(tau, rng):
+    """Random reduced points, points near the pole at 0, and points with
+    |Im z| close to Im tau / 2, where u or 1/u is largest."""
+    zs = [rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau for _ in range(30)]
+    zs += [r * cmath.exp(2j * math.pi * rng.random()) for r in (1e-2, 1e-3, 1e-4)]
+    zs += [rng.uniform(-0.5, 0.5) + sign * 0.499 * tau for sign in (1, -1) for _ in range(5)]
+    return zs
+
+
+@pytest.mark.parametrize("tau", [1j * math.sqrt(2), 1j * math.sqrt(5), 0.5 + 0.866j])
+def test_fused_theta_sums_match_the_lattice_sum_backend(tau):
+    theta = WpEvaluator(tau)
+    rows = WpEvaluator(tau, backend="lattice-sum")
+    zs = reduced_probe_points(tau, random.Random(11))
+    grid_wp, grid_wpp = theta.wp_pair_grid(np.array(zs))
+    for z, gp, gpp in zip(zs, grid_wp, grid_wpp):
+        want = rows.wp_pair(z)
+        for got in (theta.wp_pair(z), (gp, gpp)):
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+
+
+@pytest.mark.parametrize("tau", [0.3j, 1j, 1j * math.sqrt(2), 0.5 + 0.866j])
+def test_verification_series_length_reaches_30_digits(tau):
+    from mpmath import mp
+
+    n = _qseries_terms(tau, 1e-30)
+    with mp.workdps(60):
+        one = mp.mpf(1)
+        q = mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag))
+        for z in reduced_probe_points(tau, random.Random(13)):
+            u = mp.exp(2j * mp.pi * mp.mpc(z.real, z.imag))
+            got = theta_sums(u, q, n, one)
+            ref = theta_sums(u, q, _qseries_terms(tau, 1e-60), one)
+            for a, b in zip(got, ref):
+                assert abs(a - b) < 1e-30
 
 
 def test_at_infinity_raised_on_lattice_points():
