@@ -80,7 +80,6 @@ def _solve_block(report: SolveReport, cfg) -> dict:
             "target_count": cfg.target_count,
             "coarse_threshold": cfg.coarse_threshold,
             "solve_tol": cfg.solve_tol, "dedup_tol": cfg.dedup_tol,
-            "newton_steps": cfg.newton_steps, "seeds_per_cell": cfg.seeds_per_cell,
         },
         "solutions": [{
             "re_l": s.l.real, "im_l": s.l.imag,
@@ -94,7 +93,9 @@ def _solve_block(report: SolveReport, cfg) -> dict:
         "cells_with_solutions": sorted(report.cells_with_solutions),
         "seeds_refined": report.seeds_refined,
         "seeds_duplicate": report.seeds_duplicate,
+        "newton_iterations": report.newton_iterations,
         "failures": len(report.failures),
+        "failures_by_reason": report.failures_by_reason,
         "budget_exhausted": report.budget_exhausted,
         "cells_exhausted": report.cells_exhausted,
         "target_reached": report.target_reached,

@@ -20,8 +20,7 @@ from .hull import (HullChain, HullResult, hull_chain, kernel_lattice,
 from .instance import Instance
 from .solver import (PulledBackSystem, SolveReport, SolverConfig,
                      harvest_density)
-from .weierstrass import (ContourError, ProductEvaluator, bidegree_of,
-                          jacobian_probe, point_count_on_curve)
+from .weierstrass import ProductEvaluator, bidegree_of, point_count_on_curve
 
 
 class BidegreeMismatch(ValueError):
@@ -165,15 +164,7 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
         return SolveOutcome(refusal, None, 4)
     direction = tuple(complex(x) for x in L.basis[0])
     system = PulledBackSystem(instance.F, direction, instance.A, pe)
-    if instance.A.g == 2:
-        def jac(l):
-            try:
-                return jacobian_probe(l, direction, instance.F, instance.A, pe)
-            except (ContourError, ValueError):
-                return -1
-    else:
-        jac = None
-    report = harvest_density(system, cfg, certified=True, jacobian_cb=jac,
+    report = harvest_density(system, cfg, certified=True,
                              kernel=kernel_lattice(L, instance.A))
     code = 0 if report.solutions else 5
     return SolveOutcome(outcome, report, code)

@@ -14,14 +14,21 @@ so the cell budget counts distinct cells of L / Lambda_L. When K has rank 2
 the walk is finite and ends after the last class; when Lambda_L = 0, as for
 an irrational slope, it is the plain spiral.
 
-Each cell gets a coarse grid scan for local minima of |G|, Newton refinement
-with central differences, an independent verification pass, and group-level
-deduplication of the resulting points of the product variety, which still
-catches seeds of one cell, or of neighbouring cells, converging to one root.
+Each cell gets a coarse grid scan for local minima of |G|, Newton refinement,
+an independent verification pass, and group-level deduplication of the
+resulting points of the product variety, which still catches seeds of one
+cell, or of neighbouring cells, converging to one root.
 On the grid of cell (p, q) the anchor coordinate is (p + a) + (q + b) tau, a
 lattice translate of the same unit-box grid in every cell, so the anchor
 factor's wp and wp' are computed once per harvest and grid size
 (PulledBackSystem.anchor_grid) and each scan evaluates only the other factor.
+
+Newton refines the seeds of a chunk of cells at once, as one masked array
+iteration, with the analytic derivative G'(l): each factor enters as a
+first-order jet, with d wp = c wp' and d wp' = c (6 wp^2 - g2/2) for
+z = l c (DLMF 23.3), and the jets pass through the same Segre stack and F
+as the values. G'(l) at a root also gives its Jacobian rank: the
+differential of the intersection has rank 2 exactly when the root is simple.
 
 Verification recomputes each residual with mpmath at 30 digits, using the
 same theta series (weierstrass.theta_sums) as the scan but none of its
@@ -34,11 +41,13 @@ the theta series, is the independent cross-check of harvested points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -47,8 +56,14 @@ import numpy as np
 from .exactlinalg import hermite_normal_form
 from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
-from .weierstrass import (ContourError, ProductEvaluator, _qseries_terms, _winding,
-                          theta_sums)
+from .weierstrass import (NEAR_POLE, ContourError, ProductEvaluator, _qseries_terms,
+                          _winding, theta_const, theta_sums)
+
+# Seeds kept per cell scan, and Newton steps per seed.
+SEEDS_PER_CELL = 64
+NEWTON_STEPS = 50
+# Relative tolerance of the in-harvest rank, as in weierstrass.jacobian_probe.
+RANK_TOL = 1e-8
 
 
 class UncertifiedError(RuntimeError):
@@ -64,13 +79,10 @@ class SolverConfig:
     coarse_threshold: float = 0.5
     solve_tol: float = 1e-10
     dedup_tol: float = 1e-6
-    newton_steps: int = 50
-    seeds_per_cell: int = 64
 
     def __post_init__(self):
         """Reject out-of-range settings by field name, with the schema's bounds."""
-        minimums = {"seed": 0, "grid": 10, "budget_cells": 1, "target_count": 1,
-                    "newton_steps": 1, "seeds_per_cell": 1}
+        minimums = {"seed": 0, "grid": 10, "budget_cells": 1, "target_count": 1}
         for name, low in minimums.items():
             if getattr(self, name) < low:
                 raise ValueError(
@@ -111,6 +123,8 @@ class SolveReport:
     cells_with_solutions: set = field(default_factory=set)
     seeds_refined: int = 0
     seeds_duplicate: int = 0
+    newton_iterations: int = 0
+    failures_by_reason: dict = field(default_factory=dict)
     budget_exhausted: bool = False
     cells_exhausted: bool = False
     target_reached: bool = False
@@ -181,6 +195,38 @@ def thread_count() -> int:
     return min(4, cpus)
 
 
+class Jet:
+    """A value and its derivative in l, for numpy arrays: a first-order jet.
+
+    Sums and products follow the Leibniz rule, and other operands are
+    constants, so segre_stack and SegrePolynomial.eval_affine carry G'
+    along with G.
+    """
+
+    __slots__ = ("val", "der")
+
+    def __init__(self, val, der):
+        self.val = val
+        self.der = der
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.val + other.val, self.der + other.der)
+        return Jet(self.val + other, self.der)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.val * other.val, self.val * other.der + self.der * other.val)
+        return Jet(self.val * other, self.der * other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        return Jet(self.val ** e, e * self.val ** (e - 1) * self.der)
+
+
 class PulledBackSystem:
     """G(l) = F(exp(l v)) for a one-dimensional parameter subspace."""
 
@@ -238,18 +284,35 @@ class PulledBackSystem:
         with np.errstate(invalid="ignore", over="ignore"):
             return np.asarray(self.F.eval_affine(stack), dtype=complex)
 
-    def eval_one(self, l: complex) -> complex:
-        return complex(self.eval_grid_complex(np.array([l], dtype=complex))[0])
+    def eval_jet(self, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G and its derivative G' on an array of parameter values.
+
+        Factor j moves as z = l c_j, so its wp and wp' enter as the jets
+        (wp, c_j wp') and (wp', c_j (6 wp^2 - g2/2)); G is the same array
+        that eval_grid_complex returns.
+        """
+        l = np.asarray(l, dtype=complex)
+        wps, wpps = [], []
+        for ev, c in zip(self.pe.evals, self.v):
+            p, pp = ev.wp_pair_grid(l * c)
+            g2 = ev.invariants()[0]
+            wps.append(Jet(p, c * pp))
+            wpps.append(Jet(pp, c * (6.0 * p * p - g2 / 2.0)))
+        one = Jet(np.ones_like(l), np.zeros_like(l))
+        with np.errstate(invalid="ignore", over="ignore"):
+            g = self.F.eval_affine(segre_stack(wps, wpps, one))
+        return g.val, g.der
 
     def z_of(self, l: complex) -> tuple[complex, ...]:
         return tuple(l * c for c in self.v)
 
-    def pole_distance(self, l: complex) -> float:
-        """Distance from exp(l v) to the nearest pole across the factors."""
-        dists = []
-        for zj, ev in zip(self.z_of(l), self.pe.evals):
-            dists.append(ev.dist_to_lattice(zj))
-        return min(dists)
+    def pole_distance(self, l):
+        """Distance from exp(l v) to the nearest pole across the factors.
+
+        l is a complex number or an array, which gives an array of distances.
+        """
+        dists = [ev.dist_to_lattice(zj) for zj, ev in zip(self.z_of(l), self.pe.evals)]
+        return np.min(dists, axis=0)
 
     def cell_shifts(self, kernel) -> tuple[tuple[int, int], ...]:
         """HNF basis of K, the cell shifts (p, q) that l -> l + lambda makes.
@@ -295,39 +358,113 @@ def coarse_scan(system: PulledBackSystem, p: int, q: int,
     idx = np.argwhere(mask)
     seeds = [(complex(grid[i, j]), float(vals[i, j])) for i, j in idx]
     seeds.sort(key=lambda s: s[1])
-    return seeds[:cfg.seeds_per_cell]
+    return seeds[:SEEDS_PER_CELL]
 
 
-def newton_refine(system: PulledBackSystem, seed: complex, cfg: SolverConfig,
-                  fd_step: float = 1e-7):
-    """Complex Newton iteration from a seed. Returns (l, residual) or a reason."""
-    l = complex(seed)
+class Refined(tuple):
+    """One seed's Newton outcome: (l, residual) or (None, reason).
+
+    steps counts the Newton steps taken; deriv is G'(l) at a converged l.
+    """
+
+    def __new__(cls, l, value, steps: int, deriv: complex | None = None):
+        out = super().__new__(cls, (l, value))
+        out.steps = steps
+        out.deriv = deriv
+        return out
+
+
+def newton_refine(system: PulledBackSystem, seeds, cfg: SolverConfig) -> list[Refined]:
+    """Complex Newton iteration from each of a non-empty sequence of seeds.
+
+    All seeds still active share one evaluation of G and G' per step. Each
+    seed follows its own rules in this order: a pole stop at distance 1e-9,
+    a non-finite value, convergence at solve_tol, a singular derivative, a
+    step capped at unit length, and divergence beyond three cell diameters,
+    for at most NEWTON_STEPS steps. Returns one Refined per seed, in order.
+    """
+    start = np.asarray(seeds, dtype=complex)
+    if start.ndim != 1 or not start.size:
+        raise ValueError("newton_refine needs a non-empty sequence of seeds")
     tau = system.pe.evals[system.anchor].tau
     diam = (1.0 + abs(tau)) / abs(system.v[system.anchor])
     max_move = 3.0 * max(diam, 1.0)
-    for _ in range(cfg.newton_steps):
-        if system.pole_distance(l) < 1e-9:
-            return None, "landed on a pole"
-        g = system.eval_one(l)
-        if not np.isfinite(g.real) or not np.isfinite(g.imag):
-            return None, "non-finite value"
-        if abs(g) < cfg.solve_tol:
-            return l, abs(g)
-        batch = np.array([l + fd_step, l - fd_step], dtype=complex)
-        gp, gm = system.eval_grid_complex(batch)
-        deriv = (gp - gm) / (2.0 * fd_step)
-        if not np.isfinite(deriv.real) or abs(deriv) < 1e-14:
-            return None, "singular derivative"
-        step = g / deriv
-        if abs(step) > 1.0:
-            step = step / abs(step)
-        l = l - step
-        if abs(l - seed) > max_move:
-            return None, "diverged from its cell"
-    g = abs(system.eval_one(l))
-    if g < cfg.solve_tol:
-        return l, g
-    return None, f"no convergence, residual {g:.2e}"
+    out = [None] * start.size
+    l = start.copy()
+    steps = np.zeros(start.size, dtype=int)
+    active = np.arange(start.size)
+
+    def fail(indices, reason):
+        for i in indices:
+            out[i] = Refined(None, reason, int(steps[i]))
+
+    def converge(mask, res, dg):
+        for k in np.flatnonzero(mask):
+            i = active[k]
+            out[i] = Refined(complex(l[i]), float(res[k]), int(steps[i]), complex(dg[k]))
+
+    for _ in range(NEWTON_STEPS):
+        pole = system.pole_distance(l[active]) < 1e-9
+        fail(active[pole], "landed on a pole")
+        active = active[~pole]
+        if not active.size:
+            break
+        g, dg = system.eval_jet(l[active])
+        res = np.abs(g)
+        bad = ~(np.isfinite(g.real) & np.isfinite(g.imag))
+        conv = ~bad & (res < cfg.solve_tol)
+        singular = ~(bad | conv) & (~np.isfinite(dg.real) | (np.abs(dg) < 1e-14))
+        fail(active[bad], "non-finite value")
+        converge(conv, res, dg)
+        fail(active[singular], "singular derivative")
+        go = ~(bad | conv | singular)
+        active, step = active[go], g[go] / dg[go]
+        size = np.abs(step)
+        big = size > 1.0
+        step[big] = step[big] / size[big]
+        l[active] = l[active] - step
+        steps[active] += 1
+        far = np.abs(l[active] - start[active]) > max_move
+        fail(active[far], "diverged from its cell")
+        active = active[~far]
+    if active.size:
+        g, dg = system.eval_jet(l[active])
+        res = np.abs(g)
+        conv = res < cfg.solve_tol
+        converge(conv, res, dg)
+        for k in np.flatnonzero(~conv):
+            fail([active[k]], f"no convergence, residual {res[k]:.2e}")
+    return out
+
+
+def jacobian_rank(system: PulledBackSystem, deriv: complex) -> int:
+    """Rank of the intersection differential at a root, from G'(l).
+
+    The matrix [v, tangent of W] of weierstrass.jacobian_probe has
+    determinant G'(l), so its rank is 2 exactly when the root is simple.
+    The probe calls it 2 when its smaller singular value exceeds RANK_TOL
+    times the larger; with the larger taken as |v|, that is
+    |G'| > RANK_TOL |v|^2. One-factor systems have no such matrix: -1.
+    """
+    if system.A.g == 1:
+        return -1
+    v2 = sum(abs(c) ** 2 for c in system.v)
+    return 2 if abs(deriv) > RANK_TOL * v2 else 1
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice_30_digits(tau: complex):
+    """q = exp(2 pi i tau), the theta constant and the 1e-30 series length.
+
+    Verification needs these for each of a harvest's one or two lattices at
+    every point; the values are immutable mpmath numbers.
+    """
+    from mpmath import mp
+
+    with mp.workdps(30):
+        q = mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag))
+        nterms = _qseries_terms(tau, 1e-30)
+        return q, theta_const(q, nterms, mp.mpf(1)), nterms
 
 
 def verify_solution(system: PulledBackSystem, l: complex, cfg: SolverConfig,
@@ -341,28 +478,26 @@ def verify_solution(system: PulledBackSystem, l: complex, cfg: SolverConfig,
     """
     from mpmath import mp
 
-    old_dps = mp.dps
-    try:
-        mp.dps = 30
+    with mp.workdps(30):
         two_pi_i = 2j * mp.pi
+        one = mp.mpf(1)
         wps, wpps = [], []
         for zj, ev in zip(system.z_of(l), system.pe.evals):
             zr = ev.reduce(zj)
-            u = mp.exp(two_pi_i * mp.mpc(zr.real, zr.imag))
-            q = mp.exp(two_pi_i * mp.mpc(ev.tau.real, ev.tau.imag))
-            s, sp = theta_sums(u, q, _qseries_terms(ev.tau, 1e-30), mp.mpf(1))
+            q, const, nterms = _lattice_30_digits(ev.tau)
+            w = two_pi_i * mp.mpc(zr.real, zr.imag)
+            m = -mp.expm1(w) if abs(zr) < NEAR_POLE else None
+            s, sp = theta_sums(mp.exp(w), q, nterms, one, const, m)
             wps.append(two_pi_i ** 2 * s)
             wpps.append(two_pi_i ** 3 * sp)
-        vres = float(abs(system.F.eval_affine(segre_stack(wps, wpps, mp.mpf(1)))))
-    finally:
-        mp.dps = old_dps
+        vres = float(abs(system.F.eval_affine(segre_stack(wps, wpps, one))))
     if vres > 10.0 * cfg.solve_tol:
         return False, vres, 0, "doubled-precision residual too large"
     radius = winding_radius
     for _ in range(4):
         circle = l + radius * np.exp(
             2j * math.pi * np.linspace(0.0, 1.0, 400, endpoint=False))
-        if min(system.pole_distance(c) for c in circle[::40]) < 1e-6:
+        if system.pole_distance(circle[::40]).min() < 1e-6:
             radius *= 0.5
             continue
         try:
@@ -377,16 +512,17 @@ def verify_solution(system: PulledBackSystem, l: complex, cfg: SolverConfig,
 
 
 def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
-                    certified: bool = False, jacobian_cb=None,
-                    kernel=()) -> SolveReport:
+                    certified: bool = False, kernel=()) -> SolveReport:
     """Scan distinct cells in spiral order until the target count or the budget.
 
     Requires certified=True: running without a nonzero certificate is a
     precondition violation, not a soft warning. kernel is an integer basis of
     Lambda_L (hull.kernel_lattice); cells are walked modulo the shifts it
-    induces, and an empty kernel walks every cell. Deduplication is by group
-    distance on the product variety at dedup_tol. jacobian_cb, when given,
-    maps an accepted parameter to a recorded rank.
+    induces, and an empty kernel walks every cell. The seeds of each chunk of
+    scanned cells are refined in one newton_refine call, then taken in cell
+    order, and by |G| within a cell, until the target is reached.
+    Deduplication is by group distance on the product variety at dedup_tol.
+    Each accepted point records its Jacobian rank from G' (jacobian_rank).
     """
     if not certified:
         raise UncertifiedError(
@@ -415,14 +551,18 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
             chunk = cells[i:i + workers]
             mapper = pool.map if workers > 1 and len(chunk) > 1 else map
             seed_lists = timed("scan_s", lambda: list(mapper(scan, chunk)))
+            batch = [seed for seeds in seed_lists for seed, _ in seeds]
+            refined = iter(timed("newton_s", newton_refine, system, batch, cfg)
+                           if batch else ())
             for offset, seeds in enumerate(seed_lists):
                 cell_index = i + offset
                 report.cells_scanned += 1
-                for seed, _ in seeds:
+                for (seed, _), r in zip(seeds, refined):
                     if report.target_reached:
                         break
                     report.seeds_refined += 1
-                    l, res = timed("newton_s", newton_refine, system, seed, cfg)
+                    report.newton_iterations += r.steps
+                    l, res = r
                     if l is None:
                         report.failures.append(
                             FailureRecord(complex(seed), cell_index, res))
@@ -437,12 +577,11 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                     if not ok:
                         report.failures.append(FailureRecord(l, cell_index, reason))
                         continue
-                    rank = (timed("jacobian_s", jacobian_cb, l)
-                            if jacobian_cb is not None else -1)
+                    rank = timed("jacobian_s", jacobian_rank, system, r.deriv)
                     report.solutions.append(SolutionPoint(
-                        l=complex(l), z=tuple(complex(x) for x in zred),
-                        residual=float(res), verified_residual=float(vres),
-                        winding=int(wind), jacobian_rank=int(rank), cell=cell_index))
+                        l=l, z=tuple(complex(x) for x in zred),
+                        residual=res, verified_residual=float(vres),
+                        winding=int(wind), jacobian_rank=rank, cell=cell_index))
                     accepted = np.vstack([accepted, zred])
                     report.cells_with_solutions.add(cell_index)
                     if len(report.solutions) >= cfg.target_count:
@@ -451,6 +590,8 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                     break
             if report.target_reached:
                 break
+    report.failures_by_reason = dict(sorted(Counter(
+        f.reason.split(",")[0] for f in report.failures).items()))
     report.cells_exhausted = walks_all and not report.target_reached
     report.budget_exhausted = not (report.target_reached or report.cells_exhausted)
     report.defect = not report.solutions

@@ -9,7 +9,9 @@ Two independent evaluation backends share one interface:
                  paths here and the mpmath recomputation in the solver's
                  verification; only this backend evaluates on grids. Each
                  term costs two reciprocals and multiplications, and the
-                 constant q-sum is added once, not per array term.
+                 constant q-sum (theta_const) is summed once per lattice.
+                 Near a pole the n = 0 factor 1 - u is taken as
+                 -expm1(2 pi i z), so values keep their relative accuracy.
   "lattice-sum"  row-resummed series: the double sum over the lattice is
                  collapsed along the real direction into cosecant rows,
                  sum_n pi^2 / sin^2(pi (z - n tau)) minus matching
@@ -39,6 +41,9 @@ from .segre import SegrePoint, SegrePolynomial, segre_stack
 from .variety import ProductVariety
 
 TWO_PI = 2.0 * math.pi
+# Below this |z| the n = 0 factor 1 - u of the theta series is taken as
+# -expm1(2 pi i z); above it 1 - u loses under two bits to cancellation.
+NEAR_POLE = 0.1
 
 
 class AtInfinity(Exception):
@@ -57,10 +62,15 @@ class DegenerateFiber(ValueError):
     """The restricted function vanishes identically on the sampled fiber."""
 
 
-def reduce_to_fundamental(z: complex, tau: complex) -> complex:
-    """Translate z by the lattice Z + tau Z into the centered domain."""
+def reduce_to_fundamental(z, tau: complex):
+    """Translate z by the lattice Z + tau Z into the centered domain.
+
+    z is a complex number or a numpy array of them; both round half to even.
+    """
     b = z.imag / tau.imag
     a = z.real - b * tau.real
+    if isinstance(z, np.ndarray):
+        return z - np.round(a) - np.round(b) * tau
     return z - round(a) - round(b) * tau
 
 
@@ -72,7 +82,18 @@ def _qseries_terms(tau: complex, eps: float) -> int:
     return max(n, 6)
 
 
-def theta_sums(u, q, nterms: int, one):
+def theta_const(q, nterms: int, one):
+    """The constant 1/12 - sum 2 q^n/(1 - q^n)^2 of the wp series, to nterms powers."""
+    const = one / 12
+    qn = one
+    for _ in range(nterms):
+        qn = qn * q
+        rq = one / (one - qn)
+        const = const - 2 * qn * rq * rq
+    return const
+
+
+def theta_sums(u, q, nterms: int, one, const=None, one_minus_u=None):
     """The q-series S, S' with wp = (2 pi i)^2 S and wp' = (2 pi i)^3 S'.
 
     u = exp(2 pi i z) and q = exp(2 pi i tau) for a reduced z (DLMF 23.8),
@@ -82,15 +103,18 @@ def theta_sums(u, q, nterms: int, one):
 
     Each geometric factor w takes one reciprocal r = 1/(1 - w), and the
     terms w/(1 - w)^2 = w r^2 and w(1 + w)/(1 - w)^3 = (w r^2)(1 + w) r
-    are built from it by multiplication. 1/u is taken once. The constant
-    sum of 2 q^n/(1 - q^n)^2 is accumulated apart from the sums in u and
-    subtracted once.
+    are built from it by multiplication. 1/u is taken once. const is
+    theta_const(q, nterms, one), which callers that evaluate one lattice
+    many times compute once. one_minus_u, when given, is 1 - u computed as
+    -expm1(2 pi i z): near a pole 1 - u cancels and loses about eps/|z|
+    relative accuracy in the n = 0 term.
     """
+    if const is None:
+        const = theta_const(q, nterms, one)
     iu = one / u
-    r = one / (one - u)
+    r = one / (one - u if one_minus_u is None else one_minus_u)
     s = u * r * r
     sp = s * (one + u) * r
-    const = one / 12
     qn = one
     for _ in range(nterms):
         qn = qn * q
@@ -102,8 +126,6 @@ def theta_sums(u, q, nterms: int, one):
         tx = x * rx * rx
         s = s + tw + tx
         sp = sp + tw * (one + w) * rw - tx * (one + x) * rx
-        rq = one / (one - qn)
-        const = const - 2 * qn * rq * rq
     return s + const, sp
 
 
@@ -125,6 +147,7 @@ class WpEvaluator:
         self.backend = backend
         self.nterms = _qseries_terms(tau, self.eps)
         self.q = cmath.exp(2j * math.pi * tau)
+        self.const = theta_const(self.q, self.nterms, 1.0)
         self._invariants: tuple[complex, complex] | None = None
 
     # lattice geometry
@@ -188,7 +211,9 @@ class WpEvaluator:
             raise AtInfinity()
         if self.backend == "lattice-sum":
             return self._wp_rows(z), self._wp_prime_rows(z)
-        s, sp = theta_sums(cmath.exp(2j * math.pi * z), self.q, self.nterms, 1.0)
+        w = 2j * math.pi * z
+        m = -complex(np.expm1(w)) if abs(z) < NEAR_POLE else None
+        s, sp = theta_sums(cmath.exp(w), self.q, self.nterms, 1.0, self.const, m)
         return (2j * math.pi) ** 2 * s, (2j * math.pi) ** 3 * sp
 
     def wp(self, z: complex) -> complex:
@@ -224,13 +249,16 @@ class WpEvaluator:
         if self.backend != "theta":
             raise ValueError(
                 f"grid evaluation needs the theta backend, not {self.backend!r}")
-        z = np.asarray(z, dtype=complex)
-        b = np.round(z.imag / self.tau.imag)
-        a = np.round(z.real - (z.imag / self.tau.imag) * self.tau.real)
-        zr = z - a - b * self.tau
-        pole = np.abs(zr) < 1e-12
-        zr = np.where(pole, 0.25, zr)
-        s, sp = theta_sums(np.exp(2j * math.pi * zr), self.q, self.nterms, 1.0)
+        zr = self.reduce(np.asarray(z, dtype=complex))
+        dist = np.abs(zr)
+        pole = dist < 1e-12
+        w = 2j * math.pi * np.where(pole, 0.25, zr)
+        u = np.exp(w)
+        m = 1.0 - u
+        near = dist < NEAR_POLE
+        if near.any():
+            m[near] = -np.expm1(w[near])
+        s, sp = theta_sums(u, self.q, self.nterms, 1.0, self.const, m)
         wp = (2j * math.pi) ** 2 * s
         wpp = (2j * math.pi) ** 3 * sp
         wp[pole] = np.inf

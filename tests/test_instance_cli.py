@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from eac.cli import main
@@ -338,3 +339,38 @@ def test_cli_single_factor_scans_every_distinct_cell_once(tmp_path, capsys):
     assert "in all 1 distinct cell(s); reported as a defect" in capsys.readouterr().out
     sol = json.loads(out.read_text())["solve"]
     assert sol["defect"] is True and sol["cells_exhausted"] is True
+
+
+def test_cli_solve_block_counts_newton_iterations_and_failures(tmp_path):
+    # nothing converges below the rounding level of G: both seeds of the one
+    # cell run all their Newton steps and fail
+    inst = {
+        "label": "wp-level-1.7-unreachable-tol",
+        "factors": [{"tau_re": "0", "tau_im": {"d": 3, "q": "1"}}],
+        "L": {"basis": [["1"]]},
+        "W": {
+            "kind": "segre-hypersurface",
+            "dim": 0,
+            "monomials": [
+                {"exponents": [0, 1, 0], "re": 1.0},
+                {"exponents": [1, 0, 0], "re": -1.7},
+            ],
+        },
+        "solver": {"solve_tol": 1e-20},
+    }
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps(inst))
+    out = tmp_path / "r.json"
+    assert run_cli(["solve", str(path), "--out", str(out)]) == 5
+    report = json.loads(out.read_text())
+    sol = report["solve"]
+    assert sol["seeds_refined"] == sol["failures"] == 2
+    assert sol["failures_by_reason"] == {"no convergence": 2}
+    assert sol["newton_iterations"] == 100
+    assert set(sol["config"]) == {"seed", "grid", "budget_cells", "target_count",
+                                  "coarse_threshold", "solve_tol", "dedup_tol"}
+    # reasons are the solver's prefixes, with positive counts
+    for bad in ({"no convergence, residual 1e-3": 2}, {"no convergence": 0}):
+        sol["failures_by_reason"] = bad
+        with pytest.raises(jsonschema.ValidationError):
+            validate_report(report)

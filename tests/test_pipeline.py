@@ -1,14 +1,21 @@
 import json
 import statistics
 
+import numpy as np
 import pytest
 
 from eac.instance import builtin_instance, catalog_dicts, catalog_names, instance_from_dict
 from eac.pipeline import (BidegreeMismatch, certify, decide, density_summary,
                           resolve_w, solve)
-from eac.solver import SolverConfig
+from eac.segre import SegrePolynomial, segre_stack
+from eac.solver import PulledBackSystem, SolverConfig
+from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
 
 SMALL = SolverConfig(budget_cells=4, target_count=3)
+# the catalog instances with a nonzero certificate and a one-dimensional L
+HARVESTABLE = ("anti-diagonal", "diag-cross-deriv", "diag-deriv-match", "diag-deriv-prod",
+               "diag-prod-one", "diag-prod-two", "diag-sum-three", "irrational-slope",
+               "rational-slope")
 
 
 def variant(name, **edits):
@@ -180,3 +187,68 @@ def test_catalog_verdicts_and_certificates_agree(pe2):
             assert out.reason, name
         else:
             assert out.certificate.nonzero, name
+
+
+def catalog_system(name):
+    inst = builtin_instance(name)
+    out = certify(inst)
+    assert not out.refused and out.L_used.dim == 1, name
+    direction = tuple(complex(x) for x in out.L_used.basis[0])
+    return inst, PulledBackSystem(inst.F, direction, inst.A)
+
+
+def test_harvestable_list_is_every_certified_catalog_instance():
+    assert tuple(n for n in catalog_names() if not certify(builtin_instance(n)).refused) \
+        == HARVESTABLE
+
+
+@pytest.mark.parametrize("name", HARVESTABLE)
+def test_harvest_ranks_match_the_jacobian_probe(name):
+    inst, system = catalog_system(name)
+    out = solve(inst)
+    assert out.exit_code == 0 and out.report.solutions
+    for s in out.report.solutions:
+        assert s.jacobian_rank == jacobian_probe(s.l, system.v, inst.F, inst.A), (name, s.l)
+
+
+def mp_value(system, l):
+    """G at l, an mpmath number, from the theta series at working precision."""
+    from mpmath import mp
+
+    one, two_pi_i = mp.mpf(1), 2j * mp.pi
+    wps, wpps = [], []
+    for ev, c in zip(system.pe.evals, system.v):
+        tau = mp.mpc(ev.tau.real, ev.tau.imag)
+        z = l * mp.mpc(c.real, c.imag)
+        shift = complex(z) - ev.reduce(complex(z))
+        b = round(shift.imag / ev.tau.imag)
+        a = round(shift.real - b * ev.tau.real)
+        u = mp.exp(two_pi_i * (z - a - b * tau))
+        s, sp = theta_sums(u, mp.exp(two_pi_i * tau), _qseries_terms(ev.tau, 1e-40), one)
+        wps.append(two_pi_i ** 2 * s)
+        wpps.append(two_pi_i ** 3 * sp)
+    return system.F.eval_affine(segre_stack(wps, wpps, one))
+
+
+def one_factor_systems(A1):
+    level = SegrePolynomial.linear(1, {1: 1, 0: -1.7})
+    # wp'^2 + 0.5 wp' - 3 wp + 2 exercises products and powers of jets
+    mixed = SegrePolynomial.from_dict(1, {(0, 0, 2): 1, (0, 0, 1): 0.5,
+                                          (0, 1, 0): -3, (1, 0, 0): 2})
+    return [PulledBackSystem(F, (1,), A1) for F in (level, mixed)]
+
+
+@pytest.mark.parametrize("name", HARVESTABLE + ("one-factor",))
+def test_analytic_derivative_matches_mpmath(name, A1):
+    from mpmath import mp
+
+    systems = (one_factor_systems(A1) if name == "one-factor"
+               else [catalog_system(name)[1]])
+    for system in systems:
+        ls = system.cell_box(0, 0, np.array([0.3, 0.7, 0.45]), np.array([0.6, 0.2, 0.85]))
+        ls = np.concatenate([ls, system.cell_box(2, -1, np.array([0.55]), np.array([0.35]))])
+        _, dg = system.eval_jet(ls)
+        with mp.workdps(30):
+            for l, got in zip(ls, dg):
+                want = complex(mp.diff(lambda t: mp_value(system, t), mp.mpc(l.real, l.imag)))
+                assert abs(got - want) <= 1e-11 * abs(want), (name, l, got, want)

@@ -14,7 +14,7 @@ from eac.solver import (PulledBackSystem, SolverConfig, UncertifiedError,
                         harvest_density, newton_refine, reduce_cell,
                         spiral_cells, thread_count, unit_box, verify_solution)
 from eac.variety import ExactSubspace, ProductVariety
-from eac.weierstrass import _qseries_terms, theta_sums
+from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
 from tests.conftest import factor_sqrt
 
 DIAGONAL_KERNEL = ((1, 0, 1, 0),)
@@ -69,7 +69,8 @@ def test_system_evaluation_consistency(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     l = 0.31 + 0.27j
     direct = pe2.eval_polynomial(sys_.F, (l, l))
-    assert abs(sys_.eval_one(l) - direct) < 1e-12 * max(1.0, abs(direct))
+    got = sys_.eval_grid_complex(np.array([l]))[0]
+    assert abs(got - direct) < 1e-12 * max(1.0, abs(direct))
     assert sys_.z_of(l) == (l, l)
     assert sys_.anchor == 0
     assert sys_.pole_distance(0.0) < 1e-12
@@ -97,7 +98,7 @@ def test_coarse_scan_finds_seed_candidates(A2, pe2):
     cfg = SolverConfig()
     seeds = coarse_scan(sys_, 0, 0, cfg)
     assert seeds
-    assert len(seeds) <= cfg.seeds_per_cell
+    assert len(seeds) <= solver.SEEDS_PER_CELL
     vals = [v for _, v in seeds]
     assert vals == sorted(vals)
     assert all(v < cfg.coarse_threshold for v in vals)
@@ -109,17 +110,132 @@ def test_newton_refine_converges_from_coarse_seed(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig()
     seeds = coarse_scan(sys_, 0, 0, cfg)
-    l, res = newton_refine(sys_, seeds[0][0], cfg)
+    l, res = newton_refine(sys_, [seeds[0][0]], cfg)[0]
     assert l is not None
     assert res < cfg.solve_tol
-    assert abs(sys_.eval_one(l)) < cfg.solve_tol
+    assert abs(sys_.eval_grid_complex(np.array([l]))[0]) < cfg.solve_tol
 
 
 def test_newton_refine_reports_pole_landing(A2, pe2):
     sys_ = flagship_system(pe2, A2)
-    l, reason = newton_refine(sys_, 0.0 + 0.0j, SolverConfig())
+    l, reason = newton_refine(sys_, [0.0 + 0.0j], SolverConfig())[0]
     assert l is None
     assert "pole" in reason
+
+
+def central_difference_newton(system, seed, cfg, fd_step=1e-7):
+    """The per-seed Newton loop with central differences, as an oracle."""
+    l = complex(seed)
+    for _ in range(solver.NEWTON_STEPS):
+        if system.pole_distance(l) < 1e-9:
+            return None
+        g = system.eval_grid_complex(np.array([l]))[0]
+        if abs(g) < cfg.solve_tol:
+            return l
+        gp, gm = system.eval_grid_complex(np.array([l + fd_step, l - fd_step]))
+        step = g / ((gp - gm) / (2.0 * fd_step))
+        if abs(step) > 1.0:
+            step = step / abs(step)
+        l = l - step
+    return None
+
+
+@pytest.mark.parametrize("case", ["diagonal", "irrational", "one-factor"])
+def test_batched_newton_matches_one_seed_batches_and_the_oracle(A1, A2, pe2, case):
+    sys_ = anchor_cases(A1, A2, pe2)[case]
+    cfg = SolverConfig()
+    seeds = [seed for cell in ((0, 0), (1, 0), (-1, 1))
+             for seed, _ in coarse_scan(sys_, *cell, cfg)]
+    seeds.append(0j)  # a pole
+    batch = newton_refine(sys_, seeds, cfg)
+    assert len(batch) == len(seeds)
+    for seed, got in zip(seeds, batch):
+        one = newton_refine(sys_, [seed], cfg)[0]
+        assert got == one and got.steps == one.steps and got.deriv == one.deriv
+        want = central_difference_newton(sys_, seed, cfg)
+        assert (got[0] is None) == (want is None)
+        if want is not None:
+            assert abs(got[0] - want) < 1e-12
+            assert got.steps <= solver.NEWTON_STEPS
+    assert batch[-1] == (None, "landed on a pole") and batch[-1].steps == 0
+    assert sum(r[0] is not None for r in batch) >= 4
+
+
+def test_newton_refine_refuses_an_empty_batch(A2, pe2):
+    with pytest.raises(ValueError):
+        newton_refine(flagship_system(pe2, A2), [], SolverConfig())
+
+
+def test_newton_reports_no_convergence_after_the_step_limit(A2, pe2):
+    sys_ = flagship_system(pe2, A2)
+    cfg = SolverConfig(solve_tol=1e-20)
+    seeds = [seed for seed, _ in coarse_scan(sys_, 0, 0, cfg)]
+    for l, reason in newton_refine(sys_, seeds, cfg):
+        assert l is None and reason.startswith("no convergence, residual ")
+
+
+def test_rank_from_the_derivative_flags_the_degenerate_touch(A2, pe2):
+    # the fixture of test_weierstrass: at a simultaneous half period both
+    # partials of wp1 wp2 - 1 vanish, so G' does too
+    tau2 = A2.factors[1].tau
+    direction = (0.5, tau2 / 2.0)
+    sys_ = PulledBackSystem(flagship_system(pe2, A2).F, direction, A2, pe2)
+    _, dg = sys_.eval_jet(np.array([1.0]))
+    assert solver.jacobian_rank(sys_, dg[0]) == 1
+    assert jacobian_probe(1.0, direction, sys_.F, A2, pe2) == 1
+
+
+def test_newton_caps_each_step_at_unit_length(A2, pe2):
+    # next to the degenerate touch |G / G'| is about 124, so an uncapped
+    # first step would leave the cell at once
+    tau2 = A2.factors[1].tau
+    sys_ = PulledBackSystem(flagship_system(pe2, A2).F, (0.5, tau2 / 2.0), A2, pe2)
+    g, dg = sys_.eval_jet(np.array([1.001]))
+    assert abs(g[0] / dg[0]) > 100
+    assert newton_refine(sys_, [1.001], SolverConfig())[0].steps > 1
+
+
+def test_harvest_rank_comes_from_the_derivative(A1, A2, pe2):
+    sys_ = flagship_system(pe2, A2)
+    report = harvest_density(sys_, SolverConfig(budget_cells=2, target_count=3),
+                             certified=True)
+    assert report.solutions
+    for s in report.solutions:
+        assert s.jacobian_rank == 2 == jacobian_probe(s.l, sys_.v, sys_.F, A2, pe2)
+    one = harvest_density(one_factor_system(A1), SolverConfig(), certified=True,
+                          kernel=((1, 0), (0, 1)))
+    assert one.solutions and all(s.jacobian_rank == -1 for s in one.solutions)
+
+
+def test_harvest_counts_newton_iterations_and_failures_by_reason(A2, pe2, monkeypatch):
+    sys_ = flagship_system(pe2, A2)
+    real_scan, real_newton = solver.coarse_scan, solver.newton_refine
+    batches = []
+
+    def scan_with_a_pole_seed(system, p, q, cfg):
+        # l = p + q tau_1 is a lattice point of the anchor factor
+        return [(p + q * pe2.evals[0].tau, 0.0)] + real_scan(system, p, q, cfg)
+
+    def recording(system, seeds, cfg):
+        out = real_newton(system, seeds, cfg)
+        batches.extend(out)
+        return out
+
+    monkeypatch.setattr(solver, "coarse_scan", scan_with_a_pole_seed)
+    monkeypatch.setattr(solver, "newton_refine", recording)
+    report = harvest_density(sys_, SolverConfig(budget_cells=2, target_count=40),
+                             certified=True)
+    assert not report.target_reached and report.seeds_refined == len(batches)
+    assert report.failures_by_reason == {"landed on a pole": 2}
+    assert report.newton_iterations == sum(r.steps for r in batches) > 0
+    # nothing converges below the rounding level of G
+    batches.clear()
+    stuck = harvest_density(sys_, SolverConfig(budget_cells=1, solve_tol=1e-20),
+                            certified=True)
+    assert stuck.defect
+    assert stuck.failures_by_reason == {"landed on a pole": 1,
+                                        "no convergence": stuck.seeds_refined - 1}
+    assert stuck.newton_iterations == solver.NEWTON_STEPS * (stuck.seeds_refined - 1)
 
 
 def anchor_cases(A1, A2, pe2):
@@ -190,9 +306,9 @@ def test_harvest_builds_the_anchor_grid_once(A2, pe2, monkeypatch):
 def test_verify_solution_sums_to_the_30_digit_tail_bound(A2, pe2, monkeypatch):
     lengths = []
 
-    def recording(u, q, nterms, one):
+    def recording(u, q, nterms, one, const=None, one_minus_u=None):
         lengths.append(nterms)
-        return theta_sums(u, q, nterms, one)
+        return theta_sums(u, q, nterms, one, const, one_minus_u)
 
     monkeypatch.setattr(solver, "theta_sums", recording)
     verify_solution(flagship_system(pe2, A2), 0.31 + 0.27j, SolverConfig())
@@ -203,7 +319,7 @@ def test_verify_solution_accepts_true_roots_rejects_perturbed(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig()
     seeds = coarse_scan(sys_, 0, 0, cfg)
-    l, _ = newton_refine(sys_, seeds[0][0], cfg)
+    l, _ = newton_refine(sys_, [seeds[0][0]], cfg)[0]
     ok, vres, wind, reason = verify_solution(sys_, l, cfg)
     assert ok and reason == ""
     assert vres < 10 * cfg.solve_tol
@@ -239,7 +355,7 @@ def test_harvest_flagship_small_budget(A2, pe2):
     stages = ("scan_s", "newton_s", "dedup_s", "verify_s", "jacobian_s")
     assert set(report.timings) == {"total_s", *stages}
     assert report.timings["newton_s"] > 0 and report.timings["verify_s"] > 0
-    assert report.timings["jacobian_s"] == 0.0
+    assert all(s.jacobian_rank == 2 for s in report.solutions)
     assert sum(report.timings[k] for k in stages) <= report.timings["total_s"]
 
 
@@ -251,8 +367,8 @@ def test_p_translate_cells_give_the_same_points(A2, pe2):
 
     def refined_zs(p, q):
         zs = []
-        for seed, _ in coarse_scan(sys_, p, q, cfg):
-            l, _ = newton_refine(sys_, seed, cfg)
+        seeds = [seed for seed, _ in coarse_scan(sys_, p, q, cfg)]
+        for l, _ in newton_refine(sys_, seeds, cfg):
             if l is not None:
                 z = A2.reduce_point(sys_.z_of(l))
                 if all(A2.torus_distance(z, w) > cfg.dedup_tol for w in zs):
@@ -391,20 +507,6 @@ def test_harvest_defect_when_every_distinct_cell_is_empty(A1):
     assert report.cells_exhausted
     assert not report.budget_exhausted
     assert report.defect
-
-
-def test_harvest_jacobian_callback(A2, pe2):
-    sys_ = flagship_system(pe2, A2)
-    calls = []
-
-    def cb(l):
-        calls.append(l)
-        return 2
-
-    report = harvest_density(sys_, SolverConfig(budget_cells=2, target_count=3),
-                             certified=True, jacobian_cb=cb)
-    assert len(calls) == len(report.solutions)
-    assert all(s.jacobian_rank == 2 for s in report.solutions)
 
 
 def test_config_replace_is_functional():

@@ -7,11 +7,11 @@ import pytest
 
 from eac.segre import SegrePolynomial
 from eac.variety import ProductVariety
-from eac.weierstrass import (AtInfinity, ContourError, DegenerateFiber,
+from eac.weierstrass import (NEAR_POLE, AtInfinity, ContourError, DegenerateFiber,
                              ProductEvaluator, WpEvaluator, bidegree_of,
                              _qseries_terms, count_roots_on_fiber,
                              jacobian_probe, point_count_on_curve,
-                             reduce_to_fundamental, theta_sums)
+                             reduce_to_fundamental, theta_const, theta_sums)
 from tests.conftest import factor_sqrt
 
 TAUS = [1j, 0.5 + 0.5j * math.sqrt(3), 1j * math.sqrt(2), 1j * math.sqrt(5),
@@ -138,6 +138,47 @@ def test_verification_series_length_reaches_30_digits(tau):
             ref = theta_sums(u, q, _qseries_terms(tau, 1e-60), one)
             for a, b in zip(got, ref):
                 assert abs(a - b) < 1e-30
+
+
+@pytest.mark.parametrize("tau", [1j * math.sqrt(2), 1j * math.sqrt(5), 0.5 + 0.866j])
+def test_theta_backend_keeps_relative_accuracy_near_a_pole(tau):
+    # 1 - u cancels for small z; at 50 digits the plain series is the reference
+    from mpmath import mp
+
+    ev = WpEvaluator(tau)
+    zs = [r * cmath.exp(1j * t) for r in (1e-4, 1e-6, 1e-8) for t in (0.3, 1.9, -2.6)]
+    grid = ev.wp_pair_grid(np.array(zs))
+    with mp.workdps(50):
+        one = mp.mpf(1)
+        two_pi_i = 2j * mp.pi
+        q = mp.exp(two_pi_i * mp.mpc(tau.real, tau.imag))
+        for k, z in enumerate(zs):
+            u = mp.exp(two_pi_i * mp.mpc(z.real, z.imag))
+            s, sp = theta_sums(u, q, _qseries_terms(tau, 1e-50), one)
+            want = (two_pi_i ** 2 * s, two_pi_i ** 3 * sp)
+            for got in (ev.wp_pair(z), (grid[0][k], grid[1][k])):
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-14 * abs(b), (z, a, b)
+
+
+@pytest.mark.parametrize("tau", [1j * math.sqrt(2), 0.5 + 0.866j])
+def test_hoisted_constant_leaves_values_away_from_poles_bit_identical(tau):
+    # the evaluator sums the q-constant once; away from the poles its values
+    # must be the plain series' to the last bit, on grids and scalars alike
+    ev = WpEvaluator(tau)
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-2, 2, 400) + 1j * rng.uniform(-2, 2, 400)
+    zr = ev.reduce(z)
+    z, zr = z[np.abs(zr) >= NEAR_POLE], zr[np.abs(zr) >= NEAR_POLE]
+    s, sp = theta_sums(np.exp(2j * math.pi * zr), ev.q, ev.nterms, 1.0)
+    wp, wpp = ev.wp_pair_grid(z)
+    assert np.array_equal(wp, (2j * math.pi) ** 2 * s)
+    assert np.array_equal(wpp, (2j * math.pi) ** 3 * sp)
+    assert ev.const == theta_const(ev.q, ev.nterms, 1.0)
+    for k in range(0, len(z), 37):
+        s, sp = theta_sums(cmath.exp(2j * math.pi * ev.reduce(complex(z[k]))),
+                           ev.q, ev.nterms, 1.0)
+        assert ev.wp_pair(z[k]) == ((2j * math.pi) ** 2 * s, (2j * math.pi) ** 3 * sp)
 
 
 def test_at_infinity_raised_on_lattice_points():
