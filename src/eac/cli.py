@@ -76,9 +76,8 @@ def _cert_block(outcome: CertifyOutcome) -> dict:
 def _solve_block(report: SolveReport, cfg) -> dict:
     return {
         "config": {
-            "seed": cfg.seed, "grid": cfg.grid, "budget_cells": cfg.budget_cells,
+            "seed": cfg.seed, "budget_cells": cfg.budget_cells,
             "target_count": cfg.target_count,
-            "coarse_threshold": cfg.coarse_threshold,
             "solve_tol": cfg.solve_tol, "dedup_tol": cfg.dedup_tol,
         },
         "solutions": [{
@@ -91,6 +90,8 @@ def _solve_block(report: SolveReport, cfg) -> dict:
         "distinct_count": len(report.solutions),
         "cells_scanned": report.cells_scanned,
         "cells_with_solutions": sorted(report.cells_with_solutions),
+        "cells": report.cells,
+        "incomplete_cells": report.incomplete_cells,
         "seeds_refined": report.seeds_refined,
         "seeds_duplicate": report.seeds_duplicate,
         "newton_iterations": report.newton_iterations,
@@ -138,8 +139,7 @@ def _get_instance(spec: str) -> Instance:
 
 
 def _apply_overrides(instance: Instance, args) -> Instance:
-    options = {"seed": "seed", "budget": "budget_cells", "grid": "grid",
-               "target": "target_count"}
+    options = {"seed": "seed", "budget": "budget_cells", "target": "target_count"}
     overrides = {field: getattr(args, opt) for opt, field in options.items()
                  if getattr(args, opt, None) is not None}
     try:
@@ -229,8 +229,7 @@ def _run_solve(args, command: str) -> int:
     instance = _apply_overrides(_get_instance(args.instance), args)
     if command == "density" and getattr(args, "target", None) is None:
         instance = _apply_overrides(instance, argparse.Namespace(
-            seed=None, budget=None, grid=None,
-            target=max(instance.config.target_count, 60)))
+            seed=None, budget=None, target=max(instance.config.target_count, 60)))
     outcome = solve(instance)
     report = _base_report(command, instance, outcome.exit_code)
     report["verdicts"] = _verdict_block(outcome.certify.decision)
@@ -246,21 +245,23 @@ def _run_solve(args, command: str) -> int:
         if args.csv:
             _write_csv(outcome.report, args.csv)
     _emit(report, args.out)
+    r = outcome.report
+    missing = "".join(f", incomplete cell {c['cell']} ({c['found']} of "
+                      f"{'?' if c['expected'] is None else c['expected']} found)"
+                      for c in (r.cells if r else ()) if c["cell"] in r.incomplete_cells)
     if outcome.exit_code == 4:
         print(f"{command} {instance.label}: refused, uncertified "
               f"({outcome.certify.reason})")
     elif outcome.exit_code == 5:
-        r = outcome.report
         where = (f"in all {r.cells_scanned} distinct cell(s)" if r.cells_exhausted
                  else f"within {instance.config.budget_cells} cells")
         print(f"{command} {instance.label}: certificate nonzero but no point "
-              f"passed verification {where}; reported as a defect")
+              f"passed verification {where}; reported as a defect{missing}")
     else:
-        r = outcome.report
         scanned = (f"all {r.cells_scanned} distinct cell(s) scanned" if r.cells_exhausted
                    else f"{r.cells_scanned} cell(s) scanned")
         print(f"{command} {instance.label}: {len(r.solutions)} verified point(s) "
-              f"across {len(r.cells_with_solutions)} cell(s), {scanned}")
+              f"across {len(r.cells_with_solutions)} cell(s), {scanned}{missing}")
         if command == "density" and report["density"]:
             d = report["density"]
             if d["min_pairwise_distance"] is not None:
@@ -308,8 +309,6 @@ def _add_common(sp, solver_opts: bool):
     if solver_opts:
         sp.add_argument("--budget", type=int, default=None,
                         help="cell budget for the scan")
-        sp.add_argument("--grid", type=int, default=None,
-                        help="grid density per cell")
         sp.add_argument("--target", type=int, default=None,
                         help="stop after this many verified points")
         sp.add_argument("--csv", default=None,

@@ -9,13 +9,12 @@ errors carry the offending line or field path.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-
-import jsonschema
 
 from .checker import SubvarietyData
 from .multiquad import ComplexMQ, MultiQuadElem, parse_mq
@@ -33,26 +32,27 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-_INSTANCE_SCHEMA = None
-_REPORT_SCHEMA = None
+@functools.lru_cache(maxsize=None)
+def _validator(name: str):
+    """A Draft 7 validator of one packaged schema, checked against its metaschema once."""
+    import jsonschema
+
+    schema = _load_schema(name)
+    jsonschema.Draft7Validator.check_schema(schema)
+    return jsonschema.Draft7Validator(schema)
 
 
-def instance_schema() -> dict:
-    global _INSTANCE_SCHEMA
-    if _INSTANCE_SCHEMA is None:
-        _INSTANCE_SCHEMA = _load_schema("instance.schema.json")
-    return _INSTANCE_SCHEMA
+def _validate(obj, name: str):
+    """Raise the most relevant jsonschema.ValidationError of obj, if it has one."""
+    from jsonschema.exceptions import best_match
 
-
-def report_schema() -> dict:
-    global _REPORT_SCHEMA
-    if _REPORT_SCHEMA is None:
-        _REPORT_SCHEMA = _load_schema("report.schema.json")
-    return _REPORT_SCHEMA
+    error = best_match(_validator(name).iter_errors(obj))
+    if error is not None:
+        raise error
 
 
 def validate_report(obj: dict):
-    jsonschema.validate(obj, report_schema())
+    _validate(obj, "report.schema.json")
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,11 @@ def _parse_entry(spec, where: str) -> ComplexMQ:
 
 
 def instance_from_dict(data: dict, label_fallback: str = "unnamed") -> Instance:
+    from jsonschema import ValidationError
+
     try:
-        jsonschema.validate(data, instance_schema())
-    except jsonschema.ValidationError as e:
+        _validate(data, "instance.schema.json")
+    except ValidationError as e:
         path = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]"
                              for p in e.absolute_path)
         raise InstanceError(f"instance validation failed at {path}: {e.message}") from None
@@ -151,10 +153,8 @@ def instance_from_dict(data: dict, label_fallback: str = "unnamed") -> Instance:
     sspec = data.get("solver", {})
     config = SolverConfig(
         seed=sspec.get("seed", 0),
-        grid=sspec.get("grid", 200),
         budget_cells=sspec.get("budget_cells", 64),
         target_count=sspec.get("target_count", 30),
-        coarse_threshold=sspec.get("coarse_threshold", 0.5),
         solve_tol=sspec.get("solve_tol", 1e-10),
         dedup_tol=sspec.get("dedup_tol", 1e-6),
     )

@@ -89,9 +89,6 @@ class MultiQuadElem:
     def is_rational(self) -> bool:
         return all(d == 1 for d in self._c)
 
-    def rational_part(self) -> Fraction:
-        return self._c.get(1, Fraction(0))
-
     def coefficient(self, d: int) -> Fraction:
         s, f = squarefree_split(d)
         if s != 1:
@@ -321,9 +318,6 @@ class ComplexMQ:
                          self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
-
-    def conj(self) -> ComplexMQ:
-        return ComplexMQ(self.re, -self.im)
 
     def inv(self) -> ComplexMQ:
         n = self.re * self.re + self.im * self.im

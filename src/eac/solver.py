@@ -1,42 +1,29 @@
 """Numerical harvest of intersection points between exp(L) and a hypersurface.
 
 The parameter space is L itself: for a one-dimensional L with direction v the
-pulled-back function is G(l) = F(exp(l v)). The plane of l is tiled by
+pulled-back function is G(l) = F(exp(l v)). The l-plane is tiled by
 preimages of period cells of an anchor factor (the first with a nonzero
-direction entry), walked in a deterministic spiral outward from the origin.
+direction entry), shifted by CELL_OFFSET so that no pole sits on a cell
+edge, and walked in a spiral outward from the origin. When L meets the
+period lattice, the kernel Lambda_L of exp on L (hull.kernel_lattice)
+shifts whole cells, by the lattice K in Z^2 that is Lambda_L read in the
+anchor's lattice coordinates, onto cells with the same image; the walk
+visits each class of Z^2/K once, and ends after the last when K has rank 2.
 
-exp is not injective on L when L meets the period lattice: its kernel
-Lambda_L (hull.kernel_lattice) shifts whole cells, by the cell-shift lattice
-K in Z^2 that is Lambda_L read in the anchor's lattice coordinates, onto
-cells with the same image in the product. The walk therefore reduces each
-spiral cell modulo K and scans only the first cell of each class of Z^2/K,
-so the cell budget counts distinct cells of L / Lambda_L. When K has rank 2
-the walk is finite and ends after the last class; when Lambda_L = 0, as for
-an irrational slope, it is the plain spiral.
-
-Each cell gets a coarse grid scan for local minima of |G|, Newton refinement,
-an independent verification pass, and group-level deduplication of the
-resulting points of the product variety, which still catches seeds of one
-cell, or of neighbouring cells, converging to one root.
-On the grid of cell (p, q) the anchor coordinate is (p + a) + (q + b) tau, a
-lattice translate of the same unit-box grid in every cell, so the anchor
-factor's wp and wp' are computed once per harvest and grid size
-(PulledBackSystem.anchor_grid) and each scan evaluates only the other factor.
-
-Newton refines the seeds of a chunk of cells at once, as one masked array
-iteration, with the analytic derivative G'(l): each factor enters as a
-first-order jet, with d wp = c wp' and d wp' = c (6 wp^2 - g2/2) for
-z = l c (DLMF 23.3), and the jets pass through the same Segre stack and F
-as the values. G'(l) at a root also gives its Jacobian rank: the
-differential of the intersection has rank 2 exactly when the root is simple.
-
-Verification recomputes each residual with mpmath at 30 digits, using the
-same theta series (weierstrass.theta_sums) as the scan but none of its
-double-precision arithmetic, summed to the length whose tail bound is 1e-30
-for each factor's tau, and each solution must carry winding number
->= 1 on a small circle, so spurious minima and pseudo-roots are rejected
-rather than reported. The lattice-sum backend, which shares no formula with
-the theta series, is the independent cross-check of harvested points.
+cell_seeds counts each cell's zeros by the argument principle and isolates
+them by subdivision (Delves and Lyness, Math. Comp. 21 (1967); ZEAL,
+Kravanja, Van Barel et al., Comput. Phys. Commun. 124 (2000)); a box with
+one zero gives its Newton seed from the first moment of G'/G. Newton
+refines a chunk's seeds as one array with the analytic G'(l) of eval_jet:
+each factor enters as a first-order jet, with d wp = c wp' and
+d wp' = c (6 wp^2 - g2/2) for z = l c (DLMF 23.3). G' at a root also gives
+its Jacobian rank. verify_solution recomputes each residual at 30 digits
+from the same theta series (weierstrass.theta_sums) but none of the
+double-precision arithmetic, and requires a positive winding on a small
+circle. Verified points are deduplicated on the product variety and placed
+in the cell that holds them, so each cell reports its zeros expected
+against its zeros found. The lattice-sum backend, which shares no formula
+with the theta series, is the independent cross-check of harvested points.
 """
 
 from __future__ import annotations
@@ -44,11 +31,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,13 +41,32 @@ from .exactlinalg import hermite_normal_form
 from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
 from .weierstrass import (NEAR_POLE, ContourError, ProductEvaluator, _qseries_terms,
-                          _winding, theta_const, theta_sums)
+                          _winding, pole_orders, theta_const, theta_sums)
 
-# Seeds kept per cell scan, and Newton steps per seed.
-SEEDS_PER_CELL = 64
 NEWTON_STEPS = 50
 # Relative tolerance of the in-harvest rank, as in weierstrass.jacobian_probe.
 RANK_TOL = 1e-8
+# Cell shift in the anchor's lattice coordinates: the anchor's pole sits a
+# third of the way into the cell, and so a third of a box from the nearest
+# edge of every box that halving makes.
+CELL_OFFSET = (2.0 / 3.0, 2.0 / 3.0)
+# Box corners and panel ends are integers, CELL_UNITS to a cell side, so
+# neighbouring boxes and cells share their edges exactly.
+CELL_UNITS = 1 << 20
+START_BOXES = 2  # boxes per cell side before the first count
+PANEL_UNITS = CELL_UNITS // 4  # longest quadrature panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+PANEL_NODES = np.concatenate([[0.0], (_GL_X + 1.0) / 2.0, [1.0]])
+PANEL_WEIGHTS = _GL_W / 2.0
+PANEL_TOL = 1e-3  # on each panel's integral of G'/G
+INTEGER_TOL = 1e-2  # on a box's winding number
+MAX_BOX_DEPTH = 12
+MAX_PANELS_PER_CELL = 1000
+# Pole orders are read on circles of this radius in the anchor's lattice
+# coordinates; poles closer than two radii count as one.
+POLE_RADIUS = 1e-3
+POLE_SAMPLES = 64
+FIRST_CHUNK = 4  # cells counted before the mean count per cell is known
 
 
 class UncertifiedError(RuntimeError):
@@ -73,21 +76,19 @@ class UncertifiedError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
-    grid: int = 200
     budget_cells: int = 64
     target_count: int = 30
-    coarse_threshold: float = 0.5
     solve_tol: float = 1e-10
     dedup_tol: float = 1e-6
 
     def __post_init__(self):
         """Reject out-of-range settings by field name, with the schema's bounds."""
-        minimums = {"seed": 0, "grid": 10, "budget_cells": 1, "target_count": 1}
+        minimums = {"seed": 0, "budget_cells": 1, "target_count": 1}
         for name, low in minimums.items():
             if getattr(self, name) < low:
                 raise ValueError(
                     f"{name} must be at least {low}, got {getattr(self, name)}")
-        for name in ("coarse_threshold", "solve_tol", "dedup_tol"):
+        for name in ("solve_tol", "dedup_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -121,6 +122,8 @@ class SolveReport:
     failures: list[FailureRecord] = field(default_factory=list)
     cells_scanned: int = 0
     cells_with_solutions: set = field(default_factory=set)
+    cells: list = field(default_factory=list)
+    incomplete_cells: list = field(default_factory=list)
     seeds_refined: int = 0
     seeds_duplicate: int = 0
     newton_iterations: int = 0
@@ -183,18 +186,6 @@ def distinct_cells(shifts: tuple[tuple[int, int], ...]):
                 return
 
 
-def thread_count() -> int:
-    """Scan threads: EAC_THREADS if set, else up to 4, never above the CPU count."""
-    cpus = os.cpu_count() or 1
-    env = os.environ.get("EAC_THREADS", "").strip()
-    if env:
-        try:
-            return min(max(1, int(env)), cpus)
-        except ValueError:
-            pass
-    return min(4, cpus)
-
-
 class Jet:
     """A value and its derivative in l, for numpy arrays: a first-order jet.
 
@@ -241,47 +232,17 @@ class PulledBackSystem:
             raise ValueError("zero direction vector")
         self.pe = pe or ProductEvaluator(A)
         self.anchor = next(j for j, c in enumerate(self.v) if c != 0)
-        self._anchor_grids = {}
-        self._anchor_lock = threading.Lock()
 
-    def anchor_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(wp, wp') of the anchor factor on the n x n unit-box grid of a cell.
-
-        At box point (a, b) of cell (p, q) the anchor coordinate l v_anchor is
-        (p + a) + (q + b) tau_anchor, a lattice translate of a + b tau_anchor,
-        so one grid serves every cell. It is built on first use, once per grid
-        size, under a lock so that concurrent scans never both build it.
-        """
-        with self._anchor_lock:
-            if n not in self._anchor_grids:
-                aa, bb = unit_box(n)
-                ev = self.pe.evals[self.anchor]
-                self._anchor_grids[n] = ev.wp_pair_grid(aa + bb * ev.tau)
-            return self._anchor_grids[n]
-
-    def eval_grid(self, l: np.ndarray, anchor_pair=None) -> np.ndarray:
-        """|G| on an array of parameter values, inf at pole hits."""
-        vals = self.eval_grid_complex(l, anchor_pair)
-        out = np.abs(vals)
-        out[~np.isfinite(out)] = np.inf
-        return out
-
-    def eval_grid_complex(self, l: np.ndarray, anchor_pair=None) -> np.ndarray:
-        """G on an array of parameter values.
-
-        anchor_pair, when given, is the anchor factor's (wp, wp') at l, shaped
-        like l, as anchor_grid holds it for the cell grids; only the other
-        factors are then evaluated.
-        """
+    def eval_grid_complex(self, l: np.ndarray) -> np.ndarray:
+        """G on an array of parameter values."""
         l = np.asarray(l, dtype=complex)
         wps, wpps = [], []
-        for j, (ev, c) in enumerate(zip(self.pe.evals, self.v)):
-            p, pp = (anchor_pair if j == self.anchor and anchor_pair is not None
-                     else ev.wp_pair_grid(l * c))
+        for ev, c in zip(self.pe.evals, self.v):
+            p, pp = ev.wp_pair_grid(l * c)
             wps.append(p)
             wpps.append(pp)
-        stack = segre_stack(wps, wpps, np.ones_like(wps[0]))
         with np.errstate(invalid="ignore", over="ignore"):
+            stack = segre_stack(wps, wpps, np.ones_like(wps[0]))
             return np.asarray(self.F.eval_affine(stack), dtype=complex)
 
     def eval_jet(self, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,13 +254,13 @@ class PulledBackSystem:
         """
         l = np.asarray(l, dtype=complex)
         wps, wpps = [], []
-        for ev, c in zip(self.pe.evals, self.v):
-            p, pp = ev.wp_pair_grid(l * c)
-            g2 = ev.invariants()[0]
-            wps.append(Jet(p, c * pp))
-            wpps.append(Jet(pp, c * (6.0 * p * p - g2 / 2.0)))
-        one = Jet(np.ones_like(l), np.zeros_like(l))
         with np.errstate(invalid="ignore", over="ignore"):
+            for ev, c in zip(self.pe.evals, self.v):
+                p, pp = ev.wp_pair_grid(l * c)
+                g2 = ev.invariants()[0]
+                wps.append(Jet(p, c * pp))
+                wpps.append(Jet(pp, c * (6.0 * p * p - g2 / 2.0)))
+            one = Jet(np.ones_like(l), np.zeros_like(l))
             g = self.F.eval_affine(segre_stack(wps, wpps, one))
         return g.val, g.der
 
@@ -325,40 +286,202 @@ class PulledBackSystem:
         j = 2 * self.anchor
         return tuple(tuple(r) for r in hermite_normal_form([k[j:j + 2] for k in kernel]))
 
-    def cell_box(self, p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Map unit-box grid coordinates into cell (p, q) of the l-plane."""
+    def cell_box(self, p: int, q: int, a, b):
+        """Map unit-box coordinates (a, b) into shifted cell (p, q) of the l-plane."""
         tau = self.pe.evals[self.anchor].tau
         va = self.v[self.anchor]
-        return ((p + a) + (q + b) * tau) / va
+        return ((p + CELL_OFFSET[0] + a) + (q + CELL_OFFSET[1] + b) * tau) / va
 
+    def cell_position(self, l: complex) -> tuple[float, float]:
+        """The inverse of cell_box at cell (0, 0): l lies in cell (floor x, floor y)."""
+        tau = self.pe.evals[self.anchor].tau
+        w = l * self.v[self.anchor]
+        y = w.imag / tau.imag
+        return w.real - y * tau.real - CELL_OFFSET[0], y - CELL_OFFSET[1]
 
-def unit_box(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-centred n x n grid coordinates (a, b) in the unit box."""
-    a = (np.arange(n) + 0.5) / n
-    return np.meshgrid(a, a, indexing="ij")
+    def cell_poles(self, p: int, q: int) -> list[tuple[complex, float, float]]:
+        """The poles of G in shifted cell (p, q), as l with its cell_position.
+
+        Factor j has a pole where l c_j lies in its lattice, which is found
+        from the lattice coordinates of the cell's corners. A factor with
+        c_j = 0 is constant on L. Poles closer than two order circles are
+        one pole, as their circles cannot tell them apart.
+        """
+        corners = [complex(self.cell_box(p, q, a, b)) for a in (0, 1) for b in (0, 1)]
+        merge = 2.0 * POLE_RADIUS / abs(self.v[self.anchor])
+        out = []
+        for ev, c in zip(self.pe.evals, self.v):
+            if c == 0:
+                continue
+            ns = [(w * c).imag / ev.tau.imag for w in corners]
+            ms = [(w * c).real - n * ev.tau.real for w, n in zip(corners, ns)]
+            for m in range(math.floor(min(ms)), math.ceil(max(ms)) + 1):
+                for n in range(math.floor(min(ns)), math.ceil(max(ns)) + 1):
+                    l = (m + n * ev.tau) / c
+                    x, y = self.cell_position(l)
+                    if ((math.floor(x), math.floor(y)) == (p, q)
+                            and all(abs(l - o[0]) > merge for o in out)):
+                        out.append((l, x, y))
+        return out
 
 
 def coarse_scan(system: PulledBackSystem, p: int, q: int,
-                cfg: SolverConfig) -> list[tuple[complex, float]]:
-    """Local minima of |G| below the coarse threshold on one cell grid.
+                n: int = 200) -> list[tuple[complex, float]]:
+    """Every local minimum of |G| on an n x n grid of shifted cell (p, q), by |G|.
 
-    The anchor factor's values come from the shared anchor_grid; only the
-    other factor is evaluated on this cell.
+    A dense-grid oracle for the argument-principle count; the harvest does
+    not call it.
     """
-    n = cfg.grid
-    aa, bb = unit_box(n)
-    grid = system.cell_box(p, q, aa, bb)
-    vals = system.eval_grid(grid, system.anchor_grid(n))
+    a = (np.arange(n) + 0.5) / n
+    grid = system.cell_box(p, q, *np.meshgrid(a, a, indexing="ij"))
+    vals = np.abs(system.eval_grid_complex(grid))
+    vals[~np.isfinite(vals)] = np.inf
     padded = np.pad(vals, 1, constant_values=np.inf)
     neigh = np.minimum.reduce([
         padded[i:i + n, j:j + n]
         for i in range(3) for j in range(3) if not (i == 1 and j == 1)
     ])
-    mask = (vals < cfg.coarse_threshold) & (vals <= neigh) & np.isfinite(vals)
-    idx = np.argwhere(mask)
-    seeds = [(complex(grid[i, j]), float(vals[i, j])) for i, j in idx]
-    seeds.sort(key=lambda s: s[1])
-    return seeds[:SEEDS_PER_CELL]
+    idx = np.argwhere((vals <= neigh) & np.isfinite(vals))
+    return sorted(((complex(grid[i, j]), float(vals[i, j])) for i, j in idx),
+                  key=lambda s: s[1])
+
+
+class _Edges:
+    """Integrals of G'/G and l G'/G along the axis-parallel edges of boxes.
+
+    An edge is (axis, c, a, b) in CELL_UNITS: y = c and a <= x <= b for
+    axis 0, x = c and a <= y <= b for axis 1, run from a to b. An edge longer
+    than PANEL_UNITS, or whose panel failed its check, is the sum of its
+    parts. A panel passes when two values of the integral of G'/G agree to
+    PANEL_TOL: the Gauss-Legendre sum, and log G(b) - log G(a) with the
+    argument followed through the samples, each step below 1.5 radians.
+    A panel through a pole or a zero of G, a panel too short to cut, and
+    every panel past the budget of max_panels evaluations are NaN.
+    """
+
+    def __init__(self, system: PulledBackSystem, max_panels: int):
+        self.system = system
+        self.values = {}
+        self.parts = {}
+        self.pending = set()
+        self.budget = max_panels
+
+    def get(self, edge):
+        """The two integrals along edge, or None while a panel of it is unevaluated."""
+        if edge in self.values:
+            return self.values[edge]
+        axis, c, a, b = edge
+        if edge not in self.parts and b - a > PANEL_UNITS:
+            self.parts[edge] = [(axis, c, a, (a + b) // 2), (axis, c, (a + b) // 2, b)]
+        if edge not in self.parts:
+            self.pending.add(edge)
+            return None
+        parts = [self.get(e) for e in self.parts[edge]]
+        if any(v is None for v in parts):
+            return None
+        self.values[edge] = tuple(sum(v[k] for v in parts) for k in (0, 1))
+        return self.values[edge]
+
+    def evaluate(self):
+        """Evaluate every pending panel in one eval_jet call."""
+        edges = sorted(self.pending)
+        self.pending = set()
+        self.budget -= len(edges)
+        if self.budget < 0:
+            self.values.update(dict.fromkeys(edges, (complex("nan"), complex("nan"))))
+            return
+        axis, c, a, b = np.array(edges, dtype=np.int64).T
+        s = a[:, None] + (b - a)[:, None] * PANEL_NODES
+        fixed = np.broadcast_to(c[:, None], s.shape)
+        horizontal = (axis == 0)[:, None]
+        x = np.where(horizontal, s, fixed) / CELL_UNITS
+        y = np.where(horizontal, fixed, s) / CELL_UNITS
+        l = self.system.cell_box(0, 0, x, y)
+        g, dg = (v.reshape(l.shape) for v in self.system.eval_jet(l.ravel()))
+        with np.errstate(all="ignore"):
+            ratio = dg[:, 1:-1] / g[:, 1:-1] * (l[:, -1] - l[:, 0])[:, None]
+            i0 = ratio @ PANEL_WEIGHTS
+            i1 = (ratio * l[:, 1:-1]) @ PANEL_WEIGHTS
+            steps = np.angle(g[:, 1:] / g[:, :-1])
+            logs = np.log(np.abs(g[:, -1] / g[:, 0])) + 1j * steps.sum(axis=1)
+            ok = (np.abs(i0 - logs) < PANEL_TOL) & (np.abs(steps).max(axis=1) < 1.5)
+        singular = ~np.all(np.isfinite(g) & (g != 0), axis=1)
+        for k, edge in enumerate(edges):
+            ax, cc, aa, bb = edge
+            if ok[k]:
+                self.values[edge] = (complex(i0[k]), complex(i1[k]))
+            elif singular[k] or bb - aa < 8:
+                self.values[edge] = (complex("nan"), complex("nan"))
+            else:
+                # past the first halving a panel is cut in four, so that a
+                # zero near the edge is reached in fewer rounds
+                n = 2 if bb - aa > PANEL_UNITS // 2 else 4
+                step = (bb - aa) // n
+                self.parts[edge] = [(ax, cc, aa + i * step, bb if i == n - 1 else aa + (i + 1) * step)
+                                    for i in range(n)]
+
+
+def cell_seeds(system: PulledBackSystem, cells) -> list[tuple[int | None, list[complex]]]:
+    """Zero count and Newton seeds of each shifted cell, by argument-principle subdivision.
+
+    Each cell starts as START_BOXES^2 boxes. A box's count is its winding
+    number, the integral of G'/G around it over 2 pi i, plus the orders of
+    the poles inside it; the first moment s_1, the integral of l G'/G, is
+    the sum of its zeros less the poles' l times their orders. A box is
+    split in four while its count exceeds one or its winding is not within
+    INTEGER_TOL of an integer, down to MAX_BOX_DEPTH, where a box with
+    several zeros gives their mean as one seed. A cell's count is None when
+    a pole order, a panel or a box could not be resolved.
+    """
+    edges = _Edges(system, MAX_PANELS_PER_CELL * len(cells))
+    poles = [system.cell_poles(*cell) for cell in cells]
+    radius = POLE_RADIUS / abs(system.v[system.anchor])
+    flat = [pole[0] for cell_poles in poles for pole in cell_poles]
+    orders = iter(pole_orders(system.eval_grid_complex, flat, radius, POLE_SAMPLES)
+                  if flat else ())
+    poles = [[(l, x * CELL_UNITS, y * CELL_UNITS, next(orders)) for l, x, y in cell_poles]
+             for cell_poles in poles]
+    failed = {k for k, cell_poles in enumerate(poles)
+              if any(pole[3] is None for pole in cell_poles)}
+    counts = [0] * len(cells)
+    seeds = [[] for _ in cells]
+    side = CELL_UNITS // START_BOXES
+    boxes = [(k, p * CELL_UNITS + i * side, q * CELL_UNITS + j * side, side, 0)
+             for k, (p, q) in enumerate(cells)
+             for i in range(START_BOXES) for j in range(START_BOXES)]
+    while boxes:
+        waiting = []
+        for box in boxes:
+            k, x0, y0, h, depth = box
+            if k in failed:
+                continue
+            sides = [edges.get((0, y0, x0, x0 + h)), edges.get((1, x0 + h, y0, y0 + h)),
+                     edges.get((0, y0 + h, x0, x0 + h)), edges.get((1, x0, y0, y0 + h))]
+            if any(v is None for v in sides):
+                waiting.append(box)
+                continue
+            s0, s1 = ((sides[0][i] + sides[1][i] - sides[2][i] - sides[3][i]) / (2j * math.pi)
+                      for i in (0, 1))
+            inside = [(l, order) for l, x, y, order in poles[k]
+                      if x0 <= x < x0 + h and y0 <= y < y0 + h]
+            count = None
+            if np.isfinite(s0) and abs(s0 - round(s0.real)) < INTEGER_TOL:
+                count = round(s0.real) + sum(order for _, order in inside)
+            if count == 0:
+                continue
+            if count is not None and (count == 1 or count > 1 and depth == MAX_BOX_DEPTH):
+                counts[k] += count
+                seeds[k].append(complex(s1 + sum(order * l for l, order in inside)) / count)
+            elif not np.isfinite(s0) or depth == MAX_BOX_DEPTH or (count or 0) < 0:
+                failed.add(k)
+            else:
+                h //= 2
+                waiting += [(k, x0 + dx, y0 + dy, h, depth + 1)
+                            for dx in (0, h) for dy in (0, h)]
+        boxes = waiting
+        if edges.pending:
+            edges.evaluate()
+    return [(None if k in failed else counts[k], seeds[k]) for k in range(len(cells))]
 
 
 class Refined(tuple):
@@ -517,12 +640,15 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
 
     Requires certified=True: running without a nonzero certificate is a
     precondition violation, not a soft warning. kernel is an integer basis of
-    Lambda_L (hull.kernel_lattice); cells are walked modulo the shifts it
-    induces, and an empty kernel walks every cell. The seeds of each chunk of
-    scanned cells are refined in one newton_refine call, then taken in cell
-    order, and by |G| within a cell, until the target is reached.
-    Deduplication is by group distance on the product variety at dedup_tol.
-    Each accepted point records its Jacobian rank from G' (jacobian_rank).
+    Lambda_L (hull.kernel_lattice); an empty kernel walks every cell. Cells
+    are counted and seeded by cell_seeds in chunks, FIRST_CHUNK cells and
+    then as many as the mean count so far predicts the target needs; each
+    chunk's seeds are refined in one newton_refine call and taken in cell
+    order until the target is reached. cells_scanned counts the cells whose
+    seeds were taken. Points are deduplicated by group distance at dedup_tol
+    and labelled with the walk index of the cell that holds them; a cell
+    whose seeds were all taken is incomplete when its points found differ
+    from its count.
     """
     if not certified:
         raise UncertifiedError(
@@ -530,11 +656,13 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     report = SolveReport()
     t0 = time.perf_counter()
     shifts = system.cell_shifts(kernel)
-    cells = list(itertools.islice(distinct_cells(shifts), cfg.budget_cells))
-    walks_all = len(cells) == class_count(shifts)
+    walk = list(itertools.islice(distinct_cells(shifts), cfg.budget_cells))
+    index = {cell: i for i, cell in enumerate(walk)}
     accepted = np.empty((0, system.A.g), dtype=complex)
-    workers = thread_count()
     stage = dict.fromkeys(("scan_s", "newton_s", "dedup_s", "verify_s", "jacobian_s"), 0.0)
+    expected = {}
+    taken_whole = []
+    zeros_counted = 0
 
     def timed(name, fn, *args):
         ts = time.perf_counter()
@@ -542,57 +670,66 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
         stage[name] += time.perf_counter() - ts
         return out
 
-    def scan(cell):
-        p, q = cell
-        return coarse_scan(system, p, q, cfg)
+    def home(l):
+        x, y = system.cell_position(l)
+        cell = reduce_cell((math.floor(x), math.floor(y)), shifts)
+        if cell not in index:
+            index[cell] = next(i for i, c in enumerate(distinct_cells(shifts)) if c == cell)
+        return index[cell]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i in range(0, len(cells), workers):
-            chunk = cells[i:i + workers]
-            mapper = pool.map if workers > 1 and len(chunk) > 1 else map
-            seed_lists = timed("scan_s", lambda: list(mapper(scan, chunk)))
-            batch = [seed for seeds in seed_lists for seed, _ in seeds]
-            refined = iter(timed("newton_s", newton_refine, system, batch, cfg)
-                           if batch else ())
-            for offset, seeds in enumerate(seed_lists):
-                cell_index = i + offset
-                report.cells_scanned += 1
-                for (seed, _), r in zip(seeds, refined):
-                    if report.target_reached:
-                        break
-                    report.seeds_refined += 1
-                    report.newton_iterations += r.steps
-                    l, res = r
-                    if l is None:
-                        report.failures.append(
-                            FailureRecord(complex(seed), cell_index, res))
-                        continue
-                    zred = system.A.reduce_point(system.z_of(l))
-                    dists = timed("dedup_s", system.A.torus_distances, zred, accepted)
-                    if np.any(dists < cfg.dedup_tol):
-                        report.seeds_duplicate += 1
-                        continue
-                    ok, vres, wind, reason = timed(
-                        "verify_s", verify_solution, system, l, cfg)
-                    if not ok:
-                        report.failures.append(FailureRecord(l, cell_index, reason))
-                        continue
-                    rank = timed("jacobian_s", jacobian_rank, system, r.deriv)
-                    report.solutions.append(SolutionPoint(
-                        l=l, z=tuple(complex(x) for x in zred),
-                        residual=res, verified_residual=float(vres),
-                        winding=int(wind), jacobian_rank=rank, cell=cell_index))
-                    accepted = np.vstack([accepted, zred])
-                    report.cells_with_solutions.add(cell_index)
-                    if len(report.solutions) >= cfg.target_count:
-                        report.target_reached = True
-                if report.target_reached:
-                    break
+    while not report.target_reached and report.cells_scanned < len(walk):
+        start = report.cells_scanned
+        size = FIRST_CHUNK
+        if start:
+            mean = max(zeros_counted / start, 0.5)
+            size = math.ceil((cfg.target_count - len(report.solutions)) / mean)
+        cells = walk[start:start + size]
+        counted = timed("scan_s", cell_seeds, system, cells)
+        batch = [seed for _, seeds in counted for seed in seeds]
+        refined = iter(timed("newton_s", newton_refine, system, batch, cfg) if batch else ())
+        for cell_index, (count, seeds) in enumerate(counted, start):
             if report.target_reached:
                 break
+            report.cells_scanned += 1
+            expected[cell_index] = count
+            zeros_counted += count or 0
+            for seed, r in zip(seeds, refined):
+                if report.target_reached:
+                    break
+                report.seeds_refined += 1
+                report.newton_iterations += r.steps
+                l, res = r
+                if l is None:
+                    report.failures.append(FailureRecord(seed, cell_index, res))
+                    continue
+                zred = system.A.reduce_point(system.z_of(l))
+                dists = timed("dedup_s", system.A.torus_distances, zred, accepted)
+                if np.any(dists < cfg.dedup_tol):
+                    report.seeds_duplicate += 1
+                    continue
+                ok, vres, wind, reason = timed("verify_s", verify_solution, system, l, cfg)
+                if not ok:
+                    report.failures.append(FailureRecord(l, cell_index, reason))
+                    continue
+                rank = timed("jacobian_s", jacobian_rank, system, r.deriv)
+                cell = home(l)
+                report.solutions.append(SolutionPoint(
+                    l=l, z=tuple(complex(x) for x in zred),
+                    residual=res, verified_residual=float(vres),
+                    winding=int(wind), jacobian_rank=rank, cell=cell))
+                accepted = np.vstack([accepted, zred])
+                report.cells_with_solutions.add(cell)
+                report.target_reached = len(report.solutions) >= cfg.target_count
+            else:
+                taken_whole.append(cell_index)
+    found = Counter(s.cell for s in report.solutions)
+    report.cells = [{"cell": i, "expected": n, "found": found[i]}
+                    for i, n in expected.items()]
+    report.incomplete_cells = [i for i in taken_whole if found[i] != expected[i]]
     report.failures_by_reason = dict(sorted(Counter(
         f.reason.split(",")[0] for f in report.failures).items()))
-    report.cells_exhausted = walks_all and not report.target_reached
+    report.cells_exhausted = (report.cells_scanned == class_count(shifts)
+                              and not report.target_reached)
     report.budget_exhausted = not (report.target_reached or report.cells_exhausted)
     report.defect = not report.solutions
     report.timings = {"total_s": time.perf_counter() - t0, **stage}

@@ -71,10 +71,6 @@ class ProductVariety:
     def g(self) -> int:
         return len(self.factors)
 
-    @property
-    def taus(self) -> tuple[complex, ...]:
-        return tuple(f.tau for f in self.factors)
-
     def assumptions(self) -> list[str]:
         out = []
         if self.pairwise_nonisogenous and self.g > 1:

@@ -26,7 +26,8 @@ typed signal the callers turn into projective bookkeeping, never a NaN.
 Root counting on a fiber uses the argument principle on a jittered period
 parallelogram: the boundary winding counts zeros minus poles, and a small
 circle around the unique interior lattice point measures the pole
-multiplicity numerically. Non-integer windings trigger a re-jitter.
+multiplicity numerically (pole_orders, which also measures the poles of the
+harvest's cell counts). Non-integer windings trigger a re-jitter.
 """
 
 from __future__ import annotations
@@ -320,6 +321,26 @@ def _winding(values: np.ndarray, tol: float) -> int:
     return int(w)
 
 
+def pole_orders(f_vec, centers, radius: float, nsamples: int = 1200,
+                tol: float = 1e-3) -> list[int | None]:
+    """Order of the pole of f_vec at each center: minus its winding on a small circle.
+
+    Every circle of the given radius is evaluated in one f_vec call. The
+    order is None where a circle's winding fails the checks of _winding; a
+    zero at the center gives a negative order.
+    """
+    centers = np.asarray(centers, dtype=complex)
+    circle = radius * np.exp(2j * math.pi * np.arange(nsamples) / nsamples)
+    values = f_vec((centers[:, None] + circle).ravel()).reshape(len(centers), nsamples)
+    orders = []
+    for row in values:
+        try:
+            orders.append(-_winding(row, tol))
+        except ContourError:
+            orders.append(None)
+    return orders
+
+
 def _count_roots_core(f_vec, tau: complex, jitter: tuple[float, float],
                       nboundary: int, tol: float, max_retries: int, rng) -> int:
     """Argument-principle count for a lattice-periodic meromorphic function.
@@ -343,9 +364,9 @@ def _count_roots_core(f_vec, tau: complex, jitter: tuple[float, float],
             ])
             wb = _winding(f_vec(loop), tol)
             # the unique lattice point inside the shifted parallelogram is 0
-            r = 0.06 * min(1.0, tau.imag)
-            circ = r * np.exp(2j * math.pi * np.linspace(0, 1, 1200, endpoint=False))
-            pole_mult = -_winding(f_vec(circ), tol)
+            pole_mult = pole_orders(f_vec, [0.0], 0.06 * min(1.0, tau.imag), tol=tol)[0]
+            if pole_mult is None:
+                raise ContourError("pole circle failed its winding checks")
             if pole_mult < 0:
                 raise ContourError("negative pole multiplicity, contour off target")
             count = wb + pole_mult

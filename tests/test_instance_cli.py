@@ -1,14 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from eac import instance, solver
 from eac.cli import main
 from eac.instance import (InstanceError, builtin_instance, catalog_dicts,
-                          catalog_names, instance_from_dict, instance_schema,
-                          load_instance, report_schema, validate_report)
+                          catalog_names, instance_from_dict, load_instance,
+                          validate_report)
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -98,17 +102,48 @@ def test_semantic_validation_beyond_schema():
 
 def test_solver_block_round_trips():
     data = flagship_dict()
-    data["solver"] = {"seed": 11, "grid": 64, "target_count": 5}
+    data["solver"] = {"seed": 11, "budget_cells": 9, "target_count": 5}
     inst = instance_from_dict(data)
     assert inst.config.seed == 11
-    assert inst.config.grid == 64
+    assert inst.config.budget_cells == 9
     assert inst.config.target_count == 5
     assert inst.config.solve_tol == 1e-10
 
 
+@pytest.mark.parametrize("field, value", [("grid", 200), ("coarse_threshold", 0.5)])
+def test_removed_solver_settings_fail_validation(field, value):
+    data = flagship_dict()
+    data["solver"] = {"seed": 1, field: value}
+    with pytest.raises(InstanceError, match=f"'{field}' was unexpected"):
+        instance_from_dict(data)
+
+
+def test_validators_are_built_once_and_keep_their_messages(monkeypatch):
+    checks = []
+    real = jsonschema.Draft7Validator.check_schema
+    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema",
+                        classmethod(lambda cls, schema: checks.append(schema) or real(schema)))
+    instance._validator.cache_clear()
+    for _ in range(3):
+        instance_from_dict(flagship_dict())
+        with pytest.raises(jsonschema.ValidationError, match="'label' is a required"):
+            validate_report({"command": "check"})
+    assert [c["title"] for c in checks] == ["eac instance file", "eac command report"]
+    data = flagship_dict()
+    data["factors"][0]["tau_re"] = 3
+    with pytest.raises(InstanceError, match=r"at \$\['factors'\]\[0\]\['tau_re'\]"):
+        instance_from_dict(data)
+
+
+def test_importing_the_cli_does_not_import_jsonschema():
+    code = ("import sys, eac.cli; from eac.instance import builtin_instance; "
+            "builtin_instance; print('jsonschema' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(PKG_ROOT / "src")), check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_report_validator_rejects_malformed():
-    assert "properties" in report_schema()
-    assert "properties" in instance_schema()
     with pytest.raises(Exception):
         validate_report({"command": "check"})
 
@@ -210,10 +245,15 @@ def test_cli_solve_uncertified_exit_code(tmp_path):
     assert report["solve"] is None
 
 
-def test_cli_solve_certified_but_empty(tmp_path, capsys):
-    # an impossible coarse threshold leaves every cell without seeds
+def reject_every_point(system, l, cfg, winding_radius=1e-3):
+    return False, 1.0, 0, "doubled-precision residual too large"
+
+
+def test_cli_solve_certified_but_empty(tmp_path, capsys, monkeypatch):
+    # a verification that rejects every point leaves the harvest empty
+    monkeypatch.setattr(solver, "verify_solution", reject_every_point)
     data = flagship_dict()
-    data["solver"] = {"budget_cells": 1, "coarse_threshold": 1e-15}
+    data["solver"] = {"budget_cells": 1}
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "r.json"
@@ -228,13 +268,35 @@ def test_cli_solve_certified_but_empty(tmp_path, capsys):
 @pytest.mark.parametrize("option, value, field", [
     ("--budget", "0", "budget_cells"),
     ("--budget", "-3", "budget_cells"),
-    ("--grid", "0", "grid"),
-    ("--grid", "2", "grid"),
     ("--target", "0", "target_count"),
 ])
 def test_cli_rejects_out_of_range_overrides(option, value, field, capsys):
     assert run_cli(["solve", "catalog:irrational-slope", option, value]) == 1
     assert f"error: solver override: {field} must be" in capsys.readouterr().err
+
+
+def test_cli_has_no_grid_option(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["solve", "catalog:irrational-slope", "--grid", "200"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+
+def test_cli_summary_names_incomplete_cells(tmp_path, capsys, monkeypatch):
+    real_seeds = solver.cell_seeds
+
+    def one_seed_short(system, cells):
+        return [(count, seeds[1:]) for count, seeds in real_seeds(system, cells)]
+
+    monkeypatch.setattr(solver, "cell_seeds", one_seed_short)
+    out = tmp_path / "r.json"
+    assert run_cli(["solve", "catalog:diag-prod-one", "--budget", "2", "--target", "40",
+                    "--out", str(out)]) == 0
+    sol = json.loads(out.read_text())["solve"]
+    assert sol["incomplete_cells"] == [0, 1]
+    line = capsys.readouterr().out
+    for c in sol["cells"]:
+        assert f"incomplete cell {c['cell']} ({c['found']} of {c['expected']} found)" in line
 
 
 def test_cli_density_defaults_and_stats(tmp_path, capsys):
@@ -265,6 +327,21 @@ def test_cli_reports_reproducible_modulo_timings(tmp_path):
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     ra.pop("timings"), rb.pop("timings")
     assert ra == rb
+
+
+def test_cli_density_report_identical_at_one_and_two_threads(tmp_path, monkeypatch):
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("EAC_THREADS", threads)
+        out = tmp_path / f"r{threads}.json"
+        assert run_cli(["density", "catalog:irrational-slope", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        report.pop("timings")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    sol = reports[0]["solve"]
+    assert sol["incomplete_cells"] == []
+    assert sol["cells_scanned"] == len(sol["cells"]) == len(sol["cells_with_solutions"])
 
 
 def test_cli_bad_file_exit_code(tmp_path, capsys):
@@ -304,7 +381,7 @@ def test_cli_single_factor_end_to_end(tmp_path):
         assert s["jacobian_rank"] == -1
 
 
-def test_cli_single_factor_scans_every_distinct_cell_once(tmp_path, capsys):
+def test_cli_single_factor_scans_every_distinct_cell_once(tmp_path, capsys, monkeypatch):
     # exp is onto the curve from one period cell of l, so the walk has one
     # cell; the old walk scanned 64 cells and refined 224 seeds here
     inst = {
@@ -333,10 +410,11 @@ def test_cli_single_factor_scans_every_distinct_cell_once(tmp_path, capsys):
     assert sol["budget_exhausted"] is False
     assert sol["defect"] is False
     assert sol["seeds_refined"] == 2 + sol["failures"] + sol["seeds_duplicate"]
-    inst["solver"]["coarse_threshold"] = 1e-15
-    path.write_text(json.dumps(inst))
+    assert sol["cells"] == [{"cell": 0, "expected": 2, "found": 2}]
+    monkeypatch.setattr(solver, "verify_solution", reject_every_point)
     assert run_cli(["solve", str(path), "--out", str(out)]) == 5
-    assert "in all 1 distinct cell(s); reported as a defect" in capsys.readouterr().out
+    assert ("in all 1 distinct cell(s); reported as a defect, incomplete cell 0 (0 of 2 found)"
+            in capsys.readouterr().out)
     sol = json.loads(out.read_text())["solve"]
     assert sol["defect"] is True and sol["cells_exhausted"] is True
 
@@ -367,8 +445,10 @@ def test_cli_solve_block_counts_newton_iterations_and_failures(tmp_path):
     assert sol["seeds_refined"] == sol["failures"] == 2
     assert sol["failures_by_reason"] == {"no convergence": 2}
     assert sol["newton_iterations"] == 100
-    assert set(sol["config"]) == {"seed", "grid", "budget_cells", "target_count",
-                                  "coarse_threshold", "solve_tol", "dedup_tol"}
+    assert set(sol["config"]) == {"seed", "budget_cells", "target_count",
+                                  "solve_tol", "dedup_tol"}
+    assert sol["cells"] == [{"cell": 0, "expected": 2, "found": 0}]
+    assert sol["incomplete_cells"] == [0]
     # reasons are the solver's prefixes, with positive counts
     for bad in ({"no convergence, residual 1e-3": 2}, {"no convergence": 0}):
         sol["failures_by_reason"] = bad

@@ -1,13 +1,16 @@
+import itertools
 import json
 import statistics
 
 import numpy as np
 import pytest
 
+from eac.hull import kernel_lattice
 from eac.instance import builtin_instance, catalog_dicts, catalog_names, instance_from_dict
 from eac.pipeline import (BidegreeMismatch, certify, decide, density_summary,
                           resolve_w, solve)
 from eac.segre import SegrePolynomial, segre_stack
+from eac import solver
 from eac.solver import PulledBackSystem, SolverConfig
 from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
 
@@ -142,9 +145,11 @@ def test_solve_refuses_before_scanning(pe2):
     assert out.certify.refused
 
 
-def test_solve_reports_certified_emptiness(flagship, pe2):
-    # an impossible coarse threshold leaves every cell without seeds
-    cfg = SolverConfig(budget_cells=1, coarse_threshold=1e-15)
+def test_solve_reports_certified_emptiness(flagship, pe2, monkeypatch):
+    # a verification that rejects every point leaves the harvest empty
+    monkeypatch.setattr(solver, "verify_solution", lambda *args: (
+        False, 1.0, 0, "doubled-precision residual too large"))
+    cfg = SolverConfig(budget_cells=1)
     out = solve(flagship, pe2, config=cfg)
     assert out.exit_code == 5
     assert out.certify.certificate.nonzero
@@ -209,6 +214,29 @@ def test_harvest_ranks_match_the_jacobian_probe(name):
     assert out.exit_code == 0 and out.report.solutions
     for s in out.report.solutions:
         assert s.jacobian_rank == jacobian_probe(s.l, system.v, inst.F, inst.A), (name, s.l)
+    # every cell before the one that reached the target gave all its zeros
+    assert not out.report.incomplete_cells
+    assert all(c["found"] == c["expected"] for c in out.report.cells[:-1]), name
+
+
+# Zeros in the first cells of the walk, each cell shifted by 0.0137 e1 +
+# 0.0211 e2, from the winding of G on 1000 samples per side plus pole
+# orders measured on circles of radius 1e-3: an independent boundary count.
+REFERENCE_COUNTS = {
+    "anti-diagonal": (18, 59), "diag-cross-deriv": (22, 84), "diag-deriv-match": (25, 105),
+    "diag-deriv-prod": (29, 142), "diag-prod-one": (18, 59), "diag-prod-two": (18, 59),
+    "diag-sum-three": (21, 66), "irrational-slope": (18, 77), "rational-slope": (13, 92),
+}
+
+
+@pytest.mark.parametrize("name", HARVESTABLE)
+def test_cell_counts_match_an_independent_boundary_count(name, monkeypatch):
+    monkeypatch.setattr(solver, "CELL_OFFSET", (0.0137, 0.0211))
+    inst, system = catalog_system(name)
+    shifts = system.cell_shifts(kernel_lattice(certify(inst).L_used, inst.A))
+    ncells, zeros = REFERENCE_COUNTS[name]
+    cells = list(itertools.islice(solver.distinct_cells(shifts), ncells))
+    assert sum(count for count, _ in solver.cell_seeds(system, cells)) == zeros
 
 
 def mp_value(system, l):

@@ -1,20 +1,21 @@
 import itertools
 import math
-import os
 
 import numpy as np
 import pytest
 
 from eac.hull import kernel_lattice
+from eac.instance import builtin_instance
 from eac.multiquad import MultiQuadElem
+from eac.pipeline import certify
 from eac.segre import SegrePolynomial
 from eac import solver
 from eac.solver import (PulledBackSystem, SolverConfig, UncertifiedError,
-                        class_count, coarse_scan, distinct_cells,
+                        cell_seeds, class_count, coarse_scan, distinct_cells,
                         harvest_density, newton_refine, reduce_cell,
-                        spiral_cells, thread_count, unit_box, verify_solution)
+                        spiral_cells, verify_solution)
 from eac.variety import ExactSubspace, ProductVariety
-from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
+from eac.weierstrass import _qseries_terms, jacobian_probe, pole_orders, theta_sums
 from tests.conftest import factor_sqrt
 
 DIAGONAL_KERNEL = ((1, 0, 1, 0),)
@@ -40,20 +41,6 @@ def test_spiral_covers_square_rings():
     cells = list(itertools.islice(spiral_cells(), 25))
     assert len(set(cells)) == 25
     assert set(cells) == {(p, q) for p in range(-2, 3) for q in range(-2, 3)}
-
-
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setenv("EAC_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("EAC_THREADS", "64")
-    assert thread_count() == 8
-    monkeypatch.setenv("EAC_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("EAC_THREADS", "junk")
-    assert thread_count() >= 1
-    monkeypatch.delenv("EAC_THREADS")
-    assert 1 <= thread_count() <= 4
 
 
 def test_system_validation(A2, pe2):
@@ -94,22 +81,23 @@ def test_cell_box_translates_by_anchor_periods(A2, pe2):
 
 
 def test_coarse_scan_finds_seed_candidates(A2, pe2):
+    # the oracle keeps every local minimum of |G| on the grid, whatever its
+    # size, so a seed near each zero the contour count finds
     sys_ = flagship_system(pe2, A2)
-    cfg = SolverConfig()
-    seeds = coarse_scan(sys_, 0, 0, cfg)
-    assert seeds
-    assert len(seeds) <= solver.SEEDS_PER_CELL
+    seeds = coarse_scan(sys_, 0, 0, n=120)
     vals = [v for _, v in seeds]
-    assert vals == sorted(vals)
-    assert all(v < cfg.coarse_threshold for v in vals)
-    # an absurd threshold yields nothing
-    assert coarse_scan(sys_, 0, 0, cfg.replace(coarse_threshold=1e-15)) == []
+    assert vals == sorted(vals) and all(np.isfinite(vals))
+    count, contour = cell_seeds(sys_, [(0, 0)])[0]
+    assert len(contour) == count >= 2
+    step = (1 + abs(pe2.evals[0].tau)) / 120
+    for root in contour:
+        assert min(abs(l - root) for l, _ in seeds) < step
 
 
 def test_newton_refine_converges_from_coarse_seed(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig()
-    seeds = coarse_scan(sys_, 0, 0, cfg)
+    seeds = coarse_scan(sys_, 0, 0)
     l, res = newton_refine(sys_, [seeds[0][0]], cfg)[0]
     assert l is not None
     assert res < cfg.solve_tol
@@ -144,8 +132,8 @@ def central_difference_newton(system, seed, cfg, fd_step=1e-7):
 def test_batched_newton_matches_one_seed_batches_and_the_oracle(A1, A2, pe2, case):
     sys_ = anchor_cases(A1, A2, pe2)[case]
     cfg = SolverConfig()
-    seeds = [seed for cell in ((0, 0), (1, 0), (-1, 1))
-             for seed, _ in coarse_scan(sys_, *cell, cfg)]
+    seeds = [seed for _, cell in cell_seeds(sys_, [(0, 0), (1, 0), (-1, 1)])
+             for seed in cell]
     seeds.append(0j)  # a pole
     batch = newton_refine(sys_, seeds, cfg)
     assert len(batch) == len(seeds)
@@ -169,7 +157,7 @@ def test_newton_refine_refuses_an_empty_batch(A2, pe2):
 def test_newton_reports_no_convergence_after_the_step_limit(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig(solve_tol=1e-20)
-    seeds = [seed for seed, _ in coarse_scan(sys_, 0, 0, cfg)]
+    seeds = cell_seeds(sys_, [(0, 0)])[0][1]
     for l, reason in newton_refine(sys_, seeds, cfg):
         assert l is None and reason.startswith("no convergence, residual ")
 
@@ -209,19 +197,21 @@ def test_harvest_rank_comes_from_the_derivative(A1, A2, pe2):
 
 def test_harvest_counts_newton_iterations_and_failures_by_reason(A2, pe2, monkeypatch):
     sys_ = flagship_system(pe2, A2)
-    real_scan, real_newton = solver.coarse_scan, solver.newton_refine
+    real_seeds, real_newton = solver.cell_seeds, solver.newton_refine
     batches = []
 
-    def scan_with_a_pole_seed(system, p, q, cfg):
-        # l = p + q tau_1 is a lattice point of the anchor factor
-        return [(p + q * pe2.evals[0].tau, 0.0)] + real_scan(system, p, q, cfg)
+    def seeds_with_a_pole_seed(system, cells):
+        # l = (p + 1) + (q + 1) tau_1 is the anchor's pole in shifted cell (p, q)
+        tau = pe2.evals[0].tau
+        return [(count, [(p + 1) + (q + 1) * tau] + seeds)
+                for (p, q), (count, seeds) in zip(cells, real_seeds(system, cells))]
 
     def recording(system, seeds, cfg):
         out = real_newton(system, seeds, cfg)
         batches.extend(out)
         return out
 
-    monkeypatch.setattr(solver, "coarse_scan", scan_with_a_pole_seed)
+    monkeypatch.setattr(solver, "cell_seeds", seeds_with_a_pole_seed)
     monkeypatch.setattr(solver, "newton_refine", recording)
     report = harvest_density(sys_, SolverConfig(budget_cells=2, target_count=40),
                              certified=True)
@@ -251,56 +241,176 @@ def anchor_cases(A1, A2, pe2):
 
 
 @pytest.mark.parametrize("case", ["diagonal", "irrational", "one-factor", "anchor-1"])
-def test_shared_anchor_grid_matches_direct_evaluation(A1, A2, pe2, case, monkeypatch):
+def test_batched_cell_counts_match_one_cell_at_a_time(A1, A2, pe2, case):
+    # a chunk shares the edges of neighbouring cells and evaluates every
+    # round of all its cells at once; each cell alone must count the same
     sys_ = anchor_cases(A1, A2, pe2)[case]
-    cfg = SolverConfig()
-    n = cfg.grid
-    cells = ((0, 0), (3, -2), (-5, 7))
-    aa, bb = unit_box(n)
-    for p, q in cells:
-        grid = sys_.cell_box(p, q, aa, bb)
-        shared = sys_.eval_grid(grid, sys_.anchor_grid(n))
-        direct = sys_.eval_grid(grid)
-        assert np.all(np.isfinite(direct))
-        assert np.max(np.abs(shared - direct) / direct) < 1e-12
-    seeds = {cell: dict(coarse_scan(sys_, *cell, cfg)) for cell in cells}
-    # without the shared grid, coarse_scan evaluates every factor directly
-    monkeypatch.setattr(sys_, "anchor_grid", lambda n: None)
-    tau = sys_.pe.evals[sys_.anchor].tau
-    step = (1 + abs(tau)) / (n * abs(sys_.v[sys_.anchor]))
-    for cell, got in seeds.items():
-        want = dict(coarse_scan(sys_, *cell, cfg))
-        assert got and set(got) <= set(want)
-        for l, g in got.items():
-            assert abs(g - want[l]) <= 1e-12 * want[l]
-        # direct evaluation rounds the translated coordinate before reducing
-        # it, and that noise can split one minimum into twin seeds one grid
-        # step apart with equal |G|
-        for l in set(want) - set(got):
-            twin = min(got, key=lambda m: abs(m - l))
-            assert abs(twin - l) <= step
-            assert abs(want[l] - got[twin]) <= 1e-12 * want[l]
+    cells = [(0, 0), (1, 0), (0, 1), (-5, 7)]
+    batch = cell_seeds(sys_, cells)
+    for cell, (count, seeds) in zip(cells, batch):
+        alone_count, alone = cell_seeds(sys_, [cell])[0]
+        assert count == alone_count == len(seeds) >= 1
+        for seed in seeds:
+            assert min(abs(seed - other) for other in alone) < 1e-6
 
 
-def test_harvest_builds_the_anchor_grid_once(A2, pe2, monkeypatch):
-    # an unreachable threshold leaves only the scan: 19 cells on 2 threads
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("EAC_THREADS", "2")
+def test_harvest_evaluates_no_grid(A2, pe2, monkeypatch):
+    # the harvest evaluates G on flat arrays of contour nodes and circles only
     sys_ = PulledBackSystem(SegrePolynomial.linear(2, {4: 1, 0: -1}),
                             (1, complex(MultiQuadElem.sqrt_of(2))), A2, pe2)
-    anchor = pe2.evals[sys_.anchor]
-    calls = []
-    build = anchor.wp_pair_grid
+    shapes = []
+    for ev in pe2.evals:
+        build = ev.wp_pair_grid
 
-    def counting(z):
-        calls.append(np.shape(z))
-        return build(z)
+        def recording(z, build=build):
+            shapes.append(np.shape(z))
+            return build(z)
 
-    monkeypatch.setattr(anchor, "wp_pair_grid", counting)
-    cfg = SolverConfig(grid=80, budget_cells=19, coarse_threshold=1e-15)
-    report = harvest_density(sys_, cfg, certified=True)
-    assert report.cells_scanned == 19
-    assert calls == [(80, 80)]
+        monkeypatch.setattr(ev, "wp_pair_grid", recording)
+    report = harvest_density(sys_, SolverConfig(budget_cells=6, target_count=100),
+                             certified=True)
+    assert report.cells_scanned == 6
+    assert shapes and all(len(shape) == 1 for shape in shapes)
+    # counting, Newton and verification together stay far below the 40,000
+    # points a 200 x 200 grid took per cell
+    assert sum(shape[0] for shape in shapes) / (2 * 6) < 4000
+
+
+def catalog_case(name):
+    inst = builtin_instance(name)
+    L = certify(inst).L_used
+    system = PulledBackSystem(inst.F, tuple(complex(x) for x in L.basis[0]), inst.A)
+    return system, system.cell_shifts(kernel_lattice(L, inst.A))
+
+
+def dense_newton_roots(system, cell, n=200):
+    """Distinct roots in the shifted cell, by Newton from every grid minimum."""
+    cfg = SolverConfig()
+    seeds = [l for l, _ in coarse_scan(system, *cell, n=n)]
+    roots = []
+    for l, _ in newton_refine(system, seeds, cfg):
+        if l is None:
+            continue
+        x, y = system.cell_position(l)
+        if (math.floor(x), math.floor(y)) == cell and all(abs(l - r) > 1e-8 for r in roots):
+            roots.append(l)
+    return roots
+
+
+@pytest.mark.parametrize("name, cell", [("diag-deriv-prod", (0, 1)),
+                                        ("irrational-slope", (1, 0))])
+def test_cell_count_matches_a_dense_newton_search(name, cell):
+    system, _ = catalog_case(name)
+    count, seeds = cell_seeds(system, [cell])[0]
+    roots = dense_newton_roots(system, cell)
+    assert count == len(roots) == len(seeds) >= 4
+    # each seed's box isolates one zero, so Newton takes each seed to a
+    # different one of the oracle's roots
+    refined = [l for l, _ in newton_refine(system, seeds, SolverConfig())]
+    assert all(min(abs(l - r) for r in roots) < 1e-9 for l in refined)
+    assert len({min(range(len(roots)), key=lambda k: abs(l - roots[k])) for l in refined}) \
+        == count
+
+
+def product_of(tau_d: int, direction, A1):
+    A = ProductVariety((factor_sqrt(tau_d), factor_sqrt(tau_d)), pairwise_nonisogenous=False)
+    L = ExactSubspace.complex_span([direction], 2)
+    system = PulledBackSystem(SegrePolynomial.linear(2, {4: 1, 0: -1}),
+                              tuple(complex(x) for x in L.basis[0]), A)
+    return system, system.cell_shifts(kernel_lattice(L, A)), (2, 2)
+
+
+@pytest.mark.parametrize("case", ["one-factor", "diagonal", "slope-2", "slope-1/2"])
+def test_counts_over_all_classes_equal_the_pole_density(A1, case):
+    # with K of rank 2 the cells of Z^2 / K tile L / Lambda_L, whose zeros
+    # equal its poles: [Z^2 : K] sum_j d_j |v_j|^2 Im tau_a / (|v_a|^2 Im tau_j)
+    if case == "one-factor":
+        system = one_factor_system(A1)
+        shifts = system.cell_shifts(kernel_lattice(ExactSubspace.complex_span([[1]], 1), A1))
+        degrees = (2,)
+    else:
+        direction = {"diagonal": [1, 1], "slope-2": [1, 2], "slope-1/2": [2, 1]}[case]
+        system, shifts, degrees = product_of(2, direction, A1)
+    classes = class_count(shifts)
+    assert classes == {"slope-1/2": 4}.get(case, 1)
+    ta = system.pe.evals[system.anchor].tau
+    va = system.v[system.anchor]
+    density = sum(d * abs(c) ** 2 * ta.imag / (abs(va) ** 2 * ev.tau.imag)
+                  for d, c, ev in zip(degrees, system.v, system.pe.evals))
+    counts = [count for count, _ in cell_seeds(system, list(distinct_cells(shifts)))]
+    assert sum(counts) == round(classes * density)
+    assert abs(classes * density - round(classes * density)) < 1e-12
+
+
+def test_cell_count_is_none_where_the_contour_fails(A2, pe2, monkeypatch):
+    sys_ = flagship_system(pe2, A2)
+    monkeypatch.setattr(sys_, "eval_jet", lambda l: (np.zeros_like(l), np.zeros_like(l)))
+    assert cell_seeds(sys_, [(0, 0)]) == [(None, [])]
+
+
+def test_cell_poles_merge_across_factors(A2, pe2):
+    # l = 0 is a pole of both factors on the diagonal: one pole of order 4
+    sys_ = flagship_system(pe2, A2)
+    poles = sys_.cell_poles(-1, -1)
+    assert [l for l, _, _ in poles].count(0j) == 1
+    assert all(math.floor(x) == -1 and math.floor(y) == -1 for _, x, y in poles)
+    radius = solver.POLE_RADIUS
+    assert pole_orders(sys_.eval_grid_complex, [0j, 1 + pe2.evals[0].tau], radius,
+                       solver.POLE_SAMPLES) == [4, 2]
+
+
+def test_pole_orders_read_zeros_and_failures():
+    f = lambda z: z ** 3 / (z - 0.5) ** 2
+    assert pole_orders(f, [0.5, 0.0, 2.0], 0.01) == [2, -3, 0]
+    # a circle through a zero fails the winding checks
+    assert pole_orders(f, [0.01], 0.01) == [None]
+
+
+def test_harvest_places_points_by_position_and_finds_every_counted_zero():
+    system, shifts = catalog_case("irrational-slope")
+    report = harvest_density(system, SolverConfig(target_count=40), certified=True)
+    assert report.target_reached and not report.incomplete_cells
+    order = list(itertools.islice(distinct_cells(shifts), report.cells_scanned + 8))
+    for s in report.solutions:
+        x, y = system.cell_position(s.l)
+        assert order[s.cell] == reduce_cell((math.floor(x), math.floor(y)), shifts)
+    cells = report.cells
+    assert [c["cell"] for c in cells] == list(range(report.cells_scanned))
+    assert all(c["found"] == c["expected"] for c in cells[:-1])
+    assert sum(c["found"] for c in cells) == len(report.solutions) == 40
+    assert report.seeds_refined == 40 and report.newton_iterations <= 3 * 40
+
+
+def test_points_are_placed_in_the_cell_that_holds_them(A2, pe2, monkeypatch):
+    # every seed of the chunk is handed to its first cell, yet each point
+    # lands in the cell whose count it belongs to
+    real_seeds = solver.cell_seeds
+
+    def all_in_the_first(system, cells):
+        counted = real_seeds(system, cells)
+        pooled = [seed for _, seeds in counted for seed in seeds]
+        return [(counted[0][0], pooled)] + [(count, []) for count, _ in counted[1:]]
+
+    monkeypatch.setattr(solver, "cell_seeds", all_in_the_first)
+    report = harvest_density(flagship_system(pe2, A2),
+                             SolverConfig(budget_cells=3, target_count=40), certified=True,
+                             kernel=DIAGONAL_KERNEL)
+    assert [c["found"] for c in report.cells] == [c["expected"] for c in report.cells]
+    assert report.incomplete_cells == [] and report.cells_with_solutions == {0, 1, 2}
+
+
+def test_harvest_names_a_cell_whose_zeros_were_not_all_found(A2, pe2, monkeypatch):
+    real_seeds = solver.cell_seeds
+
+    def one_seed_short(system, cells):
+        return [(count, seeds[1:]) for count, seeds in real_seeds(system, cells)]
+
+    monkeypatch.setattr(solver, "cell_seeds", one_seed_short)
+    report = harvest_density(flagship_system(pe2, A2),
+                             SolverConfig(budget_cells=2, target_count=40), certified=True,
+                             kernel=DIAGONAL_KERNEL)
+    assert report.incomplete_cells == [0, 1]
+    assert all(c["found"] == c["expected"] - 1 for c in report.cells)
 
 
 def test_verify_solution_sums_to_the_30_digit_tail_bound(A2, pe2, monkeypatch):
@@ -318,7 +428,7 @@ def test_verify_solution_sums_to_the_30_digit_tail_bound(A2, pe2, monkeypatch):
 def test_verify_solution_accepts_true_roots_rejects_perturbed(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig()
-    seeds = coarse_scan(sys_, 0, 0, cfg)
+    seeds = coarse_scan(sys_, 0, 0)
     l, _ = newton_refine(sys_, [seeds[0][0]], cfg)[0]
     ok, vres, wind, reason = verify_solution(sys_, l, cfg)
     assert ok and reason == ""
@@ -367,7 +477,7 @@ def test_p_translate_cells_give_the_same_points(A2, pe2):
 
     def refined_zs(p, q):
         zs = []
-        seeds = [seed for seed, _ in coarse_scan(sys_, p, q, cfg)]
+        seeds = cell_seeds(sys_, [(p, q)])[0][1]
         for l, _ in newton_refine(sys_, seeds, cfg):
             if l is not None:
                 z = A2.reduce_point(sys_.z_of(l))
@@ -463,15 +573,17 @@ def test_harvest_counts_duplicate_seeds(A2, pe2):
 
 
 def test_harvest_deterministic_across_thread_counts(A2, pe2, monkeypatch):
+    # the harvest runs on one thread and reads no EAC_THREADS
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig(budget_cells=6, target_count=8)
     monkeypatch.setenv("EAC_THREADS", "1")
     serial = harvest_density(sys_, cfg, certified=True)
-    monkeypatch.setenv("EAC_THREADS", "4")
+    monkeypatch.setenv("EAC_THREADS", "2")
     threaded = harvest_density(sys_, cfg, certified=True)
     key = lambda r: [(s.l, s.z, s.residual, s.verified_residual, s.winding, s.cell)
                      for s in r.solutions]
     assert key(serial) == key(threaded)
+    assert serial.cells == threaded.cells
     assert serial.cells_scanned == threaded.cells_scanned
     assert serial.seeds_refined == threaded.seeds_refined
 
@@ -486,22 +598,26 @@ def test_harvest_respects_target(A2, pe2):
     assert not report.defect
 
 
-def test_harvest_defect_flag_when_nothing_survives(A2, pe2):
-    # an impossible coarse threshold produces no seeds anywhere, which is
-    # exactly the certified-but-empty defect condition
+def reject_every_point(system, l, cfg, winding_radius=1e-3):
+    return False, 1.0, 0, "doubled-precision residual too large"
+
+
+def test_harvest_defect_flag_when_nothing_survives(A2, pe2, monkeypatch):
+    # a verification that rejects every point is exactly the
+    # certified-but-empty defect condition
+    monkeypatch.setattr(solver, "verify_solution", reject_every_point)
     sys_ = flagship_system(pe2, A2)
-    report = harvest_density(
-        sys_, SolverConfig(budget_cells=3, coarse_threshold=1e-15),
-        certified=True)
+    report = harvest_density(sys_, SolverConfig(budget_cells=3), certified=True)
     assert not report.solutions
+    assert report.incomplete_cells == [0, 1, 2]
     assert report.budget_exhausted
     assert not report.cells_exhausted
     assert report.defect
 
 
-def test_harvest_defect_when_every_distinct_cell_is_empty(A1):
-    report = harvest_density(one_factor_system(A1),
-                             SolverConfig(coarse_threshold=1e-15), certified=True,
+def test_harvest_defect_when_every_distinct_cell_is_empty(A1, monkeypatch):
+    monkeypatch.setattr(solver, "verify_solution", reject_every_point)
+    report = harvest_density(one_factor_system(A1), SolverConfig(), certified=True,
                              kernel=((1, 0), (0, 1)))
     assert report.cells_scanned == 1
     assert report.cells_exhausted
