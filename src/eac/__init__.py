@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .checker import (PairVerdict, SubvarietyData, Verdict, check_free,
                       check_pair, check_rotund, reduce_L)
 from .forms import (Certificate, ExteriorForm, HomologyClass,
-                    class_of_hypersurface, eac_certificate, form_of_subspace,
+                    class_of_hypersurface, eac_certificate,
                     holomorphic_form_realized, hypersurface_form, integrate_top)
 from .hull import (HullChain, HullResult, complexification, hull_chain,
                    kernel_lattice, rational_hull)
@@ -34,7 +34,7 @@ __all__ = [
     "certify", "check_free", "check_pair", "check_rotund",
     "class_of_hypersurface", "complexification", "count_roots_on_fiber",
     "decide", "density_summary", "eac_certificate",
-    "form_of_subspace", "harvest_density", "holomorphic_form_realized",
+    "harvest_density", "holomorphic_form_realized",
     "hull_chain", "hypersurface_form", "instance_from_dict", "integrate_top",
     "jacobian_probe", "kernel_lattice", "load_instance", "parse_mq", "point_count_on_curve",
     "rational_hull", "reduce_L", "render_mq", "solve",

@@ -10,6 +10,8 @@ that the projected dimensions of L and W to A/B_S cover its dimension.
 
 Verdicts are three-valued: True, False with a named witness, or None when
 the W-side data is insufficient, in which case certification must refuse.
+The W-side data is the bidegree on two factors; without it, a W that is
+neither a point nor the whole product is undecided.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ class SubvarietyData:
 
     bidegree (m, n) applies to hypersurfaces in a product of two curves; m
     counts intersections with horizontal fibers E_1 x {pt}, n with vertical
-    fibers {pt} x E_2. dominant_projections, when given for g > 2, asserts
-    the dimension of the image of W in each single factor (1 or 0).
+    fibers {pt} x E_2.
     """
 
     dim: int
     bidegree: tuple[int, int] | None = None
-    dominant_projections: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.dim < 0:
@@ -62,16 +62,6 @@ class IndeterminateError(ValueError):
     """Raised when a caller insists on a decision the data cannot support."""
 
 
-def _subproduct_coords(S: tuple[int, ...], complex_chart: bool) -> set[int]:
-    """0-based coordinate indices belonging to the factors in S (1-based)."""
-    if complex_chart:
-        return {j - 1 for j in S}
-    out = set()
-    for j in S:
-        out.update((2 * (j - 1), 2 * (j - 1) + 1))
-    return out
-
-
 def _w_dominant_dims(W: SubvarietyData, g: int) -> tuple[int, ...] | None:
     """dim of the image of W in each single factor, or None if unknown."""
     if g == 1:
@@ -80,10 +70,6 @@ def _w_dominant_dims(W: SubvarietyData, g: int) -> tuple[int, ...] | None:
         m, n = W.bidegree
         # m >= 1 iff W meets a generic horizontal fiber iff W covers E_2
         return (1 if n >= 1 else 0, 1 if m >= 1 else 0)
-    if W.dominant_projections is not None:
-        if len(W.dominant_projections) != g:
-            raise ValueError("dominant_projections length must equal the factor count")
-        return tuple(int(bool(x)) for x in W.dominant_projections)
     return None
 
 
@@ -92,9 +78,9 @@ def check_free(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verdic
 
     The L side is exact: L lies in the tangent space of the subproduct B_S
     iff every basis vector vanishes on the complementary coordinates. The W
-    side uses the bidegree when available (a zero entry means W is a finite
-    union of fiber translates); with no bidegree and no recorded projection
-    data the verdict is indeterminate.
+    side is decided for a point, for the whole product, and on two factors
+    by the bidegree (a zero entry means W is a finite union of fiber
+    translates); anything else is indeterminate.
     """
     g = A.g
     if L.kind != "complex" or L.ambient != g:
@@ -107,46 +93,28 @@ def check_free(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verdic
     factors = list(range(1, g + 1))
     for size in range(1, g):
         for S in combinations(factors, size):
-            inside = _subproduct_coords(S, complex_chart=True)
-            outside = [j for j in range(g) if j not in inside]
+            outside = [j for j in range(g) if j + 1 not in S]
             if L.dim > 0 and all(v[j].is_zero() for v in L.basis for j in outside):
                 return Verdict(False, f"L lies in the subproduct of factors {list(S)}",
                                {"side": "L", "factors": list(S)}, assumptions)
     if L.dim == 0:
         return Verdict(False, "L is the zero subspace",
                        {"side": "L", "factors": []}, assumptions)
-    dims = _w_dominant_dims(W, g)
     if W.dim == 0:
         # a point is a translate of the trivial subproduct, never of a proper one
         return Verdict(True, None, {"w_side": "point"}, assumptions)
     if W.dim == g:
         return Verdict(True, None, {"w_side": "full product"}, assumptions)
-    if dims is None:
-        return Verdict(None, None,
-                       {"reason": "no bidegree or projection data for W"},
+    if g != 2 or W.bidegree is None:
+        return Verdict(None, None, {"reason": "no bidegree for W on two factors"},
                        assumptions)
-    if g == 2:
-        m, n = W.bidegree if W.bidegree is not None else (None, None)
-        if m is not None:
-            if m == 0:
-                return Verdict(False,
-                               "W is a union of translates of factor 1",
-                               {"side": "W", "factors": [1], "bidegree": [m, n]},
-                               assumptions)
-            if n == 0:
-                return Verdict(False,
-                               "W is a union of translates of factor 2",
-                               {"side": "W", "factors": [2], "bidegree": [m, n]},
-                               assumptions)
-            return Verdict(True, None, {"bidegree": [m, n]}, assumptions)
-    # general case: W avoids fiber translates iff it dominates every factor
-    # it could collapse onto; recorded projection data decides
-    for j, dj in enumerate(dims, start=1):
-        if dj == 0 and W.dim > 0:
-            return Verdict(False,
-                           f"W projects to a point in factor {j}",
-                           {"side": "W", "factors": [j]}, assumptions)
-    return Verdict(True, None, {"w_projections": list(dims)}, assumptions)
+    m, n = W.bidegree
+    for j, count in ((1, m), (2, n)):
+        if count == 0:
+            return Verdict(False, f"W is a union of translates of factor {j}",
+                           {"side": "W", "factors": [j], "bidegree": [m, n]},
+                           assumptions)
+    return Verdict(True, None, {"bidegree": [m, n]}, assumptions)
 
 
 def check_rotund(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verdict:
@@ -154,9 +122,10 @@ def check_rotund(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verd
 
     For every S (including empty and full), with projection p to A/B_S,
     require dim p(L) + dim p(W) >= g - |S|. dim p(L) is an exact rank after
-    deleting the S coordinates. dim p(W) is min(dim W, g - |S|) when W
-    dominates the remaining factors, and is bounded by the recorded
-    per-factor image dimensions otherwise.
+    deleting the S coordinates. dim p(W) is dim W for S empty and 0 for S
+    full. On two factors with one left, it is min(dim W, 1) if the bidegree
+    says W covers that factor and 0 if W maps to a point in it; without a
+    bidegree it is known only for a point or the whole product.
     """
     g = A.g
     if L.kind != "complex" or L.ambient != g:
@@ -168,8 +137,7 @@ def check_rotund(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verd
     for size in range(0, g + 1):
         for S in combinations(factors, size):
             required = g - size
-            coords = _subproduct_coords(S, complex_chart=True)
-            dim_pL = L.project_deleting(coords)
+            dim_pL = L.project_deleting({j - 1 for j in S})
             dim_pW = _projected_w_dim(W, dims, S, g)
             if dim_pW is None:
                 return Verdict(None, None,
@@ -195,15 +163,10 @@ def _projected_w_dim(W: SubvarietyData, dims, S: tuple[int, ...], g: int) -> int
         return W.dim
     if size == g:
         return 0
-    remaining = [j for j in range(1, g + 1) if j not in S]
     if dims is not None:
-        if all(dims[j - 1] == 1 for j in remaining):
-            return min(W.dim, g - size)
-        if len(remaining) == 1:
-            return dims[remaining[0] - 1]
-        # a factor is missed and several remain: per-factor data only gives
-        # an upper bound, which cannot certify the lower bound needed here
-        return None
+        # two factors: W covers the one that remains or maps it to a point
+        (j,) = [j for j in range(1, g + 1) if j not in S]
+        return min(W.dim, dims[j - 1])
     if W.dim == 0:
         return 0
     if W.dim == g:
@@ -230,13 +193,13 @@ def check_pair(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> PairVe
 
 
 def reduce_L(L: ExactSubspace, W: SubvarietyData, A: ProductVariety,
-             seed: int = 0, max_tries: int = 200) -> ExactSubspace:
+             seed: int = 0) -> ExactSubspace:
     """Cut L by random rational hyperplanes until dim L + dim W = g.
 
     Each cut intersects L with the kernel of a random small-integer rational
     covector on C^g, keeping only cuts that preserve freeness and rotundity.
-    Raises if the pair is not free and rotund to begin with, or if the retry
-    budget runs out.
+    Raises if the pair is not free and rotund to begin with, or if 200 tries
+    run out.
     """
     import random
 
@@ -250,7 +213,7 @@ def reduce_L(L: ExactSubspace, W: SubvarietyData, A: ProductVariety,
     current = L
     tries = 0
     while current.dim + W.dim > g:
-        if tries >= max_tries:
+        if tries >= 200:
             raise RuntimeError("reduce_L exhausted its retry budget")
         tries += 1
         phi = [rng.randint(-5, 5) for _ in range(g)]

@@ -21,8 +21,10 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
+from .hull import HullChain, HullResult, hull_chain
 from .instance import (Instance, InstanceError, builtin_instance, catalog_names,
                        load_instance, validate_report)
 from .pipeline import (BidegreeMismatch, CertifyOutcome, Decision, certify,
@@ -30,8 +32,9 @@ from .pipeline import (BidegreeMismatch, CertifyOutcome, Decision, certify,
 from .solver import SolveReport
 
 
-def _chain_entries(decision: Decision) -> list[dict]:
-    return [{"kind": s.kind, "dim": s.dim} for s in decision.chain.chain]
+def _chain_block(chain: HullChain) -> dict:
+    return {"entries": [{"kind": s.kind, "dim": s.dim} for s in chain.chain],
+            "rounds": chain.rounds, "non_free": chain.non_free}
 
 
 def _verdict_block(decision: Decision) -> dict:
@@ -52,12 +55,12 @@ def _verdict_block(decision: Decision) -> dict:
     }
 
 
-def _hull_block(instance: Instance, decision: Decision) -> dict:
+def _hull_block(instance: Instance, hull: HullResult) -> dict:
     return {
         "dim_L_complex": instance.L.dim,
-        "dim_T": decision.hull.dim,
-        "codim_T": decision.hull.codim,
-        "equations": [list(e) for e in decision.hull.equations],
+        "dim_T": hull.dim,
+        "codim_T": hull.codim,
+        "equations": [list(e) for e in hull.equations],
     }
 
 
@@ -117,19 +120,23 @@ def _base_report(command: str, instance: Instance, exit_code: int) -> dict:
     }
 
 
+def _write_file(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InstanceError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _emit(report: dict, out_path: str | None):
     validate_report(report)
     if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_file(out_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(report: SolveReport, path: str):
-    with open(path, "w") as fh:
-        fh.write("re_l,im_l,residual,cell\n")
-        for s in report.solutions:
-            fh.write(f"{s.l.real!r},{s.l.imag!r},{s.residual!r},{s.cell}\n")
+    _write_file(path, "re_l,im_l,residual,cell\n" + "".join(
+        f"{s.l.real!r},{s.l.imag!r},{s.residual!r},{s.cell}\n" for s in report.solutions))
 
 
 def _get_instance(spec: str) -> Instance:
@@ -143,11 +150,9 @@ def _apply_overrides(instance: Instance, args) -> Instance:
     overrides = {field: getattr(args, opt) for opt, field in options.items()
                  if getattr(args, opt, None) is not None}
     try:
-        cfg = instance.config.replace(**overrides)
+        cfg = replace(instance.config, **overrides)
     except ValueError as e:
         raise InstanceError(f"solver override: {e}") from None
-    from dataclasses import replace
-
     return replace(instance, config=cfg)
 
 
@@ -163,10 +168,8 @@ def cmd_check(args) -> int:
         code = 2
     report = _base_report("check", instance, code)
     report["verdicts"] = _verdict_block(decision)
-    report["hull"] = _hull_block(instance, decision)
-    report["chain"] = {"entries": _chain_entries(decision),
-                       "rounds": decision.chain.rounds,
-                       "non_free": decision.chain.non_free}
+    report["hull"] = _hull_block(instance, decision.hull)
+    report["chain"] = _chain_block(decision.chain)
     _emit(report, args.out)
     word = {0: "free and rotund", 2: "failed", 3: "indeterminate"}[code]
     print(f"check {instance.label}: {word}")
@@ -184,12 +187,10 @@ def cmd_check(args) -> int:
 
 def cmd_hull(args) -> int:
     instance = _apply_overrides(_get_instance(args.instance), args)
-    decision = decide(instance, measure="never")
+    chain = hull_chain(instance.L, instance.A)
     report = _base_report("hull", instance, 0)
-    report["hull"] = _hull_block(instance, decision)
-    report["chain"] = {"entries": _chain_entries(decision),
-                       "rounds": decision.chain.rounds,
-                       "non_free": decision.chain.non_free}
+    report["hull"] = _hull_block(instance, chain.hull)
+    report["chain"] = _chain_block(chain)
     _emit(report, args.out)
     h = report["hull"]
     print(f"hull {instance.label}: dim_C L = {h['dim_L_complex']}, "
@@ -213,7 +214,7 @@ def cmd_certify(args) -> int:
         code = 2
     report = _base_report("certify", instance, code)
     report["verdicts"] = _verdict_block(outcome.decision)
-    report["hull"] = _hull_block(instance, outcome.decision)
+    report["hull"] = _hull_block(instance, outcome.decision.hull)
     report["certificate"] = _cert_block(outcome)
     _emit(report, args.out)
     if outcome.refused:
@@ -227,13 +228,13 @@ def cmd_certify(args) -> int:
 
 def _run_solve(args, command: str) -> int:
     instance = _apply_overrides(_get_instance(args.instance), args)
-    if command == "density" and getattr(args, "target", None) is None:
-        instance = _apply_overrides(instance, argparse.Namespace(
-            seed=None, budget=None, target=max(instance.config.target_count, 60)))
+    if command == "density" and args.target is None:
+        target = max(instance.config.target_count, 60)
+        instance = replace(instance, config=replace(instance.config, target_count=target))
     outcome = solve(instance)
     report = _base_report(command, instance, outcome.exit_code)
     report["verdicts"] = _verdict_block(outcome.certify.decision)
-    report["hull"] = _hull_block(instance, outcome.certify.decision)
+    report["hull"] = _hull_block(instance, outcome.certify.decision.hull)
     report["certificate"] = _cert_block(outcome.certify)
     if outcome.report is not None:
         report["solve"] = _solve_block(outcome.report, instance.config)

@@ -273,33 +273,6 @@ def integrate_top(form: ExteriorForm, g: int):
     return form.coeffs.get(top, Fraction(0))
 
 
-def annihilator_covectors(T: ExactSubspace) -> list[list[MultiQuadElem]]:
-    """Echelon basis of the covectors vanishing on a real subspace."""
-    if T.kind != "real":
-        raise ValueError("annihilator_covectors needs a real subspace")
-    from .exactlinalg import right_nullspace, rref
-
-    rows = [list(v) for v in T.basis]
-    null = right_nullspace(rows, ncols=T.ambient)
-    if not null:
-        return []
-    red, _ = rref(null)
-    return [list(r) for r in red]
-
-
-def form_of_subspace(T: ExactSubspace) -> ExteriorForm:
-    """Normalized decomposable form cutting out a real subspace.
-
-    Wedge of an echelon basis of T's annihilator, scaled so the
-    lexicographically leading coefficient is 1. The full space yields the
-    constant 0-form 1.
-    """
-    form = wedge_covectors(annihilator_covectors(T), T.ambient)
-    if form.is_zero():
-        raise AssertionError("annihilator wedge collapsed; basis was dependent")
-    return form.normalized()
-
-
 def realify_covector(lam: list[ComplexMQ], A: ProductVariety
                      ) -> tuple[list[MultiQuadElem], list[MultiQuadElem]]:
     """Real and imaginary parts of z -> sum lam_j z_j in the lattice chart.

@@ -55,15 +55,17 @@ class HullResult:
 class HullChain:
     """Alternating chain [L_0, T_0, L_1, ...] up to stabilization.
 
-    rounds counts the complexification steps taken. non_free is set when the
-    chain stabilizes at a proper complex subspace, and stable_subspace then
-    names it.
+    hull is the first step, the rational hull of L_0 itself. rounds counts
+    the complexification steps taken. non_free is set when the chain
+    stabilizes at a proper complex subspace, and stable_subspace then names
+    it.
     """
 
     chain: tuple[ExactSubspace, ...]
     rounds: int
     non_free: bool
     stable_subspace: ExactSubspace | None
+    hull: HullResult
 
 
 def rational_component_rows(vectors: list[list[MultiQuadElem]]) -> list[list[Fraction]]:
@@ -103,8 +105,7 @@ def rational_hull(L: ExactSubspace, A: ProductVariety) -> HullResult:
         eqs = ()
     if eqs:
         kernel = right_nullspace([[Fraction(c) for c in e] for e in eqs], ncols=n)
-        kred, _ = rref(kernel)
-        basis = tuple(tuple(MultiQuadElem.from_rational(x) for x in r) for r in kred)
+        basis = tuple(tuple(MultiQuadElem.from_rational(x) for x in r) for r in kernel)
     else:
         basis = tuple(tuple(MultiQuadElem.from_rational(1 if i == j else 0)
                             for j in range(n)) for i in range(n))
@@ -148,21 +149,26 @@ def complexification(T: ExactSubspace, A: ProductVariety) -> ExactSubspace:
 
 
 def hull_chain(L: ExactSubspace, A: ProductVariety) -> HullChain:
-    """Iterate hull and complexification until the chain stabilizes."""
+    """Iterate hull and complexification until the chain stabilizes.
+
+    The hull of L is computed first, even when L is all of C^g, and kept as
+    the chain's hull, so callers never compute it a second time.
+    """
     if L.kind != "complex":
         raise ValueError("hull_chain starts from a complex subspace")
     g = A.g
+    first = rational_hull(L, A)
     chain: list[ExactSubspace] = [L]
     current = L
     rounds = 0
     for _ in range(2 * g + 1):
         if current.dim == g:
-            return HullChain(tuple(chain), rounds, False, None)
-        hull = rational_hull(current, A)
+            return HullChain(tuple(chain), rounds, False, None, first)
+        hull = first if rounds == 0 else rational_hull(current, A)
         if hull.dim == 2 * current.dim:
             # hull added nothing: current is complex and Lambda-rational
             chain.append(hull.T)
-            return HullChain(tuple(chain), rounds, True, current)
+            return HullChain(tuple(chain), rounds, True, current, first)
         chain.append(hull.T)
         current = complexification(hull.T, A)
         chain.append(current)

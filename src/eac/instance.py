@@ -24,7 +24,7 @@ from .variety import EllipticFactor, ExactSubspace, ProductVariety
 
 
 class InstanceError(ValueError):
-    """A file failed to parse or validate; the message names the location."""
+    """A file could not be read, parsed, validated or written; the message names it."""
 
 
 def _load_schema(name: str) -> dict:
@@ -157,10 +157,14 @@ def instance_from_dict(data: dict, label_fallback: str = "unnamed") -> Instance:
 
 def load_instance(path: str) -> Instance:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise InstanceError(f"no such instance file: {path}") from None
+    except OSError as e:
+        raise InstanceError(f"cannot read instance file {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise InstanceError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
     except json.JSONDecodeError as e:
         raise InstanceError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None

@@ -78,22 +78,11 @@ class MultiQuadElem:
     def coeffs(self) -> dict[int, Fraction]:
         return dict(self._c)
 
-    @property
-    def radicands(self) -> tuple[int, ...]:
-        """Sorted squarefree radicands > 1 appearing with nonzero coefficient."""
-        return tuple(sorted(d for d in self._c if d > 1))
-
     def is_zero(self) -> bool:
         return not self._c
 
     def is_rational(self) -> bool:
         return all(d == 1 for d in self._c)
-
-    def coefficient(self, d: int) -> Fraction:
-        s, f = squarefree_split(d)
-        if s != 1:
-            raise ValueError(f"{d} is not squarefree")
-        return self._c.get(f, Fraction(0))
 
     # arithmetic
 
@@ -355,7 +344,3 @@ class ComplexMQ:
 
     def __repr__(self):
         return f"ComplexMQ({self.re}, {self.im})"
-
-
-MQ_ZERO = MultiQuadElem.zero()
-MQ_ONE = MultiQuadElem.one()

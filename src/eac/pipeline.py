@@ -15,8 +15,7 @@ import numpy as np
 
 from .checker import PairVerdict, SubvarietyData, check_pair, reduce_L
 from .forms import Certificate, eac_certificate, hypersurface_form
-from .hull import (HullChain, HullResult, hull_chain, kernel_lattice,
-                   rational_hull)
+from .hull import HullChain, HullResult, hull_chain, kernel_lattice, rational_hull
 from .instance import Instance
 from .solver import (PulledBackSystem, SolveReport, SolverConfig,
                      harvest_density)
@@ -32,8 +31,11 @@ class Decision:
     verdicts: PairVerdict
     W_effective: SubvarietyData
     measured_bidegree: tuple[int, int] | None
-    hull: HullResult
     chain: HullChain
+
+    @property
+    def hull(self) -> HullResult:
+        return self.chain.hull
 
 
 @dataclass
@@ -49,42 +51,39 @@ def resolve_w(instance: Instance, pe: ProductEvaluator | None = None,
               measure: str = "auto") -> tuple[SubvarietyData, tuple[int, int] | None]:
     """Fill in the bidegree of W by fiber counting when the file omits it.
 
-    measure: "never" trusts the declared data, "auto" measures only when
-    missing, "always" measures and cross-checks a declared bidegree.
+    measure: "auto" measures only when missing, "always" measures and
+    cross-checks a declared bidegree, raising BidegreeMismatch.
     """
+    if measure not in ("auto", "always"):
+        raise ValueError(f"measure must be 'auto' or 'always', not {measure!r}")
     W = instance.W
-    g = instance.A.g
-    if g != 2:
-        return W, None
-    if measure == "never" or (W.bidegree is not None and measure != "always"):
+    if instance.A.g != 2 or (W.bidegree is not None and measure != "always"):
         return W, None
     pe = pe or ProductEvaluator(instance.A)
     measured = bidegree_of(instance.F, instance.A, pe)
     if W.bidegree is not None and tuple(W.bidegree) != measured:
         raise BidegreeMismatch(
             f"declared bidegree {tuple(W.bidegree)} but fiber counts give {measured}")
-    return SubvarietyData(dim=W.dim, bidegree=measured,
-                          dominant_projections=W.dominant_projections), measured
+    return SubvarietyData(dim=W.dim, bidegree=measured), measured
 
 
 def decide(instance: Instance, pe: ProductEvaluator | None = None,
            measure: str = "auto") -> Decision:
+    """Verdicts on the pair and the hull chain of L, whose first step is the hull."""
     W_eff, measured = resolve_w(instance, pe, measure)
     verdicts = check_pair(instance.L, W_eff, instance.A)
-    hull = rational_hull(instance.L, instance.A)
     chain = hull_chain(instance.L, instance.A)
     return Decision(verdicts=verdicts, W_effective=W_eff,
-                    measured_bidegree=measured, hull=hull, chain=chain)
+                    measured_bidegree=measured, chain=chain)
 
 
 def certify(instance: Instance, pe: ProductEvaluator | None = None,
-            decision: Decision | None = None,
-            reduce_seed: int | None = None) -> CertifyOutcome:
+            decision: Decision | None = None) -> CertifyOutcome:
     """Produce the non-vanishing certificate or an explicit refusal.
 
     When dim L + dim W exceeds g the parameter space is first cut down by
-    seeded rational hyperplanes and the certificate describes the reduced
-    pair; the solver consumes the same reduction.
+    rational hyperplanes drawn from the solver seed, and the certificate
+    describes the reduced pair; the solver consumes the same reduction.
     """
     A = instance.A
     g = A.g
@@ -103,8 +102,7 @@ def certify(instance: Instance, pe: ProductEvaluator | None = None,
     W = decision.W_effective
     L = instance.L
     if L.dim + W.dim > g:
-        seed = instance.config.seed if reduce_seed is None else reduce_seed
-        L = reduce_L(L, W, A, seed=seed)
+        L = reduce_L(L, W, A, seed=instance.config.seed)
     if L.dim + W.dim < g:
         return CertifyOutcome(
             decision, None, True,

@@ -141,8 +141,7 @@ def run_selftest(verbose: bool = False, evaluator_factory=None
         inst = builtin_instance("diag-prod-one")
         from dataclasses import replace
 
-        inst = replace(inst, config=inst.config.replace(
-            target_count=3, budget_cells=4))
+        inst = replace(inst, config=replace(inst.config, target_count=3, budget_cells=4))
         out = solve(inst)
         assert out.exit_code == 0, f"exit {out.exit_code}"
         assert len(out.report.solutions) >= 3

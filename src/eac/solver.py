@@ -92,11 +92,6 @@ class SolverConfig:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
-    def replace(self, **kw) -> SolverConfig:
-        from dataclasses import replace as _r
-
-        return _r(self, **kw)
-
 
 @dataclass
 class SolutionPoint:
@@ -597,14 +592,15 @@ def _lattice_30_digits(tau: complex):
         return q, theta_const(q, nterms, mp.mpf(1)), nterms
 
 
-def verify_solution(system: PulledBackSystem, l: complex, cfg: SolverConfig,
-                    winding_radius: float = 1e-3) -> tuple[bool, float, int, str]:
+def verify_solution(system: PulledBackSystem, l: complex,
+                    cfg: SolverConfig) -> tuple[bool, float, int, str]:
     """Independent acceptance test for a refined point.
 
     Re-evaluates the residual with mpmath at 30 digits through the theta
     series of the scan, summed to the length whose tail bound is 1e-30, and
-    requires a positive winding of G on a small circle around l. Returns
-    (accepted, verified residual, winding, reason).
+    requires a positive winding of G on a circle of radius 1e-3 around l,
+    halved up to three times until the circle gives a clean winding.
+    Returns (accepted, verified residual, winding, reason).
     """
     from mpmath import mp
 
@@ -623,7 +619,7 @@ def verify_solution(system: PulledBackSystem, l: complex, cfg: SolverConfig,
         vres = float(abs(system.F.eval_affine(segre_stack(wps, wpps, one))))
     if vres > 10.0 * cfg.solve_tol:
         return False, vres, 0, "doubled-precision residual too large"
-    radius = winding_radius
+    radius = 1e-3
     for _ in range(4):
         probes = l + radius * np.exp(2j * math.pi * np.arange(10) / 10)
         order = None

@@ -14,7 +14,7 @@ this real chart (vectors in R^(2g) with MultiQuadElem entries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -121,7 +121,10 @@ class ProductVariety:
     # torus geometry
 
     def reduce_point(self, z: tuple[complex, ...]) -> tuple[complex, ...]:
-        """Per-factor representative with lattice coordinates in [-1/2, 1/2)."""
+        """Per-factor representative with lattice coordinates in [-1/2, 1/2].
+
+        round takes halves to the even integer, so both ends can occur.
+        """
         v = self.to_lattice_coords(z)
         w = [x - round(x) for x in v]
         return self.from_lattice_coords(w)
@@ -199,18 +202,9 @@ class ExactSubspace:
     def complex_span(cls, vectors, g: int) -> ExactSubspace:
         return cls("complex", tuple(tuple(v) for v in vectors), g)
 
-    @classmethod
-    def full_complex(cls, g: int) -> ExactSubspace:
-        rows = [[ComplexMQ(1 if i == j else 0) for j in range(g)] for i in range(g)]
-        return cls("complex", tuple(tuple(r) for r in rows), g)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains_vector(self, v) -> bool:
-        rows = [list(r) for r in self.basis]
-        return rank_exact(rows + [list(v)]) == len(rows)
 
     def contains(self, other: ExactSubspace) -> bool:
         if self.kind != other.kind or self.ambient != other.ambient:
@@ -232,10 +226,7 @@ class ExactSubspace:
         for v in self.basis:
             rows.append(A.to_lattice_exact(list(v)))
             rows.append(A.to_lattice_exact([i * x for x in v]))
-        if not rows:
-            return ExactSubspace("real", (), 2 * A.g)
-        red, _ = rref(rows)
-        return ExactSubspace("real", tuple(tuple(r) for r in red), 2 * A.g)
+        return ExactSubspace("real", tuple(rows), 2 * A.g)
 
     def complex_equations(self) -> list[list[ComplexMQ]]:
         """Echelon basis of the annihilator {lam : lam . v = 0 for v in basis}.

@@ -20,7 +20,7 @@ Two independent evaluation backends share one interface:
 The lattice-sum backend shares no formula with the theta series, so it is
 the independent cross-check that harvested points are re-evaluated with.
 Both reduce the argument to the fundamental domain first, so truncation
-orders stay uniform. A point within eps of the lattice raises AtInfinity, a
+orders stay uniform. A point within EPS of the lattice raises AtInfinity, a
 typed signal the callers turn into projective bookkeeping, never a NaN.
 
 Zeros on a fiber or a curve are counted by the harvest's counter,
@@ -34,14 +34,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .segre import SegrePoint, SegrePolynomial, segre_stack
+from .segre import SegrePoint, SegrePolynomial
 from .variety import ProductVariety
 
 TWO_PI = 2.0 * math.pi
+# Target absolute tail bound of both backends' series, and the distance
+# from the lattice below which a point is a pole.
+EPS = 1e-12
 # Below this |z| the n = 0 factor 1 - u of the theta series is taken as
 # -expm1(2 pi i z); above it 1 - u loses under two bits to cancellation.
 NEAR_POLE = 0.1
@@ -133,20 +135,19 @@ def theta_sums(u, q, nterms: int, one, const=None, one_minus_u=None):
 class WpEvaluator:
     """Weierstrass wp and wp' for one lattice Z + tau Z.
 
-    backend selects the series family; both honor eps as a target absolute
+    backend selects the series family; both honor EPS as a target absolute
     tail bound (values near poles are large, accuracy there is relative).
     """
 
-    def __init__(self, tau: complex, eps: float = 1e-12, backend: str = "theta"):
+    def __init__(self, tau: complex, backend: str = "theta"):
         tau = complex(tau)
         if tau.imag <= 0:
             raise ValueError("tau must lie in the upper half plane")
         if backend not in ("theta", "lattice-sum"):
             raise ValueError(f"unknown backend {backend!r}")
         self.tau = tau
-        self.eps = float(eps)
         self.backend = backend
-        self.nterms = _qseries_terms(tau, self.eps)
+        self.nterms = _qseries_terms(tau, EPS)
         self.q = cmath.exp(2j * math.pi * tau)
         self.const = theta_const(self.q, self.nterms, 1.0)
         self._invariants: tuple[complex, complex] | None = None
@@ -208,7 +209,7 @@ class WpEvaluator:
     def wp_pair(self, z: complex) -> tuple[complex, complex]:
         """(wp(z), wp'(z)); a lattice point raises AtInfinity."""
         z = self.reduce(complex(z))
-        if abs(z) < 1e-12:
+        if abs(z) < EPS:
             raise AtInfinity()
         if self.backend == "lattice-sum":
             return self._wp_rows(z), self._wp_prime_rows(z)
@@ -252,7 +253,7 @@ class WpEvaluator:
                 f"grid evaluation needs the theta backend, not {self.backend!r}")
         zr = self.reduce(np.asarray(z, dtype=complex))
         dist = np.abs(zr)
-        pole = dist < 1e-12
+        pole = dist < EPS
         w = 2j * math.pi * np.where(pole, 0.25, zr)
         u = np.exp(w)
         m = 1.0 - u
@@ -276,9 +277,9 @@ class WpEvaluator:
 class ProductEvaluator:
     """Per-factor evaluators for a curve product, sharing one backend."""
 
-    def __init__(self, A: ProductVariety, eps: float = 1e-12, backend: str = "theta"):
+    def __init__(self, A: ProductVariety, backend: str = "theta"):
         self.A = A
-        self.evals = tuple(WpEvaluator(f.tau, eps, backend) for f in A.factors)
+        self.evals = tuple(WpEvaluator(f.tau, backend) for f in A.factors)
 
     def exp_segre(self, z: tuple[complex, ...]) -> SegrePoint:
         """Affine Segre coordinates of exp(z) with per-factor pole flags."""
@@ -389,16 +390,16 @@ def _reject_degenerate(system):
 
 
 def bidegree_of(F: SegrePolynomial, A: ProductVariety,
-                pe: ProductEvaluator | None = None, seed: int = 2) -> tuple[int, int]:
+                pe: ProductEvaluator | None = None) -> tuple[int, int]:
     """Measure (m, n): roots along factor 1 and factor 2 fibers.
 
     m moves factor 1 with factor 2 pinned, n the reverse. Each is the first
-    count that two random base points agree on; a degenerate fiber or an
-    unresolved count moves to a new base point.
+    count that two base points, drawn from a fixed seed, agree on; a
+    degenerate fiber or an unresolved count moves to a new base point.
     """
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(2)
     if pe is None:
         pe = ProductEvaluator(A)
     out = []

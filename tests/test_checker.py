@@ -2,7 +2,6 @@ import pytest
 
 from eac.checker import (IndeterminateError, SubvarietyData, check_free,
                          check_pair, check_rotund, reduce_L)
-from eac.multiquad import MultiQuadElem
 from eac.variety import ExactSubspace
 
 
@@ -46,7 +45,7 @@ def test_zero_subspace_is_not_free(A2):
 
 
 def test_missing_w_data_is_indeterminate(A2, diagonal_line):
-    W = SubvarietyData(dim=1)  # no bidegree, no projection data
+    W = SubvarietyData(dim=1)  # no bidegree
     v = check_free(diagonal_line, W, A2)
     assert v.ok is None and v.indeterminate
     r = check_rotund(diagonal_line, W, A2)
@@ -96,28 +95,6 @@ def test_single_factor_freeness_is_vacuous(A1):
     assert check_rotund(L, W, A1).ok is True
 
 
-def test_three_factor_projection_data(A3):
-    L = ExactSubspace.complex_span([[1, 1, 1]], 3)
-    W = SubvarietyData(dim=2, dominant_projections=(1, 1, 1))
-    v = check_pair(L, W, A3)
-    assert v.free.ok is True
-    assert v.rotund.ok is True
-    # a factor that W misses with two factors remaining cannot be decided
-    # from per-factor image dimensions alone
-    W_missed = SubvarietyData(dim=2, dominant_projections=(1, 1, 0))
-    r = check_rotund(L, W_missed, A3)
-    assert r.ok is None
-    assert r.detail["subproduct"] == [1]
-    assert check_free(L, W_missed, A3).ok is False
-
-
-def test_dominant_projections_length_validated(A3):
-    L = ExactSubspace.complex_span([[1, 1, 1]], 3)
-    W = SubvarietyData(dim=1, dominant_projections=(1, 1))
-    with pytest.raises(ValueError):
-        check_free(L, W, A3)
-
-
 def test_subvariety_data_validation():
     with pytest.raises(ValueError):
         SubvarietyData(dim=-1)
@@ -132,7 +109,7 @@ def test_reduce_l_requires_free_rotund_pair(A2):
 
 
 def test_reduce_l_cuts_to_complementary_dimension(A2):
-    full = ExactSubspace.full_complex(2)
+    full = ExactSubspace.complex_span([[1, 0], [0, 1]], 2)
     cut = reduce_L(full, W22, A2, seed=4)
     assert cut.dim == 1
     assert check_pair(cut, W22, A2).certified_ready

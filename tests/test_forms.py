@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from eac.forms import (CertificateError, DegreeMismatch, ExteriorForm,
-                       HomologyClass, TrivialClassError, annihilator_covectors,
-                       class_of_hypersurface, eac_certificate, form_of_subspace,
-                       holomorphic_form_realized, hypersurface_form,
+                       HomologyClass, TrivialClassError, class_of_hypersurface,
+                       eac_certificate, holomorphic_form_realized, hypersurface_form,
                        integrate_top, realify_covector, residual_covectors)
 from eac.hull import rational_hull
 from eac.multiquad import ComplexMQ, MultiQuadElem
@@ -187,15 +186,6 @@ def test_hypersurface_class_validation():
     # fiber-type classes keep only one cell
     assert hypersurface_form(0, 2).coeffs == {(3, 4): Fraction(2)}
     assert hypersurface_form(3, 0).coeffs == {(1, 2): Fraction(3)}
-
-
-def test_form_of_subspace_cuts_out_hull(A2, diagonal_line):
-    h = rational_hull(diagonal_line, A2)
-    w = form_of_subspace(h.T)
-    assert w.degree == 1
-    assert w.coeffs == {(1,): Fraction(1), (3,): Fraction(-1)}
-    full = rational_hull(ExactSubspace.full_complex(2), A2)
-    assert form_of_subspace(full.T).degree == 0
 
 
 def test_realify_covector_splits_re_im(A2):

@@ -24,9 +24,9 @@ def test_diagonal_hull_is_re_equal_hyperplane(A2, diagonal_line):
     assert h.equations == ((1, 0, -1, 0),)
     one = MultiQuadElem.one()
     zero = MultiQuadElem.zero()
-    assert h.T.contains_vector([one, zero, one, zero])
-    assert h.T.contains_vector([zero, one, zero, zero])
-    assert not h.T.contains_vector([one, zero, zero, zero])
+    for v, inside in (([one, zero, one, zero], True), ([zero, one, zero, zero], True),
+                      ([one, zero, zero, zero], False)):
+        assert h.T.contains(ExactSubspace("real", (v,), 4)) is inside
 
 
 def test_rational_slope_hull(A2):
@@ -73,7 +73,7 @@ def test_hull_contains_realification_randomized(A2):
 
 
 def test_hull_monotone_under_inclusion(A2, diagonal_line):
-    full = ExactSubspace.full_complex(2)
+    full = ExactSubspace.complex_span([[1, 0], [0, 1]], 2)
     h_small = rational_hull(diagonal_line, A2)
     h_big = rational_hull(full, A2)
     assert h_big.T.contains(h_small.T)
@@ -84,7 +84,7 @@ def test_complexification_of_hyperplane_is_full(A2, diagonal_line):
     h = rational_hull(diagonal_line, A2)
     C = complexification(h.T, A2)
     assert C.dim == 2
-    assert C.same_as(ExactSubspace.full_complex(2))
+    assert C.same_as(ExactSubspace.complex_span([[1, 0], [0, 1]], 2))
 
 
 def test_complexification_requires_real_input(A2, diagonal_line):
@@ -102,7 +102,7 @@ def test_flagship_chain(A2, diagonal_line):
 
 
 def test_full_space_chain_is_trivial(A2):
-    c = hull_chain(ExactSubspace.full_complex(2), A2)
+    c = hull_chain(ExactSubspace.complex_span([[1, 0], [0, 1]], 2), A2)
     assert [s.dim for s in c.chain] == [2]
     assert c.rounds == 0
     assert not c.non_free
@@ -147,14 +147,12 @@ def test_kernel_lattice_of_lines(A2, direction, kernel):
     # i sqrt(2) Z and i sqrt(5) Z meet only in 0
     L = ExactSubspace.complex_span([direction], 2)
     assert kernel_lattice(L, A2) == kernel
-    Lr = L.realified(A2)
-    for k in kernel:
-        assert Lr.contains_vector([MultiQuadElem.from_rational(x) for x in k])
+    assert L.realified(A2).contains(ExactSubspace("real", kernel, 4))
 
 
 def test_kernel_lattice_of_full_spaces(A1, A2):
     assert kernel_lattice(ExactSubspace.complex_span([[1]], 1), A1) == ((1, 0), (0, 1))
-    assert kernel_lattice(ExactSubspace.full_complex(2), A2) == tuple(
+    assert kernel_lattice(ExactSubspace.complex_span([[1, 0], [0, 1]], 2), A2) == tuple(
         tuple(int(i == j) for j in range(4)) for i in range(4))
     with pytest.raises(ValueError):
-        kernel_lattice(rational_hull(ExactSubspace.full_complex(2), A2).T, A2)
+        kernel_lattice(rational_hull(ExactSubspace.complex_span([[1, 0], [0, 1]], 2), A2).T, A2)

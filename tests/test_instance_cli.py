@@ -260,7 +260,7 @@ def test_cli_solve_uncertified_exit_code(tmp_path):
     assert report["solve"] is None
 
 
-def reject_every_point(system, l, cfg, winding_radius=1e-3):
+def reject_every_point(system, l, cfg):
     return False, 1.0, 0, "doubled-precision residual too large"
 
 
@@ -363,6 +363,49 @@ def test_cli_bad_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run_cli(["check", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_unreadable_instance_is_one_error_line(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"label": "caf\xe9"}')
+    for path, message in ((tmp_path, "cannot read instance file"),
+                          (latin1, "not UTF-8 text")):
+        assert run_cli(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
+
+def test_cli_unwritable_outputs_are_one_error_line(tmp_path, capsys):
+    # a directory given as --out, and --csv in a directory that does not exist
+    assert run_cli(["check", "catalog:diag-prod-one", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path}") and len(err.splitlines()) == 1
+    csv = tmp_path / "missing" / "s.csv"
+    assert run_cli(["solve", "catalog:diag-prod-one", "--budget", "1", "--target", "1",
+                    "--csv", str(csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {csv}") and len(err.splitlines()) == 1
+
+
+def test_cli_hull_runs_no_verdicts_and_no_fiber_counts(tmp_path, capsys, monkeypatch):
+    from eac import checker, pipeline, weierstrass
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eac hull must not decide freeness or measure W")
+
+    for mod, name in ((checker, "check_pair"), (pipeline, "check_pair"),
+                      (weierstrass, "bidegree_of"), (pipeline, "bidegree_of")):
+        monkeypatch.setattr(mod, name, forbidden)
+    data = flagship_dict()
+    del data["W"]["bidegree"]
+    path = tmp_path / "no-bidegree.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    assert run_cli(["hull", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["verdicts"] is None
+    assert report["hull"]["equations"] == [[1, 0, -1, 0]]
 
 
 def test_cli_single_factor_end_to_end(tmp_path):

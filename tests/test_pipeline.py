@@ -5,10 +5,12 @@ import statistics
 import numpy as np
 import pytest
 
-from eac.hull import kernel_lattice
+from eac import hull, pipeline
+from eac.checker import check_pair
+from eac.hull import hull_chain, kernel_lattice
 from eac.instance import builtin_instance, catalog_dicts, catalog_names, instance_from_dict
-from eac.pipeline import (BidegreeMismatch, certify, decide, density_summary,
-                          resolve_w, solve)
+from eac.pipeline import (BidegreeMismatch, Decision, certify, decide,
+                          density_summary, resolve_w, solve)
 from eac.segre import SegrePolynomial, segre_stack
 from eac import solver
 from eac.solver import PulledBackSystem, SolverConfig
@@ -42,9 +44,9 @@ def test_resolve_w_measures_when_missing(flagship, pe2):
     W, measured = resolve_w(inst, pe2)
     assert measured == (2, 2)
     assert W.bidegree == (2, 2)
-    # "never" leaves the gap in place
-    W2, m2 = resolve_w(inst, pe2, measure="never")
-    assert W2.bidegree is None and m2 is None
+    # a mode other than "auto" and "always" is refused, not ignored
+    with pytest.raises(ValueError, match="measure"):
+        resolve_w(inst, pe2, measure="never")
 
 
 def test_resolve_w_cross_checks_on_always(flagship, pe2):
@@ -69,6 +71,22 @@ def test_decide_flagship_composition(flagship, pe2):
     assert [s.dim for s in decision.chain.chain] == [1, 3, 2]
 
 
+def test_decide_computes_the_hull_of_L_once(flagship, pe2, monkeypatch):
+    calls = []
+    real = hull.rational_hull
+
+    def counting(L, A):
+        calls.append(L)
+        return real(L, A)
+
+    for mod in (hull, pipeline):
+        monkeypatch.setattr(mod, "rational_hull", counting)
+    decision = decide(flagship, pe2)
+    assert sum(1 for L in calls if L is flagship.L) == 1
+    assert decision.hull is decision.chain.hull
+    assert decision.hull == real(flagship.L, flagship.A)
+
+
 def test_certify_flagship(flagship, pe2):
     out = certify(flagship, pe2)
     assert not out.refused
@@ -91,12 +109,14 @@ def test_certify_indeterminate_without_w_data(flagship, pe2):
     data = json.loads(json.dumps(flagship.raw))
     del data["W"]["bidegree"]
     inst = instance_from_dict(data)
-    decision = decide(inst, pe2, measure="never")
+    # decide would measure the bidegree, so decide on the declared data alone
+    decision = Decision(verdicts=check_pair(inst.L, inst.W, inst.A), W_effective=inst.W,
+                        measured_bidegree=None, chain=hull_chain(inst.L, inst.A))
     assert decision.verdicts.indeterminate
     out = certify(inst, pe2, decision=decision)
     assert out.refused
     assert out.reason.startswith("indeterminate:")
-    assert "no bidegree or projection data" in out.reason
+    assert "no bidegree for W" in out.reason
 
 
 def test_certify_reduces_oversized_parameter_space(flagship, pe2):

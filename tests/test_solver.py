@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -598,7 +599,7 @@ def test_harvest_respects_target(A2, pe2):
     assert not report.defect
 
 
-def reject_every_point(system, l, cfg, winding_radius=1e-3):
+def reject_every_point(system, l, cfg):
     return False, 1.0, 0, "doubled-precision residual too large"
 
 
@@ -627,8 +628,10 @@ def test_harvest_defect_when_every_distinct_cell_is_empty(A1, monkeypatch):
 
 def test_config_replace_is_functional():
     cfg = SolverConfig()
-    cfg2 = cfg.replace(seed=7, budget_cells=5)
+    cfg2 = dataclasses.replace(cfg, seed=7, budget_cells=5)
     assert cfg2.seed == 7 and cfg2.budget_cells == 5
     assert cfg.seed == 0 and cfg.budget_cells == 64
     with pytest.raises(Exception):
         cfg.seed = 3
+    with pytest.raises(ValueError, match="budget_cells"):
+        dataclasses.replace(cfg, budget_cells=0)

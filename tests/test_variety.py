@@ -114,10 +114,10 @@ def test_complex_span_rejects_dependent_vectors():
 
 def test_contains_vector_exact():
     L = ExactSubspace.complex_span([[1, 1]], 2)
-    assert L.contains_vector([ComplexMQ(MultiQuadElem.sqrt_of(2)),
-                              ComplexMQ(MultiQuadElem.sqrt_of(2))])
-    assert not L.contains_vector([ComplexMQ(1), ComplexMQ(2)])
-    F = ExactSubspace.full_complex(2)
+    s2 = ComplexMQ(MultiQuadElem.sqrt_of(2))
+    assert L.contains(ExactSubspace.complex_span([[s2, s2]], 2))
+    assert not L.contains(ExactSubspace.complex_span([[1, 2]], 2))
+    F = ExactSubspace.complex_span([[1, 0], [0, 1]], 2)
     assert F.contains(L) and not L.contains(F)
 
 
@@ -130,7 +130,7 @@ def test_realified_doubles_dimension(A2):
     # the real point (1,0,1,0) is z = (1,1), on the diagonal
     one = MultiQuadElem.one()
     zero = MultiQuadElem.zero()
-    assert R.contains_vector([one, zero, one, zero])
+    assert R.contains(ExactSubspace("real", ([one, zero, one, zero],), 4))
 
 
 def test_complex_equations_annihilate(A3):
