@@ -19,7 +19,7 @@ from .hull import HullChain, HullResult, hull_chain, kernel_lattice, rational_hu
 from .instance import Instance
 from .solver import (PulledBackSystem, SolveReport, SolverConfig,
                      harvest_density)
-from .weierstrass import ProductEvaluator, bidegree_of, point_count_on_curve
+from .weierstrass import ContourError, ProductEvaluator, bidegree_of, point_count_on_curve
 
 
 class BidegreeMismatch(ValueError):
@@ -51,8 +51,10 @@ def resolve_w(instance: Instance, pe: ProductEvaluator | None = None,
               measure: str = "auto") -> tuple[SubvarietyData, tuple[int, int] | None]:
     """Fill in the bidegree of W by fiber counting when the file omits it.
 
-    measure: "auto" measures only when missing, "always" measures and
-    cross-checks a declared bidegree, raising BidegreeMismatch.
+    measure: "auto" measures only when missing, and leaves the bidegree
+    unmeasured (so the verdicts indeterminate) when the fiber counts never
+    agree; "always" measures and cross-checks a declared bidegree, raising
+    BidegreeMismatch, and lets ContourError through.
     """
     if measure not in ("auto", "always"):
         raise ValueError(f"measure must be 'auto' or 'always', not {measure!r}")
@@ -60,7 +62,12 @@ def resolve_w(instance: Instance, pe: ProductEvaluator | None = None,
     if instance.A.g != 2 or (W.bidegree is not None and measure != "always"):
         return W, None
     pe = pe or ProductEvaluator(instance.A)
-    measured = bidegree_of(instance.F, instance.A, pe)
+    try:
+        measured = bidegree_of(instance.F, instance.A, pe)
+    except ContourError:
+        if measure == "always":
+            raise
+        return W, None
     if W.bidegree is not None and tuple(W.bidegree) != measured:
         raise BidegreeMismatch(
             f"declared bidegree {tuple(W.bidegree)} but fiber counts give {measured}")

@@ -48,8 +48,9 @@ class SegrePoint:
 def segre_stack(wps, wpps, one) -> list:
     """Affine coordinates Z0.. from per-factor wp and wp' values.
 
-    Entries may be scalars, numpy arrays of one shape or mpmath numbers; one
-    is Z0 in the same type, so every coordinate matches the others.
+    Entries may be scalars, numpy arrays of one shape, mpmath numbers or
+    eac.fixed.Fixed values; one is Z0 in the same type, so every coordinate
+    matches the others.
     """
     if len(wps) == 1:
         return [one, wps[0], wpps[0]]

@@ -17,13 +17,14 @@ one zero gives its Newton seed from the first moment of G'/G. Newton
 refines a chunk's seeds as one array with the analytic G'(l) of eval_jet:
 each factor enters as a first-order jet, with d wp = c wp' and
 d wp' = c (6 wp^2 - g2/2) for z = l c (DLMF 23.3). G' at a root also gives
-its Jacobian rank. verify_solution recomputes each residual at 30 digits
-from the same theta series (weierstrass.theta_sums) but none of the
-double-precision arithmetic, and requires a positive winding on a small
-circle. Verified points are deduplicated on the product variety and placed
-in the cell that holds them, so each cell reports its zeros expected
-against its zeros found. The lattice-sum backend, which shares no formula
-with the theta series, is the independent cross-check of harvested points.
+its Jacobian rank. verify_solution recomputes each residual to 30 digits
+from the same theta series (weierstrass.theta_sums), in the fixed-point
+arithmetic of eac.fixed rather than doubles, and requires a positive
+winding on a small circle. Verified points are deduplicated on the product
+variety and placed in the cell that holds them, so each cell reports its
+zeros expected against its zeros found. The lattice-sum backend, which
+shares no formula with the theta series, is the independent cross-check of
+harvested points.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exactlinalg import hermite_normal_form
+from .fixed import ONE as FIXED_ONE, Fixed
 from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
 from .weierstrass import (NEAR_POLE, ProductEvaluator, _qseries_terms, pole_orders,
@@ -582,41 +584,63 @@ def _lattice_30_digits(tau: complex):
     """q = exp(2 pi i tau), the theta constant and the 1e-30 series length.
 
     Verification needs these for each of a harvest's one or two lattices at
-    every point; the values are immutable mpmath numbers.
+    every point. q is taken at 40 digits with mpmath and rounded once onto
+    the Fixed grid; the theta constant is summed in Fixed.
     """
     from mpmath import mp
 
-    with mp.workdps(30):
-        q = mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag))
-        nterms = _qseries_terms(tau, 1e-30)
-        return q, theta_const(q, nterms, mp.mpf(1)), nterms
+    with mp.workdps(40):
+        q = Fixed.lift(mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag)))
+    nterms = _qseries_terms(tau, 1e-30)
+    return q, theta_const(q, nterms, FIXED_ONE), nterms
+
+
+@functools.cache
+def _two_pi_i_powers():
+    """2 pi i at 40 digits for mpmath's exp, and its square and cube in Fixed."""
+    from mpmath import mp
+
+    with mp.workdps(40):
+        two_pi_i = 2j * mp.pi
+        return two_pi_i, Fixed.lift(two_pi_i ** 2), Fixed.lift(two_pi_i ** 3)
+
+
+def _fixed_theta_sums(tau: complex, zr: complex):
+    """theta_sums at a reduced point zr in Fixed, to the 1e-30 tail bound.
+
+    u = exp(2 pi i zr) and, below NEAR_POLE, 1 - u = -expm1(2 pi i zr)
+    come from mpmath at 40 digits, rounded once onto the grid.
+    """
+    from mpmath import mp
+
+    q, const, nterms = _lattice_30_digits(tau)
+    two_pi_i = _two_pi_i_powers()[0]
+    with mp.workdps(40):
+        w = two_pi_i * mp.mpc(zr.real, zr.imag)
+        u = Fixed.lift(mp.exp(w))
+        m = Fixed.lift(-mp.expm1(w)) if abs(zr) < NEAR_POLE else None
+    return theta_sums(u, q, nterms, FIXED_ONE, const, m)
 
 
 def verify_solution(system: PulledBackSystem, l: complex,
                     cfg: SolverConfig) -> tuple[bool, float, int, str]:
     """Independent acceptance test for a refined point.
 
-    Re-evaluates the residual with mpmath at 30 digits through the theta
-    series of the scan, summed to the length whose tail bound is 1e-30, and
-    requires a positive winding of G on a circle of radius 1e-3 around l,
-    halved up to three times until the circle gives a clean winding.
+    Re-evaluates the residual to 30 digits through the theta series of the
+    scan, summed to the length whose tail bound is 1e-30, in the
+    fixed-point arithmetic of eac.fixed (absolute step 2**-128); only the
+    point z_of(l) and its reduction are doubles. It then requires a
+    positive winding of G on a circle of radius 1e-3 around l, halved up
+    to three times until the circle gives a clean winding.
     Returns (accepted, verified residual, winding, reason).
     """
-    from mpmath import mp
-
-    with mp.workdps(30):
-        two_pi_i = 2j * mp.pi
-        one = mp.mpf(1)
-        wps, wpps = [], []
-        for zj, ev in zip(system.z_of(l), system.pe.evals):
-            zr = ev.reduce(zj)
-            q, const, nterms = _lattice_30_digits(ev.tau)
-            w = two_pi_i * mp.mpc(zr.real, zr.imag)
-            m = -mp.expm1(w) if abs(zr) < NEAR_POLE else None
-            s, sp = theta_sums(mp.exp(w), q, nterms, one, const, m)
-            wps.append(two_pi_i ** 2 * s)
-            wpps.append(two_pi_i ** 3 * sp)
-        vres = float(abs(system.F.eval_affine(segre_stack(wps, wpps, one))))
+    _, two_pi_i_2, two_pi_i_3 = _two_pi_i_powers()
+    wps, wpps = [], []
+    for zj, ev in zip(system.z_of(l), system.pe.evals):
+        s, sp = _fixed_theta_sums(ev.tau, ev.reduce(zj))
+        wps.append(two_pi_i_2 * s)
+        wpps.append(two_pi_i_3 * sp)
+    vres = abs(system.F.eval_affine(segre_stack(wps, wpps, FIXED_ONE)))
     if vres > 10.0 * cfg.solve_tol:
         return False, vres, 0, "doubled-precision residual too large"
     radius = 1e-3

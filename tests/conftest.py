@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from eac.instance import builtin_instance
+from eac.instance import builtin_instance, catalog_dicts
 from eac.multiquad import MultiQuadElem
 from eac.variety import EllipticFactor, ExactSubspace, ProductVariety
 from eac.weierstrass import ProductEvaluator
@@ -8,6 +10,20 @@ from eac.weierstrass import ProductEvaluator
 
 def factor_sqrt(d: int) -> EllipticFactor:
     return EllipticFactor(0, MultiQuadElem.sqrt_of(d))
+
+
+def unresolvable_bidegree_dict() -> dict:
+    """The flagship with W = 1e-14 wp_1 (plus a zero constant) and no bidegree.
+
+    The fiber counts of bidegree_of never agree on it: ContourError.
+    """
+    data = json.loads(json.dumps(catalog_dicts()["diag-prod-one"]))
+    data["label"] = "tiny-monomial"
+    data["W"]["monomials"] = [
+        {"exponents": [0, 0, 0, 1, 0, 0, 0, 0, 0], "re": 1e-14, "im": 0.0},
+        {"exponents": [1, 0, 0, 0, 0, 0, 0, 0, 0], "re": 0.0, "im": 0.0}]
+    del data["W"]["bidegree"]
+    return data
 
 
 @pytest.fixture(scope="session")

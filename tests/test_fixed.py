@@ -1,0 +1,89 @@
+import cmath
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from eac import solver
+from eac.fixed import FIX_BITS, ONE, Fixed
+from eac.weierstrass import _qseries_terms, theta_sums
+from tests.test_weierstrass import reduced_probe_points
+
+ULP = Fraction(1, 1 << FIX_BITS)
+
+
+def exact(x: Fixed) -> tuple[Fraction, Fraction]:
+    return Fraction(x.re, 1 << FIX_BITS), Fraction(x.im, 1 << FIX_BITS)
+
+
+def as_complex(x: Fixed) -> complex:
+    return complex(x.re / (1 << FIX_BITS), x.im / (1 << FIX_BITS))
+
+
+def within(x: Fixed, want: complex | tuple, ulps: float) -> bool:
+    re, im = want if isinstance(want, tuple) else (Fraction(want.real), Fraction(want.imag))
+    got = exact(x)
+    return abs(got[0] - re) <= ulps * ULP and abs(got[1] - im) <= ulps * ULP
+
+
+def test_lift_is_exact_for_ints_floats_and_complex():
+    from mpmath import mp
+
+    for x in (0, 7, -3, 0.1, -2.5e-14, 1e16, 0.3 - 1.7j, complex(-1e-9, 4.0)):
+        assert within(Fixed.lift(x), complex(x), 0)
+    # an mpf mantissa carries no sign of its own
+    assert within(Fixed.lift(mp.mpf(-1.5)), -1.5 + 0j, 0)
+    assert within(Fixed.lift(mp.mpc(0.25, -0.75)), 0.25 - 0.75j, 0)
+    # below the grid a float is rounded, not truncated to zero
+    assert Fixed.lift(0.75 * 2.0 ** -FIX_BITS).re == 1
+
+
+def test_products_and_quotients_round_once():
+    rng = random.Random(5)
+    span = 3 << FIX_BITS
+    for _ in range(200):
+        # every bit of the grid in use, so products and quotients fall off it
+        fa, fb = (Fixed(rng.randrange(-span, span), rng.randrange(-span, span)) for _ in range(2))
+        a = as_complex(fa)
+        (ar, ai), (br, bi) = exact(fa), exact(fb)
+        assert within(fa * fb, (ar * br - ai * bi, ar * bi + ai * br), 0.5)
+        n = br * br + bi * bi
+        assert within(fa / fb, ((ar * br + ai * bi) / n, (ai * br - ar * bi) / n), 0.5)
+        assert within(fa + fb, (ar + br, ai + bi), 0)
+        assert within(fa - fb, (ar - br, ai - bi), 0)
+        assert within(fa ** 3, exact(fa * fa * fa), 0)
+        assert abs(abs(fa) - abs(a)) <= 1e-15 * abs(a)
+
+
+def test_python_numbers_mix_in():
+    x = Fixed.lift(0.3 + 0.7j)
+    for got, want in ((2 * x, 0.6 + 1.4j), (x * 2, 0.6 + 1.4j), ((1 - 2j) * x, 1.7 + 0.1j),
+                      (x - 1, -0.7 + 0.7j), (0.5 + x, 0.8 + 0.7j), (x / 12, (0.3 + 0.7j) / 12),
+                      (x / (2 + 1j), (0.3 + 0.7j) / (2 + 1j)), (x ** 0, 1 + 0j)):
+        assert type(got) is Fixed
+        assert abs(as_complex(got) - want) <= 1e-15
+    assert as_complex(ONE) == 1.0
+    with pytest.raises(ZeroDivisionError):
+        ONE / Fixed(0)
+    with pytest.raises(TypeError):
+        x ** -1
+
+
+@pytest.mark.parametrize("tau", [0.3j, 1j, 1j * math.sqrt(2), 0.5 + 0.866j])
+def test_fixed_theta_sums_match_60_digits(tau):
+    from mpmath import mp
+
+    zs = reduced_probe_points(tau, random.Random(13))
+    # points close to the pole take 1 - u from expm1
+    zs += [r * cmath.exp(1j * t) for r in (1e-4, 1e-6, 1e-8) for t in (0.3, 1.9, -2.6)]
+    with mp.workdps(60):
+        one = mp.mpf(1)
+        q = mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag))
+        nterms = _qseries_terms(tau, 1e-60)
+        for z in zs:
+            w = 2j * mp.pi * mp.mpc(z.real, z.imag)
+            ref = theta_sums(mp.exp(w), q, nterms, one, None, -mp.expm1(w))
+            for got, want in zip(solver._fixed_theta_sums(tau, z), ref):
+                diff = abs(mp.mpc(got.re, got.im) / 2 ** FIX_BITS - want)
+                assert diff <= 1e-30 * max(1, abs(want)), (tau, z)

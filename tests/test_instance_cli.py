@@ -13,6 +13,7 @@ from eac.cli import main
 from eac.instance import (InstanceError, builtin_instance, catalog_dicts,
                           catalog_names, instance_from_dict, load_instance,
                           validate_report)
+from tests.conftest import unresolvable_bidegree_dict
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -184,6 +185,20 @@ def test_cli_check_failure_exit_code(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["verdicts"]["free"] is False
     assert "subproduct" in report["verdicts"]["free_witness"]
+
+
+@pytest.mark.parametrize("command", ["check", "certify"])
+def test_cli_unresolvable_bidegree_is_indeterminate(command, tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(unresolvable_bidegree_dict()))
+    out = tmp_path / "r.json"
+    assert run_cli([command, str(path), "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    validate_report(report)
+    assert report["exit_code"] == 3
+    assert report["verdicts"]["bidegree"] is None
+    assert "no bidegree" in report["verdicts"]["indeterminate_reason"]
 
 
 def test_cli_hull_flagship(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import statistics
@@ -14,7 +15,8 @@ from eac.pipeline import (BidegreeMismatch, Decision, certify, decide,
 from eac.segre import SegrePolynomial, segre_stack
 from eac import solver
 from eac.solver import PulledBackSystem, SolverConfig
-from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
+from eac.weierstrass import ContourError, _qseries_terms, jacobian_probe, theta_sums
+from tests.conftest import unresolvable_bidegree_dict
 
 SMALL = SolverConfig(budget_cells=4, target_count=3)
 # the catalog instances with a nonzero certificate and a one-dimensional L
@@ -60,6 +62,15 @@ def test_resolve_w_cross_checks_on_always(flagship, pe2):
     # and the mismatch propagates through decide
     with pytest.raises(BidegreeMismatch):
         decide(bad, pe2, measure="always")
+
+
+def test_resolve_w_leaves_an_unresolvable_bidegree_unmeasured(pe2):
+    inst = instance_from_dict(unresolvable_bidegree_dict())
+    W, measured = resolve_w(inst, pe2)
+    assert measured is None and W.bidegree is None
+    assert decide(inst, pe2).verdicts.indeterminate
+    with pytest.raises(ContourError, match="could not stabilize"):
+        resolve_w(inst, pe2, measure="always")
 
 
 def test_decide_flagship_composition(flagship, pe2):
@@ -259,15 +270,19 @@ def test_cell_counts_match_an_independent_boundary_count(name, monkeypatch):
     assert sum(count for count, _ in solver.cell_seeds(system, cells)) == zeros
 
 
-def mp_value(system, l):
-    """G at l, an mpmath number, from the theta series at working precision."""
+def mp_value(system, l, zs=None):
+    """G at l, an mpmath number, from the theta series at working precision.
+
+    zs, when given, replaces the products l c_j: the value is then F(exp(z))
+    at the point the solver evaluates, system.z_of(l) in doubles.
+    """
     from mpmath import mp
 
     one, two_pi_i = mp.mpf(1), 2j * mp.pi
     wps, wpps = [], []
-    for ev, c in zip(system.pe.evals, system.v):
+    for j, (ev, c) in enumerate(zip(system.pe.evals, system.v)):
         tau = mp.mpc(ev.tau.real, ev.tau.imag)
-        z = l * mp.mpc(c.real, c.imag)
+        z = l * mp.mpc(c.real, c.imag) if zs is None else mp.mpc(zs[j].real, zs[j].imag)
         shift = complex(z) - ev.reduce(complex(z))
         b = round(shift.imag / ev.tau.imag)
         a = round(shift.real - b * ev.tau.real)
@@ -276,6 +291,25 @@ def mp_value(system, l):
         wps.append(two_pi_i ** 2 * s)
         wpps.append(two_pi_i ** 3 * sp)
     return system.F.eval_affine(segre_stack(wps, wpps, one))
+
+
+@pytest.mark.parametrize("name", HARVESTABLE)
+def test_verified_residual_matches_60_digits(name):
+    from mpmath import mp
+
+    inst, system = catalog_system(name)
+    cfg = dataclasses.replace(inst.config, target_count=5)
+    out = solve(inst, config=cfg)
+    assert len(out.report.solutions) == 5, name
+    for s in out.report.solutions:
+        # at the doubles z_of(l), as verification evaluates: an irrational
+        # direction puts l c_j off the double grid by about 1e-16 |z|
+        with mp.workdps(60):
+            want = abs(mp_value(system, s.l, system.z_of(s.l)))
+        assert abs(s.verified_residual - want) <= 1e-25, (name, s.l)
+        # a point moved off the root fails the residual gate
+        ok, _, _, reason = solver.verify_solution(system, s.l + 1e-6, cfg)
+        assert not ok and reason == "doubled-precision residual too large", (name, s.l)
 
 
 def one_factor_systems(A1):
