@@ -1,13 +1,14 @@
 """Fixed-point complex numbers for the solver's 30-digit verification.
 
-A Fixed holds two Python ints read as (re + i im) / 2**FIX_BITS. Sums are
-exact, and each product or quotient is rounded once to the nearest grid
-point, an absolute error of at most 2**-(FIX_BITS + 1), about 1.5e-39, per
-component. Only what weierstrass.theta_sums, segre.segre_stack and
-SegrePolynomial.eval_affine use is provided: + - * / with a Fixed on the
-left (and + * with a number on the left), powers to a nonnegative int and
-abs. Python ints, floats and complex numbers and mpmath numbers mix in
-through Fixed.lift.
+A Fixed holds two Python ints read as (re + i im) / 2**FIX_BITS, or two
+numpy object arrays of them (Fixed.stack), whose elements np.frompyfunc
+takes through the same int formulas. Sums are exact, and each product or
+quotient is rounded once to the nearest grid point, an absolute error of at
+most 2**-(FIX_BITS + 1), about 1.5e-39, per component. Only what
+weierstrass.theta_sums, segre.segre_stack and SegrePolynomial.eval_affine
+use is provided: + - * / with a Fixed on the left (and + * with a number on
+the left), powers to a nonnegative int and abs. Python ints, floats and
+complex numbers and mpmath numbers mix in through Fixed.lift.
 
 Large values keep their relative accuracy, but a value of size d has
 relative accuracy 2**-FIX_BITS / d. The smallest divisor in the theta
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 FIX_BITS = 128
 _HALF = 1 << (FIX_BITS - 1)
 
@@ -28,11 +31,6 @@ def _round_shift(n: int, s: int) -> int:
     if s <= 0:
         return n << -s
     return (n + (1 << (s - 1))) >> s
-
-
-def _round_div(n: int, d: int) -> int:
-    """n / d rounded to the nearest integer, halves up, for d > 0."""
-    return (2 * n + d) // (2 * d)
 
 
 def _to_grid(x) -> int:
@@ -46,14 +44,35 @@ def _to_grid(x) -> int:
     return _round_shift(-n if x < 0 else n, -e - FIX_BITS)
 
 
+def _mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    return (a * c - b * d + _HALF) >> FIX_BITS, (a * d + b * c + _HALF) >> FIX_BITS
+
+
+def _div(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    n = c * c + d * d  # zero raises ZeroDivisionError
+    return ((((a * c + b * d) << (FIX_BITS + 1)) + n) // (2 * n),
+            (((b * c - a * d) << (FIX_BITS + 1)) + n) // (2 * n))
+
+
+_MUL = np.frompyfunc(_mul, 4, 2)
+_DIV = np.frompyfunc(_div, 4, 2)
+_ISQRT = np.frompyfunc(math.isqrt, 1, 1)
+
+
 class Fixed:
-    """A complex number (re + i im) / 2**FIX_BITS with Python int parts."""
+    """A complex number (re + i im) / 2**FIX_BITS with Python int parts, or arrays of them."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: int, im: int = 0):
+    def __init__(self, re, im=0):
         self.re = re
         self.im = im
+
+    @classmethod
+    def stack(cls, values) -> Fixed:
+        """The scalar Fixed values as one Fixed over object arrays."""
+        return cls(np.array([v.re for v in values], dtype=object),
+                   np.array([v.im for v in values], dtype=object))
 
     @classmethod
     def lift(cls, x) -> Fixed:
@@ -77,19 +96,13 @@ class Fixed:
 
     def __mul__(self, other) -> Fixed:
         o = other if type(other) is Fixed else Fixed.lift(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        return Fixed((a * c - b * d + _HALF) >> FIX_BITS, (a * d + b * c + _HALF) >> FIX_BITS)
+        return Fixed(*_MUL(self.re, self.im, o.re, o.im))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> Fixed:
         o = other if type(other) is Fixed else Fixed.lift(other)
-        a, b, c, d = self.re, self.im, o.re, o.im
-        n = c * c + d * d
-        if n == 0:
-            raise ZeroDivisionError("fixed-point division by zero")
-        return Fixed(_round_div((a * c + b * d) << FIX_BITS, n),
-                     _round_div((b * c - a * d) << FIX_BITS, n))
+        return Fixed(*_DIV(self.re, self.im, o.re, o.im))
 
     def __pow__(self, e: int) -> Fixed:
         if type(e) is not int or e < 0:
@@ -99,8 +112,8 @@ class Fixed:
             out = out * self
         return out
 
-    def __abs__(self) -> float:
-        return math.isqrt(self.re * self.re + self.im * self.im) / (1 << FIX_BITS)
+    def __abs__(self):
+        return _ISQRT(self.re * self.re + self.im * self.im) / (1 << FIX_BITS)
 
 
 ONE = Fixed(1 << FIX_BITS)

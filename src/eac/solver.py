@@ -17,14 +17,14 @@ one zero gives its Newton seed from the first moment of G'/G. Newton
 refines a chunk's seeds as one array with the analytic G'(l) of eval_jet:
 each factor enters as a first-order jet, with d wp = c wp' and
 d wp' = c (6 wp^2 - g2/2) for z = l c (DLMF 23.3). G' at a root also gives
-its Jacobian rank. verify_solution recomputes each residual to 30 digits
-from the same theta series (weierstrass.theta_sums), in the fixed-point
-arithmetic of eac.fixed rather than doubles, and requires a positive
-winding on a small circle. Verified points are deduplicated on the product
-variety and placed in the cell that holds them, so each cell reports its
-zeros expected against its zeros found. The lattice-sum backend, which
-shares no formula with the theta series, is the independent cross-check of
-harvested points.
+its Jacobian rank. verify_points recomputes a batch of residuals to 30
+digits from the same theta series (weierstrass.theta_sums), in the
+fixed-point arithmetic of eac.fixed over object arrays rather than doubles,
+and requires a positive winding on small circles. Verified points are
+deduplicated on the product variety and placed in the cell that holds
+them, so each cell reports its zeros expected against its zeros found. The
+lattice-sum backend, which shares no formula with the theta series, is the
+independent cross-check of harvested points.
 """
 
 from __future__ import annotations
@@ -605,8 +605,8 @@ def _two_pi_i_powers():
         return two_pi_i, Fixed.lift(two_pi_i ** 2), Fixed.lift(two_pi_i ** 3)
 
 
-def _fixed_theta_sums(tau: complex, zr: complex):
-    """theta_sums at a reduced point zr in Fixed, to the 1e-30 tail bound.
+def _fixed_theta_sums(tau: complex, zrs):
+    """theta_sums at the reduced points zrs in Fixed over arrays, to the 1e-30 tail bound.
 
     u = exp(2 pi i zr) and, below NEAR_POLE, 1 - u = -expm1(2 pi i zr)
     come from mpmath at 40 digits, rounded once onto the grid.
@@ -616,47 +616,53 @@ def _fixed_theta_sums(tau: complex, zr: complex):
     q, const, nterms = _lattice_30_digits(tau)
     two_pi_i = _two_pi_i_powers()[0]
     with mp.workdps(40):
-        w = two_pi_i * mp.mpc(zr.real, zr.imag)
-        u = Fixed.lift(mp.exp(w))
-        m = Fixed.lift(-mp.expm1(w)) if abs(zr) < NEAR_POLE else None
-    return theta_sums(u, q, nterms, FIXED_ONE, const, m)
+        ws = [two_pi_i * mp.mpc(zr.real, zr.imag) for zr in zrs]
+        us = [Fixed.lift(mp.exp(w)) for w in ws]
+        ms = [Fixed.lift(-mp.expm1(w)) if abs(zr) < NEAR_POLE else FIXED_ONE - u
+              for w, zr, u in zip(ws, zrs, us)]
+    return theta_sums(Fixed.stack(us), q, nterms, FIXED_ONE, const, Fixed.stack(ms))
+
+
+def verify_points(system: PulledBackSystem, ls,
+                  cfg: SolverConfig) -> list[tuple[bool, float, int, str]]:
+    """Independent acceptance test for refined points, each stage one array pass.
+
+    Re-evaluates each residual to 30 digits through the theta series of the
+    scan, to its 1e-30 tail bound, in eac.fixed (absolute step 2**-128); only
+    z_of(l) and its reduction are doubles. A point that passes then needs a
+    positive winding of G on a circle of radius 1e-3 around it, halved up to
+    three times until it gives a clean winding. Returns (accepted, verified
+    residual, winding, reason) per point, each a function of its l alone.
+    """
+    ls = np.asarray(ls, dtype=complex)
+    _, two_pi_i_2, two_pi_i_3 = _two_pi_i_powers()
+    wps, wpps = [], []
+    for j, ev in enumerate(system.pe.evals):
+        s, sp = _fixed_theta_sums(ev.tau, [ev.reduce(system.z_of(l)[j]) for l in ls.tolist()])
+        wps.append(two_pi_i_2 * s)
+        wpps.append(two_pi_i_3 * sp)
+    vres = abs(system.F.eval_affine(segre_stack(wps, wpps, FIXED_ONE)))
+    unresolved = vres <= 10.0 * cfg.solve_tol
+    out = [(False, float(v), 0, "no clean winding circle" if ok
+            else "doubled-precision residual too large") for v, ok in zip(vres, unresolved)]
+    todo, radius = np.flatnonzero(unresolved), 1e-3
+    while todo.size and radius >= 1e-3 / 8:
+        probes = ls[todo, None] + radius * np.exp(2j * math.pi * np.arange(10) / 10)
+        clear = todo[system.pole_distance(probes).min(axis=1) >= 1e-6]
+        orders = pole_orders(system.eval_grid_complex, ls[clear], radius, 400, 1e-2)
+        for i, order in zip(clear, orders):
+            if order is not None:
+                unresolved[i], w = False, -order
+                out[i] = (w >= 1, out[i][1], w, "" if w >= 1 else "winding number zero")
+        todo = np.flatnonzero(unresolved)
+        radius *= 0.5
+    return out
 
 
 def verify_solution(system: PulledBackSystem, l: complex,
                     cfg: SolverConfig) -> tuple[bool, float, int, str]:
-    """Independent acceptance test for a refined point.
-
-    Re-evaluates the residual to 30 digits through the theta series of the
-    scan, summed to the length whose tail bound is 1e-30, in the
-    fixed-point arithmetic of eac.fixed (absolute step 2**-128); only the
-    point z_of(l) and its reduction are doubles. It then requires a
-    positive winding of G on a circle of radius 1e-3 around l, halved up
-    to three times until the circle gives a clean winding.
-    Returns (accepted, verified residual, winding, reason).
-    """
-    _, two_pi_i_2, two_pi_i_3 = _two_pi_i_powers()
-    wps, wpps = [], []
-    for zj, ev in zip(system.z_of(l), system.pe.evals):
-        s, sp = _fixed_theta_sums(ev.tau, ev.reduce(zj))
-        wps.append(two_pi_i_2 * s)
-        wpps.append(two_pi_i_3 * sp)
-    vres = abs(system.F.eval_affine(segre_stack(wps, wpps, FIXED_ONE)))
-    if vres > 10.0 * cfg.solve_tol:
-        return False, vres, 0, "doubled-precision residual too large"
-    radius = 1e-3
-    for _ in range(4):
-        probes = l + radius * np.exp(2j * math.pi * np.arange(10) / 10)
-        order = None
-        if system.pole_distance(probes).min() >= 1e-6:
-            order = pole_orders(system.eval_grid_complex, [l], radius, 400, 1e-2)[0]
-        if order is None:
-            radius *= 0.5
-            continue
-        w = -order
-        if w >= 1:
-            return True, vres, w, ""
-        return False, vres, w, "winding number zero"
-    return False, vres, 0, "no clean winding circle"
+    """verify_points for one point."""
+    return verify_points(system, [l], cfg)[0]
 
 
 def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
@@ -670,10 +676,12 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     then as many as the mean count so far predicts the target needs; each
     chunk's seeds are refined in one newton_refine call and taken in cell
     order until the target is reached. cells_scanned counts the cells whose
-    seeds were taken. Points are deduplicated by group distance at dedup_tol
-    and labelled with the walk index of the cell that holds them; a cell
-    whose seeds were all taken is incomplete when its points found differ
-    from its count.
+    seeds were taken. Points are deduplicated by group distance at dedup_tol;
+    one verify_points call takes the converged ones apart from the accepted
+    points and each other, as many as the target still needs. Each point is
+    labelled with the walk index of the cell that holds it; a cell whose
+    seeds were all taken is incomplete when its points found differ from its
+    count.
     """
     if not certified:
         raise UncertifiedError(
@@ -702,6 +710,21 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
             index[cell] = next(i for i, c in enumerate(distinct_cells(shifts)) if c == cell)
         return index[cell]
 
+    def verify_from(refined, k):
+        """One verify_points call, keyed by position, on what the walk may take from k on."""
+        near, group = accepted, []
+        for i, (l, _) in enumerate(refined[k:], k):
+            if l is None:
+                continue
+            zred = system.A.reduce_point(system.z_of(l))
+            if np.any(system.A.torus_distances(zred, near) < cfg.dedup_tol):
+                continue
+            near = np.vstack([near, zred])
+            group.append(i)
+            if len(group) == cfg.target_count - len(report.solutions):
+                break
+        return dict(zip(group, verify_points(system, [refined[i][0] for i in group], cfg)))
+
     while not report.target_reached and report.cells_scanned < len(walk):
         start = report.cells_scanned
         size = FIRST_CHUNK
@@ -711,14 +734,16 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
         cells = walk[start:start + size]
         counted = timed("scan_s", cell_seeds, system, cells)
         batch = [seed for _, seeds in counted for seed in seeds]
-        refined = iter(timed("newton_s", newton_refine, system, batch, cfg) if batch else ())
+        refined = timed("newton_s", newton_refine, system, batch, cfg) if batch else []
+        candidates = iter(enumerate(refined))
+        checked = {}
         for cell_index, (count, seeds) in enumerate(counted, start):
             if report.target_reached:
                 break
             report.cells_scanned += 1
             expected[cell_index] = count
             zeros_counted += count or 0
-            for seed, r in zip(seeds, refined):
+            for seed, (k, r) in zip(seeds, candidates):
                 if report.target_reached:
                     break
                 report.seeds_refined += 1
@@ -732,7 +757,9 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                 if np.any(dists < cfg.dedup_tol):
                     report.seeds_duplicate += 1
                     continue
-                ok, vres, wind, reason = timed("verify_s", verify_solution, system, l, cfg)
+                if k not in checked:
+                    checked.update(timed("verify_s", verify_from, refined, k))
+                ok, vres, wind, reason = checked[k]
                 if not ok:
                     report.failures.append(FailureRecord(l, cell_index, reason))
                     continue

@@ -7,10 +7,10 @@ Two independent evaluation backends share one interface:
                  truncation order from the target accuracy. The series is
                  written once, in theta_sums, for the scalar and the numpy
                  paths here and the fixed-point (eac.fixed) recomputation
-                 in the solver's verification; only this backend evaluates
-                 on grids. Each
-                 term costs two reciprocals and multiplications, and the
-                 constant q-sum (theta_const) is summed once per lattice.
+                 of a batch of points in the solver's verification; only
+                 this backend evaluates on grids. Each term costs two
+                 reciprocals and multiplications, and the constant q-sum
+                 (theta_const) is summed once per lattice.
                  Near a pole the n = 0 factor 1 - u is taken as
                  -expm1(2 pi i z), so values keep their relative accuracy.
   "lattice-sum"  row-resummed series: the double sum over the lattice is
@@ -102,8 +102,8 @@ def theta_sums(u, q, nterms: int, one, const=None, one_minus_u=None):
 
     u = exp(2 pi i z) and q = exp(2 pi i tau) for a reduced z (DLMF 23.8),
     summed to nterms powers of q. The body uses only + - * /, so Python
-    complex, numpy arrays, mpmath numbers and eac.fixed.Fixed all work; one
-    is the unit of the caller's number type.
+    complex, numpy arrays, mpmath numbers and eac.fixed.Fixed, also over
+    object arrays, all work; one is the unit of the caller's number type.
 
     Each geometric factor w takes one reciprocal r = 1/(1 - w), and the
     terms w/(1 - w)^2 = w r^2 and w(1 + w)/(1 - w)^3 = (w r^2)(1 + w) r

@@ -56,6 +56,31 @@ def test_products_and_quotients_round_once():
         assert abs(abs(fa) - abs(a)) <= 1e-15 * abs(a)
 
 
+def test_object_arrays_round_each_element_as_a_scalar():
+    rng = random.Random(7)
+    span = 3 << FIX_BITS
+    xs, ys = ([Fixed(rng.randrange(-span, span), rng.randrange(-span, span)) for _ in range(40)]
+              for _ in range(2))
+    xa, ya = Fixed.stack(xs), Fixed.stack(ys)
+    cases = [(xa + ya, [x + y for x, y in zip(xs, ys)]),
+             (xa - ya, [x - y for x, y in zip(xs, ys)]),
+             (xa * ya, [x * y for x, y in zip(xs, ys)]),
+             (xa / ya, [x / y for x, y in zip(xs, ys)]),
+             (xa ** 3, [x ** 3 for x in xs]),
+             (ONE / xa, [ONE / x for x in xs]),
+             ((1 - 2j) * xa, [(1 - 2j) * x for x in xs]),
+             (xa / 12, [x / 12 for x in xs])]
+    for got, want in cases:
+        assert list(got.re) == [w.re for w in want]
+        assert list(got.im) == [w.im for w in want]
+        assert all(type(v) is int for v in (*got.re, *got.im))
+    assert list(abs(xa)) == [abs(x) for x in xs]
+    # a zero element of a divisor raises, as a scalar zero does
+    ys[17] = Fixed(0)
+    with pytest.raises(ZeroDivisionError):
+        xa / Fixed.stack(ys)
+
+
 def test_python_numbers_mix_in():
     x = Fixed.lift(0.3 + 0.7j)
     for got, want in ((2 * x, 0.6 + 1.4j), (x * 2, 0.6 + 1.4j), ((1 - 2j) * x, 1.7 + 0.1j),
@@ -81,9 +106,10 @@ def test_fixed_theta_sums_match_60_digits(tau):
         one = mp.mpf(1)
         q = mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag))
         nterms = _qseries_terms(tau, 1e-60)
-        for z in zs:
+        batch = solver._fixed_theta_sums(tau, zs)
+        for k, z in enumerate(zs):
             w = 2j * mp.pi * mp.mpc(z.real, z.imag)
             ref = theta_sums(mp.exp(w), q, nterms, one, None, -mp.expm1(w))
-            for got, want in zip(solver._fixed_theta_sums(tau, z), ref):
-                diff = abs(mp.mpc(got.re, got.im) / 2 ** FIX_BITS - want)
+            for got, want in zip(batch, ref):
+                diff = abs(mp.mpc(got.re[k], got.im[k]) / 2 ** FIX_BITS - want)
                 assert diff <= 1e-30 * max(1, abs(want)), (tau, z)

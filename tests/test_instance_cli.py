@@ -275,13 +275,13 @@ def test_cli_solve_uncertified_exit_code(tmp_path):
     assert report["solve"] is None
 
 
-def reject_every_point(system, l, cfg):
-    return False, 1.0, 0, "doubled-precision residual too large"
+def reject_every_point(system, ls, cfg):
+    return [(False, 1.0, 0, "doubled-precision residual too large")] * len(ls)
 
 
 def test_cli_solve_certified_but_empty(tmp_path, capsys, monkeypatch):
     # a verification that rejects every point leaves the harvest empty
-    monkeypatch.setattr(solver, "verify_solution", reject_every_point)
+    monkeypatch.setattr(solver, "verify_points", reject_every_point)
     data = flagship_dict()
     data["solver"] = {"budget_cells": 1}
     path = tmp_path / "empty.json"
@@ -484,7 +484,7 @@ def test_cli_single_factor_scans_every_distinct_cell_once(tmp_path, capsys, monk
     assert sol["defect"] is False
     assert sol["seeds_refined"] == 2 + sol["failures"] + sol["seeds_duplicate"]
     assert sol["cells"] == [{"cell": 0, "expected": 2, "found": 2}]
-    monkeypatch.setattr(solver, "verify_solution", reject_every_point)
+    monkeypatch.setattr(solver, "verify_points", reject_every_point)
     assert run_cli(["solve", str(path), "--out", str(out)]) == 5
     assert ("in all 1 distinct cell(s); reported as a defect, incomplete cell 0 (0 of 2 found)"
             in capsys.readouterr().out)

@@ -178,8 +178,8 @@ def test_solve_refuses_before_scanning(pe2):
 
 def test_solve_reports_certified_emptiness(flagship, pe2, monkeypatch):
     # a verification that rejects every point leaves the harvest empty
-    monkeypatch.setattr(solver, "verify_solution", lambda *args: (
-        False, 1.0, 0, "doubled-precision residual too large"))
+    monkeypatch.setattr(solver, "verify_points", lambda system, ls, cfg: [(
+        False, 1.0, 0, "doubled-precision residual too large")] * len(ls))
     cfg = SolverConfig(budget_cells=1)
     out = solve(flagship, pe2, config=cfg)
     assert out.exit_code == 5
@@ -310,6 +310,47 @@ def test_verified_residual_matches_60_digits(name):
         # a point moved off the root fails the residual gate
         ok, _, _, reason = solver.verify_solution(system, s.l + 1e-6, cfg)
         assert not ok and reason == "doubled-precision residual too large", (name, s.l)
+
+
+@pytest.mark.parametrize("name", HARVESTABLE + ("one-factor",))
+def test_verify_points_matches_verify_solution_point_by_point(name, A1):
+    if name == "one-factor":
+        cfg = SolverConfig(budget_cells=4, target_count=3)
+        systems = [(system, solver.harvest_density(system, cfg, certified=True))
+                   for system in one_factor_systems(A1)]
+    else:
+        inst, system = catalog_system(name)
+        cfg = dataclasses.replace(inst.config, target_count=5)
+        systems = [(system, solve(inst, config=cfg).report)]
+    for system, report in systems:
+        points = report.solutions
+        assert points, name
+        ls = [s.l for s in points] + [s.l + 1e-6 for s in points]
+        # |z| = 0.02 in the anchor factor: 1 - u comes from expm1 inside the batch
+        ls.insert(1, 0.02 / system.v[system.anchor])
+        batch = solver.verify_points(system, ls, cfg)
+        assert batch == [solver.verify_solution(system, l, cfg) for l in ls], name
+        kept = batch[:1] + batch[2:len(points) + 1]
+        assert kept == [(True, s.verified_residual, s.winding, "") for s in points], name
+        assert all(not ok for ok, _, _, _ in batch[len(points) + 1:]), name
+        assert solver.verify_points(system, [], cfg) == []
+
+
+@pytest.mark.parametrize("name", ["irrational-slope", "diag-prod-one"])
+def test_harvest_verifies_no_point_past_the_target(name, monkeypatch):
+    handed = []
+
+    def counting(system, ls, cfg):
+        handed.append(len(ls))
+        return verify_points(system, ls, cfg)
+
+    verify_points = solver.verify_points
+    monkeypatch.setattr(solver, "verify_points", counting)
+    inst = builtin_instance(name)
+    report = solve(inst, config=dataclasses.replace(inst.config, target_count=60)).report
+    assert len(report.solutions) == 60
+    # every point handed over was accepted: none was verified in vain
+    assert sum(handed) == 60 and not report.failures
 
 
 def one_factor_systems(A1):

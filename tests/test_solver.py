@@ -599,14 +599,14 @@ def test_harvest_respects_target(A2, pe2):
     assert not report.defect
 
 
-def reject_every_point(system, l, cfg):
-    return False, 1.0, 0, "doubled-precision residual too large"
+def reject_every_point(system, ls, cfg):
+    return [(False, 1.0, 0, "doubled-precision residual too large")] * len(ls)
 
 
 def test_harvest_defect_flag_when_nothing_survives(A2, pe2, monkeypatch):
     # a verification that rejects every point is exactly the
     # certified-but-empty defect condition
-    monkeypatch.setattr(solver, "verify_solution", reject_every_point)
+    monkeypatch.setattr(solver, "verify_points", reject_every_point)
     sys_ = flagship_system(pe2, A2)
     report = harvest_density(sys_, SolverConfig(budget_cells=3), certified=True)
     assert not report.solutions
@@ -617,7 +617,7 @@ def test_harvest_defect_flag_when_nothing_survives(A2, pe2, monkeypatch):
 
 
 def test_harvest_defect_when_every_distinct_cell_is_empty(A1, monkeypatch):
-    monkeypatch.setattr(solver, "verify_solution", reject_every_point)
+    monkeypatch.setattr(solver, "verify_points", reject_every_point)
     report = harvest_density(one_factor_system(A1), SolverConfig(), certified=True,
                              kernel=((1, 0), (0, 1)))
     assert report.cells_scanned == 1
