@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .exactlinalg import right_nullspace
 from .variety import ExactSubspace, ProductVariety
 
 
@@ -221,8 +222,6 @@ def reduce_L(L: ExactSubspace, W: SubvarietyData, A: ProductVariety,
             continue
         row = [sum((ComplexMQ(phi[j]) * v[j] for j in range(g)), ComplexMQ(0))
                for v in current.basis]
-        from .exactlinalg import right_nullspace
-
         null = right_nullspace([row], ncols=current.dim)
         if len(null) != current.dim - 1:
             continue

@@ -424,24 +424,18 @@ def residual_covectors(L: ExactSubspace, hull: HullResult, A: ProductVariety,
     return kept
 
 
-def eac_certificate(eta_W: ExteriorForm, L: ExactSubspace, A: ProductVariety,
-                    hull: HullResult | None = None) -> Certificate:
+def eac_certificate(eta_W: ExteriorForm, L: ExactSubspace, A: ProductVariety) -> Certificate:
     """Pair the W class form against omega_T ^ omega_T' on the torus.
 
     eta_W must have degree 2 dim_C(L) so the product is a top form. The hull
-    is recomputed from L unless supplied, in which case it is checked. Exact
-    inputs give an exact multiquadratic value and its canonical rendering.
+    is computed from L. Exact inputs give an exact multiquadratic value and
+    its canonical rendering.
     """
     g = A.g
     n = 2 * g
     if L.kind != "complex" or L.ambient != g:
         raise CertificateError("certificate needs a complex subspace of C^g")
-    if hull is None:
-        hull = rational_hull(L, A)
-    else:
-        check = rational_hull(L, A)
-        if not (check.T.same_as(hull.T) and check.equations == hull.equations):
-            raise CertificateError("supplied hull disagrees with rational_hull(L)")
+    hull = rational_hull(L, A)
     d = g - L.dim
     if eta_W.degree != 2 * L.dim:
         raise DegreeMismatch(

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .checker import PairVerdict, SubvarietyData, check_pair, reduce_L
-from .forms import Certificate, eac_certificate, hypersurface_form
-from .hull import HullChain, HullResult, hull_chain, kernel_lattice, rational_hull
+from .forms import Certificate, ExteriorForm, eac_certificate, hypersurface_form
+from .hull import HullChain, HullResult, hull_chain, kernel_lattice
 from .instance import Instance
 from .solver import (PulledBackSystem, SolveReport, SolverConfig,
                      harvest_density)
@@ -123,15 +124,11 @@ def certify(instance: Instance, pe: ProductEvaluator | None = None,
         if npts == 0:
             return CertifyOutcome(decision, None, True,
                                   "W has no points on the curve")
-        from .forms import ExteriorForm
-        from fractions import Fraction
-
         eta = ExteriorForm(2, 2, {(1, 2): Fraction(npts)})
     else:
         return CertifyOutcome(decision, None, True,
                               "certificates cover one or two factors")
-    hull = rational_hull(L, A) if L is not instance.L else decision.hull
-    cert = eac_certificate(eta, L, A, hull=hull)
+    cert = eac_certificate(eta, L, A)
     if not cert.nonzero:
         return CertifyOutcome(decision, cert, True,
                               "certificate vanished on a free and rotund pair",
@@ -188,10 +185,11 @@ def density_summary(instance: Instance, report: SolveReport) -> dict:
              for c in report.cells_with_solutions]),
     }
     if len(pts) >= 2:
+        pe = ProductEvaluator(instance.A)
         zs = np.array(pts, dtype=complex)
         nearest = []
         for i, p in enumerate(pts):
-            d = instance.A.torus_distances(p, zs)
+            d = pe.torus_distances(p, zs)
             d[i] = np.inf
             nearest.append(float(d.min()))
         out["min_pairwise_distance"] = min(nearest)

@@ -623,22 +623,33 @@ def _fixed_theta_sums(tau: complex, zrs):
     return theta_sums(Fixed.stack(us), q, nterms, FIXED_ONE, const, Fixed.stack(ms))
 
 
+def reduced_points(system: PulledBackSystem, ls) -> np.ndarray:
+    """The (n, g) points z_of(l) of a list of l, reduced by ProductEvaluator.reduce.
+
+    Each z_of(l) is taken in Python complex arithmetic, so a point's row does
+    not depend on the list it is reduced with.
+    """
+    return system.pe.reduce([system.z_of(l) for l in ls])
+
+
 def verify_points(system: PulledBackSystem, ls,
                   cfg: SolverConfig) -> list[tuple[bool, float, int, str]]:
     """Independent acceptance test for refined points, each stage one array pass.
 
     Re-evaluates each residual to 30 digits through the theta series of the
     scan, to its 1e-30 tail bound, in eac.fixed (absolute step 2**-128); only
-    z_of(l) and its reduction are doubles. A point that passes then needs a
+    z_of(l) and its reduction, the rows of reduced_points that the harvest
+    reports as z, are doubles. A point that passes then needs a
     positive winding of G on a circle of radius 1e-3 around it, halved up to
     three times until it gives a clean winding. Returns (accepted, verified
     residual, winding, reason) per point, each a function of its l alone.
     """
     ls = np.asarray(ls, dtype=complex)
+    zred = reduced_points(system, ls.tolist())
     _, two_pi_i_2, two_pi_i_3 = _two_pi_i_powers()
     wps, wpps = [], []
     for j, ev in enumerate(system.pe.evals):
-        s, sp = _fixed_theta_sums(ev.tau, [ev.reduce(system.z_of(l)[j]) for l in ls.tolist()])
+        s, sp = _fixed_theta_sums(ev.tau, zred[:, j].tolist())
         wps.append(two_pi_i_2 * s)
         wpps.append(two_pi_i_3 * sp)
     vres = abs(system.F.eval_affine(segre_stack(wps, wpps, FIXED_ONE)))
@@ -676,12 +687,14 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     then as many as the mean count so far predicts the target needs; each
     chunk's seeds are refined in one newton_refine call and taken in cell
     order until the target is reached. cells_scanned counts the cells whose
-    seeds were taken. Points are deduplicated by group distance at dedup_tol;
-    one verify_points call takes the converged ones apart from the accepted
-    points and each other, as many as the target still needs. Each point is
-    labelled with the walk index of the cell that holds it; a cell whose
-    seeds were all taken is incomplete when its points found differ from its
-    count.
+    seeds were taken. Each chunk's converged points are reduced into the
+    fundamental domains in one reduced_points call; the walk deduplicates
+    those rows by torus distance at dedup_tol, one verify_points call takes
+    the ones apart from the accepted points and each other, as many as the
+    target still needs, and a point's z is its row, the point verify_points
+    reduces the same way and verifies. Each point is labelled with the walk
+    index of the cell that holds it; a cell whose seeds were all taken is
+    incomplete when its points found differ from its count.
     """
     if not certified:
         raise UncertifiedError(
@@ -710,16 +723,13 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
             index[cell] = next(i for i, c in enumerate(distinct_cells(shifts)) if c == cell)
         return index[cell]
 
-    def verify_from(refined, k):
+    def verify_from(refined, zred, k):
         """One verify_points call, keyed by position, on what the walk may take from k on."""
         near, group = accepted, []
-        for i, (l, _) in enumerate(refined[k:], k):
-            if l is None:
+        for i, z in zred.items():
+            if i < k or np.any(system.pe.torus_distances(z, near) < cfg.dedup_tol):
                 continue
-            zred = system.A.reduce_point(system.z_of(l))
-            if np.any(system.A.torus_distances(zred, near) < cfg.dedup_tol):
-                continue
-            near = np.vstack([near, zred])
+            near = np.vstack([near, z])
             group.append(i)
             if len(group) == cfg.target_count - len(report.solutions):
                 break
@@ -735,6 +745,9 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
         counted = timed("scan_s", cell_seeds, system, cells)
         batch = [seed for _, seeds in counted for seed in seeds]
         refined = timed("newton_s", newton_refine, system, batch, cfg) if batch else []
+        converged = [i for i, r in enumerate(refined) if r[0] is not None]
+        zred = dict(zip(converged, timed("dedup_s", reduced_points, system,
+                                         [refined[i][0] for i in converged])))
         candidates = iter(enumerate(refined))
         checked = {}
         for cell_index, (count, seeds) in enumerate(counted, start):
@@ -752,13 +765,12 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                 if l is None:
                     report.failures.append(FailureRecord(seed, cell_index, res))
                     continue
-                zred = system.A.reduce_point(system.z_of(l))
-                dists = timed("dedup_s", system.A.torus_distances, zred, accepted)
+                dists = timed("dedup_s", system.pe.torus_distances, zred[k], accepted)
                 if np.any(dists < cfg.dedup_tol):
                     report.seeds_duplicate += 1
                     continue
                 if k not in checked:
-                    checked.update(timed("verify_s", verify_from, refined, k))
+                    checked.update(timed("verify_s", verify_from, refined, zred, k))
                 ok, vres, wind, reason = checked[k]
                 if not ok:
                     report.failures.append(FailureRecord(l, cell_index, reason))
@@ -766,10 +778,10 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                 rank = timed("jacobian_s", jacobian_rank, system, r.deriv)
                 cell = home(l)
                 report.solutions.append(SolutionPoint(
-                    l=l, z=tuple(complex(x) for x in zred),
+                    l=l, z=tuple(complex(x) for x in zred[k]),
                     residual=res, verified_residual=float(vres),
                     winding=int(wind), jacobian_rank=rank, cell=cell))
-                accepted = np.vstack([accepted, zred])
+                accepted = np.vstack([accepted, zred[k]])
                 report.cells_with_solutions.add(cell)
                 report.target_reached = len(report.solutions) >= cfg.target_count
             else:

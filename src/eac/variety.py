@@ -7,9 +7,12 @@ z_j = a_j + b_j tau_j and lays the coordinates out as
     (a_1, b_1, a_2, b_2, ..., a_g, b_g)
 
 which identifies the period lattice of the product with Z^(2g) and gives the
-real torus covolume 1 in these coordinates. All subspace computations happen
-either in the complex chart (vectors in C^g with ComplexMQ entries) or in
-this real chart (vectors in R^(2g) with MultiQuadElem entries).
+real torus covolume 1 in these coordinates. Everything here is exact: all
+subspace computations happen either in the complex chart (vectors in C^g
+with ComplexMQ entries) or in this real chart (vectors in R^(2g) with
+MultiQuadElem entries). The float lattice, which reduces points and measures
+distances on the torus, is weierstrass.ProductEvaluator; torus_distance is
+its pure-Python oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .exactlinalg import rank_exact, rref
+from .exactlinalg import rank_exact, right_nullspace, rref
 from .multiquad import ComplexMQ, MultiQuadElem
 
 
@@ -79,30 +80,10 @@ class ProductVariety:
             out.append("no complex multiplication (asserted)")
         return out
 
-    # numeric chart
-
-    def to_lattice_coords(self, z: tuple[complex, ...]) -> list[float]:
-        """C^g point -> (a_1, b_1, ..., a_g, b_g) with z_j = a_j + b_j tau_j."""
-        if len(z) != self.g:
-            raise LatticeCoordinateError(f"expected {self.g} complex coordinates")
-        out = []
-        for zj, f in zip(z, self.factors):
-            zj = complex(zj)
-            b = zj.imag / float(f.tau_im)
-            a = zj.real - b * float(f.tau_re)
-            out.extend((a, b))
-        return out
-
-    def from_lattice_coords(self, v) -> tuple[complex, ...]:
-        if len(v) != 2 * self.g:
-            raise LatticeCoordinateError(f"expected {2 * self.g} real coordinates")
-        return tuple(v[2 * j] + v[2 * j + 1] * f.tau
-                     for j, f in enumerate(self.factors))
-
     # exact chart
 
     def to_lattice_exact(self, z: list[ComplexMQ]) -> list[MultiQuadElem]:
-        """Exact version: b_j = Im z_j / q_j, a_j = Re z_j - b_j p_j."""
+        """C^g point -> (a_1, ..., b_g): b_j = Im z_j / q_j, a_j = Re z_j - b_j p_j."""
         if len(z) != self.g:
             raise LatticeCoordinateError(f"expected {self.g} complex coordinates")
         out: list[MultiQuadElem] = []
@@ -120,35 +101,19 @@ class ProductVariety:
 
     # torus geometry
 
-    def reduce_point(self, z: tuple[complex, ...]) -> tuple[complex, ...]:
-        """Per-factor representative with lattice coordinates in [-1/2, 1/2].
-
-        round takes halves to the even integer, so both ends can occur.
-        """
-        v = self.to_lattice_coords(z)
-        w = [x - round(x) for x in v]
-        return self.from_lattice_coords(w)
-
     def torus_distance(self, z: tuple[complex, ...], w: tuple[complex, ...]) -> float:
-        """Euclidean distance on C^g between nearest lattice translates."""
-        diff = tuple(a - b for a, b in zip(z, w))
-        red = self.reduce_point(diff)
-        return sum(abs(d) ** 2 for d in red) ** 0.5
+        """Euclidean distance on C^g between nearest lattice translates.
 
-    def torus_distances(self, z: tuple[complex, ...], others: np.ndarray) -> np.ndarray:
-        """torus_distance from z to each row of an (n, g) complex array at once.
-
-        Same steps as the scalar form: the difference, its lattice coordinates
-        reduced to [-1/2, 1/2], and the norm of their image in C^g. numpy's
-        complex abs and powers round differently from Python's, so the two
-        forms agree to about one ulp rather than bit for bit.
+        Pure Python, from the lattice coordinates (a, b) of z - w rounded to
+        the nearest integers: an oracle for the float lattice of
+        weierstrass.ProductEvaluator, which reduces in C instead.
         """
-        diff = np.asarray(z, dtype=complex) - others
-        total = np.zeros(len(others))
-        for j, f in enumerate(self.factors):
-            b = diff[:, j].imag / float(f.tau_im)
-            a = diff[:, j].real - b * float(f.tau_re)
-            total = total + np.abs((a - np.round(a)) + (b - np.round(b)) * f.tau) ** 2
+        total = 0.0
+        for zj, wj, f in zip(z, w, self.factors):
+            d = complex(zj) - complex(wj)
+            b = d.imag / float(f.tau_im)
+            a = d.real - b * float(f.tau_re)
+            total += abs((a - round(a)) + (b - round(b)) * f.tau) ** 2
         return total ** 0.5
 
 
@@ -236,8 +201,6 @@ class ExactSubspace:
         if self.kind != "complex":
             raise ValueError("complex_equations needs a complex subspace")
         rows = [list(r) for r in self.basis]
-        from .exactlinalg import right_nullspace
-
         null = right_nullspace(rows, ncols=self.ambient)
         if not null:
             return []

@@ -23,6 +23,8 @@ the independent cross-check that harvested points are re-evaluated with.
 Both reduce the argument to the fundamental domain first, so truncation
 orders stay uniform. A point within EPS of the lattice raises AtInfinity, a
 typed signal the callers turn into projective bookkeeping, never a NaN.
+ProductEvaluator holds the float lattice of a curve product: its reduce and
+torus_distances apply the same reduce_to_fundamental to points of C^g.
 
 Zeros on a fiber or a curve are counted by the harvest's counter,
 solver.cell_seeds, on one period cell of the moving factor: the argument
@@ -69,7 +71,8 @@ class DegenerateFiber(ValueError):
 def reduce_to_fundamental(z, tau: complex):
     """Translate z by the lattice Z + tau Z into the centered domain.
 
-    z is a complex number or a numpy array of them; both round half to even.
+    z is a complex number or a numpy array of them, and tau a period or an
+    array of periods that broadcasts against z; both round half to even.
     """
     b = z.imag / tau.imag
     a = z.real - b * tau.real
@@ -276,11 +279,27 @@ class WpEvaluator:
 
 
 class ProductEvaluator:
-    """Per-factor evaluators for a curve product, sharing one backend."""
+    """Per-factor evaluators for a curve product, sharing one backend.
+
+    It holds each factor's float tau, so the float lattice of the product
+    lives here: reduce and torus_distances use reduce_to_fundamental, the
+    reduction that wp evaluation applies to its argument.
+    """
 
     def __init__(self, A: ProductVariety, backend: str = "theta"):
         self.A = A
         self.evals = tuple(WpEvaluator(f.tau, backend) for f in A.factors)
+        self.taus = np.array([ev.tau for ev in self.evals])
+
+    def reduce(self, rows) -> np.ndarray:
+        """(n, g) points, each factor translated into its fundamental domain."""
+        rows = np.asarray(rows, dtype=complex).reshape(-1, len(self.evals))
+        return reduce_to_fundamental(rows, self.taus)
+
+    def torus_distances(self, z, others) -> np.ndarray:
+        """Distance on C^g from z to the nearest lattice translate of each row of others."""
+        diff = self.reduce(np.asarray(z, dtype=complex) - np.asarray(others, dtype=complex))
+        return np.sqrt(np.sum(np.abs(diff) ** 2, axis=1))
 
     def exp_segre(self, z: tuple[complex, ...]) -> SegrePoint:
         """Affine Segre coordinates of exp(z) with per-factor pole flags."""

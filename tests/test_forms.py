@@ -224,7 +224,7 @@ def test_flagship_certificate_against_brute_force_expansion(A2, diagonal_line):
     # rebuild eta_W ^ omega_T ^ omega_T' with the mask-based oracle and
     # integrate by reading the full-mask cell
     hull = rational_hull(diagonal_line, A2)
-    cert = eac_certificate(hypersurface_form(2, 2), diagonal_line, A2, hull=hull)
+    cert = eac_certificate(hypersurface_form(2, 2), diagonal_line, A2)
     zero = MultiQuadElem.zero()
     omega_T = brute_wedge_covectors(
         [[MultiQuadElem.from_rational(c) for c in e] for e in hull.equations], 4, zero)
@@ -252,10 +252,8 @@ def test_certificate_rational_and_irrational_slopes(A2):
 def test_certificate_rejects_bad_inputs(A2, diagonal_line):
     with pytest.raises(DegreeMismatch):
         eac_certificate(ExteriorForm(4, 4, {(1, 2, 3, 4): 1}), diagonal_line, A2)
-    other = ExactSubspace.complex_span([[1, 3]], 2)
-    wrong_hull = rational_hull(other, A2)
     with pytest.raises(CertificateError):
-        eac_certificate(hypersurface_form(2, 2), diagonal_line, A2, hull=wrong_hull)
+        eac_certificate(hypersurface_form(2, 2), diagonal_line.realified(A2), A2)
 
 
 def test_certificate_zero_when_class_misses_the_torus(A2):

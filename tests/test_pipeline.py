@@ -6,7 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
-from eac import hull, pipeline
+from eac import hull
 from eac.checker import check_pair
 from eac.hull import hull_chain, kernel_lattice
 from eac.instance import builtin_instance, catalog_dicts, catalog_names, instance_from_dict
@@ -90,8 +90,7 @@ def test_decide_computes_the_hull_of_L_once(flagship, pe2, monkeypatch):
         calls.append(L)
         return real(L, A)
 
-    for mod in (hull, pipeline):
-        monkeypatch.setattr(mod, "rational_hull", counting)
+    monkeypatch.setattr(hull, "rational_hull", counting)
     decision = decide(flagship, pe2)
     assert sum(1 for L in calls if L is flagship.L) == 1
     assert decision.hull is decision.chain.hull

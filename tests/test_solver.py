@@ -14,7 +14,7 @@ from eac import solver
 from eac.solver import (PulledBackSystem, SolverConfig, UncertifiedError,
                         cell_seeds, class_count, coarse_scan, distinct_cells,
                         harvest_density, newton_refine, reduce_cell,
-                        spiral_cells, verify_solution)
+                        spiral_cells, verify_points, verify_solution)
 from eac.variety import ExactSubspace, ProductVariety
 from eac.weierstrass import _qseries_terms, jacobian_probe, pole_orders, theta_sums
 from tests.conftest import factor_sqrt
@@ -382,6 +382,20 @@ def test_harvest_places_points_by_position_and_finds_every_counted_zero():
     assert report.seeds_refined == 40 and report.newton_iterations <= 3 * 40
 
 
+@pytest.mark.parametrize("name", ["diag-prod-one", "irrational-slope"])
+def test_reported_z_is_the_verified_point(name):
+    # z is the reduced row of z_of(l) bit for bit, and the residual that
+    # verify_points gives at l alone is the one the report carries
+    system, _ = catalog_case(name)
+    cfg = SolverConfig(target_count=8)
+    report = harvest_density(system, cfg, certified=True)
+    assert len(report.solutions) == 8
+    for s in report.solutions:
+        row = system.pe.reduce([system.z_of(s.l)])[0]
+        assert np.array(s.z).tobytes() == row.tobytes()
+        assert verify_points(system, [s.l], cfg)[0][1] == s.verified_residual
+
+
 def test_points_are_placed_in_the_cell_that_holds_them(A2, pe2, monkeypatch):
     # every seed of the chunk is handed to its first cell, yet each point
     # lands in the cell whose count it belongs to
@@ -481,7 +495,7 @@ def test_p_translate_cells_give_the_same_points(A2, pe2):
         seeds = cell_seeds(sys_, [(p, q)])[0][1]
         for l, _ in newton_refine(sys_, seeds, cfg):
             if l is not None:
-                z = A2.reduce_point(sys_.z_of(l))
+                z = pe2.reduce([sys_.z_of(l)])[0]
                 if all(A2.torus_distance(z, w) > cfg.dedup_tol for w in zs):
                     zs.append(z)
         return zs

@@ -7,6 +7,7 @@ import pytest
 from eac.multiquad import ComplexMQ, MultiQuadElem
 from eac.variety import (EllipticFactor, ExactSubspace, LatticeCoordinateError,
                          ProductVariety)
+from eac.weierstrass import ProductEvaluator
 from tests.conftest import factor_sqrt
 
 
@@ -29,17 +30,6 @@ def test_assumptions_listing(A2, A1):
     assert not any("nonisogenous" in a for a in A1.assumptions())
 
 
-def test_numeric_chart_round_trip(A2):
-    pts = [(0.3 + 0.7j, -1.2 + 0.45j), (0.0 + 1e-3j, 2.0 - 3.0j)]
-    for z in pts:
-        v = A2.to_lattice_coords(z)
-        back = A2.from_lattice_coords(v)
-        assert max(abs(a - b) for a, b in zip(z, back)) < 1e-14
-    v = [0.1, 0.2, 0.3, 0.4]
-    z = A2.from_lattice_coords(v)
-    assert max(abs(a - b) for a, b in zip(v, A2.to_lattice_coords(z))) < 1e-14
-
-
 def test_exact_chart_round_trip(A2):
     z = [ComplexMQ(MultiQuadElem.sqrt_of(5), MultiQuadElem.from_rational(Fraction(1, 3))),
          ComplexMQ(Fraction(2), MultiQuadElem.sqrt_of(10))]
@@ -52,19 +42,24 @@ def test_exact_chart_round_trip(A2):
 
 def test_chart_length_validation(A2):
     with pytest.raises(LatticeCoordinateError):
-        A2.to_lattice_coords((1.0,))
-    with pytest.raises(LatticeCoordinateError):
-        A2.from_lattice_coords([0.0, 0.0, 0.0])
-    with pytest.raises(LatticeCoordinateError):
         A2.to_lattice_exact([ComplexMQ(1)])
 
 
-def test_reduce_point_lands_in_half_open_box(A2):
-    z = (5.75 + 3.1j, -2.25 - 7.8j)
-    r = A2.reduce_point(z)
-    v = A2.to_lattice_coords(r)
-    assert all(-0.5 - 1e-12 <= x < 0.5 for x in v)
-    assert A2.torus_distance(z, r) < 1e-9
+SHEARED = ProductVariety((EllipticFactor(Fraction(1, 3), MultiQuadElem.sqrt_of(2)),
+                          EllipticFactor(Fraction(-1, 2), MultiQuadElem.sqrt_of(7))))
+
+
+def test_reduce_lands_in_half_open_box(A2):
+    zs = [(5.75 + 3.1j, -2.25 - 7.8j), (-4.1 + 9.3j, 0.2 - 12.6j)]
+    for A in (A2, SHEARED):
+        rows = ProductEvaluator(A).reduce(zs)
+        assert rows.shape == (2, 2)
+        for z, r in zip(zs, rows):
+            for x, f in zip(r, A.factors):
+                b = x.imag / float(f.tau_im)
+                a = x.real - b * float(f.tau_re)
+                assert -0.5 - 1e-12 <= a < 0.5 and -0.5 - 1e-12 <= b < 0.5
+            assert A.torus_distance(z, tuple(r)) < 1e-9
 
 
 def test_torus_distance_invariances(A2):
@@ -80,18 +75,17 @@ def test_torus_distance_invariances(A2):
 
 
 def test_torus_distances_match_the_scalar_form(A2):
-    sheared = ProductVariety((EllipticFactor(Fraction(1, 3), MultiQuadElem.sqrt_of(2)),
-                              EllipticFactor(Fraction(-1, 2), MultiQuadElem.sqrt_of(7))))
     rng = np.random.default_rng(4)
-    for A in (A2, sheared):
+    for A in (A2, SHEARED):
+        pe = ProductEvaluator(A)
         z = tuple(complex(x) for x in rng.normal(size=2) + 1j * rng.normal(size=2))
         others = rng.normal(size=(50, 2)) * 3 + 3j * rng.normal(size=(50, 2))
-        others[7] = A.reduce_point(z)
-        got = A.torus_distances(z, others)
+        others[7] = pe.reduce([z])[0]
+        got = pe.torus_distances(z, others)
         want = np.array([A.torus_distance(z, tuple(w)) for w in others])
         assert np.allclose(got, want, rtol=1e-14, atol=1e-15)
         assert got[7] < 1e-12
-    assert A2.torus_distances(z, np.empty((0, 2), dtype=complex)).shape == (0,)
+    assert pe.torus_distances(z, np.empty((0, 2), dtype=complex)).shape == (0,)
 
 
 # subspaces
