@@ -185,13 +185,10 @@ def density_summary(instance: Instance, report: SolveReport) -> dict:
              for c in report.cells_with_solutions]),
     }
     if len(pts) >= 2:
-        pe = ProductEvaluator(instance.A)
         zs = np.array(pts, dtype=complex)
-        nearest = []
-        for i, p in enumerate(pts):
-            d = pe.torus_distances(p, zs)
-            d[i] = np.inf
-            nearest.append(float(d.min()))
+        d = ProductEvaluator(instance.A).torus_distances(zs[:, None], zs).reshape(len(pts), -1)
+        np.fill_diagonal(d, np.inf)
+        nearest = d.min(axis=1).tolist()
         out["min_pairwise_distance"] = min(nearest)
         out["median_nearest_distance"] = statistics.median(nearest)
     return out

@@ -13,14 +13,16 @@ visits each class of Z^2/K once, and ends after the last when K has rank 2.
 cell_seeds counts each cell's zeros by the argument principle and isolates
 them by subdivision (Delves and Lyness, Math. Comp. 21 (1967); ZEAL,
 Kravanja, Van Barel et al., Comput. Phys. Commun. 124 (2000)); a box with
-one zero gives its Newton seed from the first moment of G'/G. Newton
+one zero gives its Newton seed from the first moment of G'/G. Every
+contour integral is one _Edges panel sum, also on the small boxes of
+box_windings that give pole orders and verification windings. Newton
 refines a chunk's seeds as one array with the analytic G'(l) of eval_jet:
 each factor enters as a first-order jet, with d wp = c wp' and
 d wp' = c (6 wp^2 - g2/2) for z = l c (DLMF 23.3). G' at a root also gives
 its Jacobian rank. verify_points recomputes a batch of residuals to 30
 digits from the same theta series (weierstrass.theta_sums), in the
 fixed-point arithmetic of eac.fixed over object arrays rather than doubles,
-and requires a positive winding on small circles. Verified points are
+and requires a positive winding on a small box. Verified points are
 deduplicated on the product variety and placed in the cell that holds
 them, so each cell reports its zeros expected against its zeros found. The
 lattice-sum backend, which shares no formula with the theta series, is the
@@ -42,8 +44,7 @@ from .exactlinalg import hermite_normal_form
 from .fixed import ONE as FIXED_ONE, Fixed
 from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
-from .weierstrass import (NEAR_POLE, ProductEvaluator, _qseries_terms, pole_orders,
-                          theta_const, theta_sums)
+from .weierstrass import NEAR_POLE, ProductEvaluator, _qseries_terms, theta_const, theta_sums
 
 NEWTON_STEPS = 50
 # Relative tolerance of the in-harvest rank, as in weierstrass.jacobian_probe.
@@ -64,10 +65,9 @@ PANEL_TOL = 1e-3  # on each panel's integral of G'/G
 INTEGER_TOL = 1e-2  # on a box's winding number
 MAX_BOX_DEPTH = 12
 MAX_PANELS_PER_CELL = 1000
-# Pole orders are read on circles of this radius in the anchor's lattice
-# coordinates; poles closer than two radii count as one.
-POLE_RADIUS = 1e-3
-POLE_SAMPLES = 64
+# Pole orders and verification windings are read on boxes of this half side
+# (about 1e-3 of a cell side); poles closer than two half sides count as one.
+WIND_UNITS = 1 << 10
 FIRST_CHUNK = 4  # cells counted before the mean count per cell is known
 
 
@@ -236,23 +236,12 @@ class PulledBackSystem:
         self.pe = pe or ProductEvaluator(A)
         self.anchor = next(j for j, c in enumerate(self.v) if c != 0)
 
-    def eval_grid_complex(self, l: np.ndarray) -> np.ndarray:
-        """G on an array of parameter values."""
-        wps, wpps = [], []
-        for ev, z in zip(self.pe.evals, self.z_of(np.asarray(l, dtype=complex))):
-            p, pp = ev.wp_pair_grid(z)
-            wps.append(p)
-            wpps.append(pp)
-        with np.errstate(invalid="ignore", over="ignore"):
-            stack = segre_stack(wps, wpps, np.ones_like(wps[0]))
-            return np.asarray(self.F.eval_affine(stack), dtype=complex)
-
     def eval_jet(self, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G and its derivative G' on an array of parameter values.
 
         Factor j moves as z = base_j + l c_j, so its wp and wp' enter as the
-        jets (wp, c_j wp') and (wp', c_j (6 wp^2 - g2/2)); G is the same
-        array that eval_grid_complex returns.
+        jets (wp, c_j wp') and (wp', c_j (6 wp^2 - g2/2)). l may have any
+        shape.
         """
         l = np.asarray(l, dtype=complex)
         wps, wpps = [], []
@@ -307,11 +296,11 @@ class PulledBackSystem:
 
         Factor j has a pole where base_j + l c_j lies in its lattice, which
         is found from the lattice coordinates of the cell's corners. A factor
-        with c_j = 0 is constant on the line. Poles closer than two order
-        circles are one pole, as their circles cannot tell them apart.
+        with c_j = 0 is constant on the line. Poles closer than two box half
+        sides are one pole, as their winding boxes cannot tell them apart.
         """
         corners = [complex(self.cell_box(p, q, a, b)) for a in (0, 1) for b in (0, 1)]
-        merge = 2.0 * POLE_RADIUS / abs(self.v[self.anchor])
+        merge = 2.0 * WIND_UNITS / CELL_UNITS / abs(self.v[self.anchor])
         out = []
         for ev, b, c in zip(self.pe.evals, self.base, self.v):
             if c == 0:
@@ -338,7 +327,7 @@ def coarse_scan(system: PulledBackSystem, p: int, q: int,
     """
     a = (np.arange(n) + 0.5) / n
     grid = system.cell_box(p, q, *np.meshgrid(a, a, indexing="ij"))
-    vals = np.abs(system.eval_grid_complex(grid))
+    vals = np.abs(system.eval_jet(grid)[0])
     vals[~np.isfinite(vals)] = np.inf
     padded = np.pad(vals, 1, constant_values=np.inf)
     neigh = np.minimum.reduce([
@@ -386,6 +375,19 @@ class _Edges:
         self.values[edge] = tuple(sum(v[k] for v in parts) for k in (0, 1))
         return self.values[edge]
 
+    def box(self, x0, y0, h):
+        """(s0, s1) of the box with corner (x0, y0) and side h, or None while pending.
+
+        s0 is the winding number of G around the box, s1 the integral of
+        l G'/G over 2 pi i.
+        """
+        sides = [self.get((0, y0, x0, x0 + h)), self.get((1, x0 + h, y0, y0 + h)),
+                 self.get((0, y0 + h, x0, x0 + h)), self.get((1, x0, y0, y0 + h))]
+        if any(v is None for v in sides):
+            return None
+        return tuple((sides[0][i] + sides[1][i] - sides[2][i] - sides[3][i]) / (2j * math.pi)
+                     for i in (0, 1))
+
     def evaluate(self):
         """Evaluate every pending panel in one eval_jet call."""
         edges = sorted(self.pending)
@@ -425,28 +427,51 @@ class _Edges:
                                     for i in range(n)]
 
 
+def _winding(s0) -> int | None:
+    """The winding s0 rounded, or None unless it is finite and within INTEGER_TOL of it."""
+    if np.isfinite(s0) and abs(s0 - round(s0.real)) < INTEGER_TOL:
+        return round(s0.real)
+    return None
+
+
+def box_windings(system: PulledBackSystem, ls) -> list[int | None]:
+    """Winding number of G around a box of half side WIND_UNITS at each l.
+
+    Each box is centred on the grid point nearest l, and every box is
+    integrated by one _Edges, so a zero inside winds +1 and a pole of order n
+    winds -n; a zero inside a pole's box cancels against it. The winding is
+    None where a panel fails or the sum is not within INTEGER_TOL of an
+    integer.
+    """
+    edges = _Edges(system, MAX_PANELS_PER_CELL * len(ls))
+    corners = [[round(c * CELL_UNITS) - WIND_UNITS for c in system.cell_position(l)] for l in ls]
+    while True:
+        sums = [edges.box(x0, y0, 2 * WIND_UNITS) for x0, y0 in corners]
+        if not edges.pending:
+            return [_winding(s[0]) for s in sums]
+        edges.evaluate()
+
+
 def cell_seeds(system: PulledBackSystem, cells) -> list[tuple[int | None, list[complex]]]:
     """Zero count and Newton seeds of each shifted cell, by argument-principle subdivision.
 
     Each cell starts as START_BOXES^2 boxes. A box's count is its winding
     number, the integral of G'/G around it over 2 pi i, plus the orders of
-    the poles inside it; the first moment s_1, the integral of l G'/G, is
-    the sum of its zeros less the poles' l times their orders. A box is
-    split in four while its count exceeds one or its winding is not within
-    INTEGER_TOL of an integer, down to MAX_BOX_DEPTH, where a box with
-    several zeros gives their mean as one seed. A cell's count is None when
-    a pole order, a panel or a box could not be resolved.
+    the poles inside it, each minus the winding of its box_windings box;
+    the first moment s_1, the integral of l G'/G, is the sum of its zeros
+    less the poles' l times their orders. A box is split in four while its
+    count exceeds one or its winding is not within INTEGER_TOL of an
+    integer, down to MAX_BOX_DEPTH, where a box with several zeros gives
+    their mean as one seed. A cell's count is None when a pole order, a
+    panel or a box could not be resolved.
     """
     edges = _Edges(system, MAX_PANELS_PER_CELL * len(cells))
     poles = [system.cell_poles(*cell) for cell in cells]
-    radius = POLE_RADIUS / abs(system.v[system.anchor])
-    flat = [pole[0] for cell_poles in poles for pole in cell_poles]
-    orders = iter(pole_orders(system.eval_grid_complex, flat, radius, POLE_SAMPLES)
-                  if flat else ())
-    poles = [[(l, x * CELL_UNITS, y * CELL_UNITS, next(orders)) for l, x, y in cell_poles]
+    # the pole boxes take their own rounds; sharing the cells' would reorder the seeds
+    windings = iter(box_windings(system, [l for cell_poles in poles for l, _, _ in cell_poles]))
+    poles = [[(l, x * CELL_UNITS, y * CELL_UNITS, next(windings)) for l, x, y in cell_poles]
              for cell_poles in poles]
-    failed = {k for k, cell_poles in enumerate(poles)
-              if any(pole[3] is None for pole in cell_poles)}
+    failed = {k for k, cell_poles in enumerate(poles) if any(w is None for *_, w in cell_poles)}
     counts = [0] * len(cells)
     seeds = [[] for _ in cells]
     side = CELL_UNITS // START_BOXES
@@ -459,18 +484,16 @@ def cell_seeds(system: PulledBackSystem, cells) -> list[tuple[int | None, list[c
             k, x0, y0, h, depth = box
             if k in failed:
                 continue
-            sides = [edges.get((0, y0, x0, x0 + h)), edges.get((1, x0 + h, y0, y0 + h)),
-                     edges.get((0, y0 + h, x0, x0 + h)), edges.get((1, x0, y0, y0 + h))]
-            if any(v is None for v in sides):
+            sums = edges.box(x0, y0, h)
+            if sums is None:
                 waiting.append(box)
                 continue
-            s0, s1 = ((sides[0][i] + sides[1][i] - sides[2][i] - sides[3][i]) / (2j * math.pi)
-                      for i in (0, 1))
-            inside = [(l, order) for l, x, y, order in poles[k]
+            s0, s1 = sums
+            inside = [(l, -w) for l, x, y, w in poles[k]
                       if x0 <= x < x0 + h and y0 <= y < y0 + h]
-            count = None
-            if np.isfinite(s0) and abs(s0 - round(s0.real)) < INTEGER_TOL:
-                count = round(s0.real) + sum(order for _, order in inside)
+            count = _winding(s0)
+            if count is not None:
+                count += sum(order for _, order in inside)
             if count == 0:
                 continue
             if count is not None and (count == 1 or count > 1 and depth == MAX_BOX_DEPTH):
@@ -640,9 +663,9 @@ def verify_points(system: PulledBackSystem, ls,
     scan, to its 1e-30 tail bound, in eac.fixed (absolute step 2**-128); only
     z_of(l) and its reduction, the rows of reduced_points that the harvest
     reports as z, are doubles. A point that passes then needs a
-    positive winding of G on a circle of radius 1e-3 around it, halved up to
-    three times until it gives a clean winding. Returns (accepted, verified
-    residual, winding, reason) per point, each a function of its l alone.
+    positive winding of G around its box_windings box. Returns (accepted,
+    verified residual, winding, reason) per point, each a function of its l
+    alone.
     """
     ls = np.asarray(ls, dtype=complex)
     zred = reduced_points(system, ls.tolist())
@@ -652,21 +675,12 @@ def verify_points(system: PulledBackSystem, ls,
         s, sp = _fixed_theta_sums(ev.tau, zred[:, j].tolist())
         wps.append(two_pi_i_2 * s)
         wpps.append(two_pi_i_3 * sp)
-    vres = abs(system.F.eval_affine(segre_stack(wps, wpps, FIXED_ONE)))
-    unresolved = vres <= 10.0 * cfg.solve_tol
-    out = [(False, float(v), 0, "no clean winding circle" if ok
-            else "doubled-precision residual too large") for v, ok in zip(vres, unresolved)]
-    todo, radius = np.flatnonzero(unresolved), 1e-3
-    while todo.size and radius >= 1e-3 / 8:
-        probes = ls[todo, None] + radius * np.exp(2j * math.pi * np.arange(10) / 10)
-        clear = todo[system.pole_distance(probes).min(axis=1) >= 1e-6]
-        orders = pole_orders(system.eval_grid_complex, ls[clear], radius, 400, 1e-2)
-        for i, order in zip(clear, orders):
-            if order is not None:
-                unresolved[i], w = False, -order
-                out[i] = (w >= 1, out[i][1], w, "" if w >= 1 else "winding number zero")
-        todo = np.flatnonzero(unresolved)
-        radius *= 0.5
+    vres = [float(v) for v in abs(system.F.eval_affine(segre_stack(wps, wpps, FIXED_ONE)))]
+    out = [(False, v, 0, "doubled-precision residual too large") for v in vres]
+    passed = [i for i, v in enumerate(vres) if v <= 10.0 * cfg.solve_tol]
+    for i, w in zip(passed, box_windings(system, ls[passed])):
+        reason = "no clean winding box" if w is None else "" if w >= 1 else "winding number zero"
+        out[i] = (not reason, vres[i], w or 0, reason)
     return out
 
 

@@ -177,9 +177,6 @@ class ExactSubspace:
         rows = [list(r) for r in self.basis]
         return rank_exact(rows + [list(r) for r in other.basis]) == len(rows)
 
-    def same_as(self, other: ExactSubspace) -> bool:
-        return self.dim == other.dim and self.contains(other)
-
     def realified(self, A: ProductVariety) -> ExactSubspace:
         """Complex subspace as a real one in the lattice chart (v and iv)."""
         if self.kind != "complex":

@@ -29,8 +29,8 @@ torus_distances apply the same reduce_to_fundamental to points of C^g.
 Zeros on a fiber or a curve are counted by the harvest's counter,
 solver.cell_seeds, on one period cell of the moving factor: the argument
 principle on adaptive Gauss-Legendre panels, plus the orders of the poles
-inside, each measured on a small circle (pole_orders). The cell's corner is
-set by a jitter; an unresolved count raises ContourError.
+inside, each minus the winding on a small box around it (solver.box_windings).
+The cell's corner is set by a jitter; an unresolved count raises ContourError.
 """
 
 from __future__ import annotations
@@ -326,31 +326,6 @@ class ProductEvaluator:
         return complex(F.eval_affine(pt.coords()))
 
 
-def pole_orders(f_vec, centers, radius: float, nsamples: int = 1200,
-                tol: float = 1e-3) -> list[int | None]:
-    """Order of the pole of f_vec at each center: minus its winding on a small circle.
-
-    Every circle of the given radius is evaluated in one f_vec call. The
-    order is None where a circle meets a zero, a pole or a non-finite value,
-    takes a phase step above 2.5 radians, or winds more than tol from an
-    integer; a zero at the center gives a negative order. A zero inside a
-    circle cancels against the pole: the counts of solver.cell_seeds, which
-    read orders at radius solver.POLE_RADIUS, miss a zero that close to a
-    pole (wp = K fails for K above about 3e6).
-    """
-    centers = np.asarray(centers, dtype=complex)
-    circle = radius * np.exp(2j * math.pi * np.arange(nsamples) / nsamples)
-    values = f_vec((centers[:, None] + circle).ravel()).reshape(len(centers), nsamples)
-    with np.errstate(invalid="ignore"):
-        phases = np.angle(values)
-        d = np.diff(phases, axis=1, append=phases[:, :1])
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
-        total = d.sum(axis=1) / (2.0 * math.pi)
-        ok = (np.all(np.isfinite(values) & (values != 0), axis=1)
-              & (np.abs(d).max(axis=1) <= 2.5) & (np.abs(total - np.round(total)) <= tol))
-    return [-round(t) if good else None for t, good in zip(total, ok)]
-
-
 def _period_count(F: SegrePolynomial, A: ProductVariety, pe: ProductEvaluator | None,
                   which: int, jitter: tuple[float, float], fixed: complex = 0j) -> int:
     """Zeros of F(exp(z)) as factor which runs over one period cell, the others at fixed.
@@ -403,7 +378,7 @@ def point_count_on_curve(F: SegrePolynomial, A: ProductVariety,
 def _reject_degenerate(system):
     a = np.array([0.31, 0.11, 0.57, 0.13, 0.71])
     b = np.array([0.17, 0.43, 0.29, 0.41, 0.61])
-    pv = system.eval_grid_complex(system.cell_box(0, 0, a, b))
+    pv = system.eval_jet(system.cell_box(0, 0, a, b))[0]
     finite = np.isfinite(pv)
     if np.all(~finite) or np.max(np.abs(pv[finite]), initial=0.0) < 1e-13:
         raise DegenerateFiber("restriction vanishes identically on this fiber")

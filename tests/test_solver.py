@@ -12,11 +12,11 @@ from eac.pipeline import certify
 from eac.segre import SegrePolynomial
 from eac import solver
 from eac.solver import (PulledBackSystem, SolverConfig, UncertifiedError,
-                        cell_seeds, class_count, coarse_scan, distinct_cells,
+                        box_windings, cell_seeds, class_count, coarse_scan, distinct_cells,
                         harvest_density, newton_refine, reduce_cell,
                         spiral_cells, verify_points, verify_solution)
 from eac.variety import ExactSubspace, ProductVariety
-from eac.weierstrass import _qseries_terms, jacobian_probe, pole_orders, theta_sums
+from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
 from tests.conftest import factor_sqrt
 
 DIAGONAL_KERNEL = ((1, 0, 1, 0),)
@@ -57,7 +57,7 @@ def test_system_evaluation_consistency(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     l = 0.31 + 0.27j
     direct = pe2.eval_polynomial(sys_.F, (l, l))
-    got = sys_.eval_grid_complex(np.array([l]))[0]
+    got = sys_.eval_jet(np.array([l]))[0][0]
     assert abs(got - direct) < 1e-12 * max(1.0, abs(direct))
     assert sys_.z_of(l) == (l, l)
     assert sys_.anchor == 0
@@ -102,7 +102,7 @@ def test_newton_refine_converges_from_coarse_seed(A2, pe2):
     l, res = newton_refine(sys_, [seeds[0][0]], cfg)[0]
     assert l is not None
     assert res < cfg.solve_tol
-    assert abs(sys_.eval_grid_complex(np.array([l]))[0]) < cfg.solve_tol
+    assert abs(sys_.eval_jet(np.array([l]))[0][0]) < cfg.solve_tol
 
 
 def test_newton_refine_reports_pole_landing(A2, pe2):
@@ -118,10 +118,10 @@ def central_difference_newton(system, seed, cfg, fd_step=1e-7):
     for _ in range(solver.NEWTON_STEPS):
         if system.pole_distance(l) < 1e-9:
             return None
-        g = system.eval_grid_complex(np.array([l]))[0]
+        g = system.eval_jet(np.array([l]))[0][0]
         if abs(g) < cfg.solve_tol:
             return l
-        gp, gm = system.eval_grid_complex(np.array([l + fd_step, l - fd_step]))
+        gp, gm = system.eval_jet(np.array([l + fd_step, l - fd_step]))[0]
         step = g / ((gp - gm) / (2.0 * fd_step))
         if abs(step) > 1.0:
             step = step / abs(step)
@@ -256,7 +256,7 @@ def test_batched_cell_counts_match_one_cell_at_a_time(A1, A2, pe2, case):
 
 
 def test_harvest_evaluates_no_grid(A2, pe2, monkeypatch):
-    # the harvest evaluates G on flat arrays of contour nodes and circles only
+    # the harvest evaluates G on flat arrays of contour nodes only
     sys_ = PulledBackSystem(SegrePolynomial.linear(2, {4: 1, 0: -1}),
                             (1, complex(MultiQuadElem.sqrt_of(2))), A2, pe2)
     shapes = []
@@ -355,16 +355,32 @@ def test_cell_poles_merge_across_factors(A2, pe2):
     poles = sys_.cell_poles(-1, -1)
     assert [l for l, _, _ in poles].count(0j) == 1
     assert all(math.floor(x) == -1 and math.floor(y) == -1 for _, x, y in poles)
-    radius = solver.POLE_RADIUS
-    assert pole_orders(sys_.eval_grid_complex, [0j, 1 + pe2.evals[0].tau], radius,
-                       solver.POLE_SAMPLES) == [4, 2]
+    # the winding box of a pole of order n winds -n
+    assert box_windings(sys_, [0j, 1 + pe2.evals[0].tau]) == [-4, -2]
 
 
-def test_pole_orders_read_zeros_and_failures():
-    f = lambda z: z ** 3 / (z - 0.5) ** 2
-    assert pole_orders(f, [0.5, 0.0, 2.0], 0.01) == [2, -3, 0]
-    # a circle through a zero fails the winding checks
-    assert pole_orders(f, [0.01], 0.01) == [None]
+def test_box_windings_read_zeros_and_failures(A2, pe2):
+    sys_ = flagship_system(pe2, A2)
+    _, seeds = cell_seeds(sys_, [(0, 0)])[0]
+    l, _ = newton_refine(sys_, seeds[:1], SolverConfig())[0]
+    assert box_windings(sys_, [l]) == [1]
+    # shifted by a box half side along the cell's first side, the box's
+    # edge passes within half a grid unit of the zero, and no panel resolves
+    edge = l - solver.WIND_UNITS / solver.CELL_UNITS / sys_.v[sys_.anchor]
+    assert box_windings(sys_, [edge]) == [None]
+    assert box_windings(sys_, []) == []
+
+
+@pytest.mark.parametrize("winding, reason", [(None, "no clean winding box"),
+                                             (0, "winding number zero")])
+def test_verify_points_rejects_an_unclean_or_zero_winding(A2, pe2, monkeypatch, winding, reason):
+    sys_ = flagship_system(pe2, A2)
+    _, seeds = cell_seeds(sys_, [(0, 0)])[0]
+    l, _ = newton_refine(sys_, seeds[:1], SolverConfig())[0]
+    monkeypatch.setattr(solver, "box_windings", lambda system, ls: [winding] * len(ls))
+    ok, vres, wind, why = verify_points(sys_, [l], SolverConfig())[0]
+    assert (ok, wind, why) == (False, 0, reason)
+    assert vres < 10 * SolverConfig().solve_tol
 
 
 def test_harvest_places_points_by_position_and_finds_every_counted_zero():
