@@ -18,6 +18,7 @@ Exit codes: check 0 passed / 2 failed / 3 indeterminate; certify 0 emitted /
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -316,28 +317,24 @@ def _add_common(sp, solver_opts: bool):
                         help="also write solutions as CSV (re_l,im_l,residual,cell)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main call; parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="eac",
         description="certify and solve exponential-algebraic intersections "
                     "on products of elliptic curves")
     p.add_argument("--version", action="version", version=f"eac {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("check", help="freeness and rotundity verdicts")
-    _add_common(sp, solver_opts=False)
-    sp.set_defaults(func=cmd_check)
-    sp = sub.add_parser("hull", help="rational hull and hull chain")
-    _add_common(sp, solver_opts=False)
-    sp.set_defaults(func=cmd_hull)
-    sp = sub.add_parser("certify", help="non-vanishing certificate")
-    _add_common(sp, solver_opts=False)
-    sp.set_defaults(func=cmd_certify)
-    sp = sub.add_parser("solve", help="harvest verified intersection points")
-    _add_common(sp, solver_opts=True)
-    sp.set_defaults(func=cmd_solve)
-    sp = sub.add_parser("density", help="larger harvest with spread statistics")
-    _add_common(sp, solver_opts=True)
-    sp.set_defaults(func=cmd_density)
+    for name, text, func, solver_opts in (
+            ("check", "freeness and rotundity verdicts", cmd_check, False),
+            ("hull", "rational hull and hull chain", cmd_hull, False),
+            ("certify", "non-vanishing certificate", cmd_certify, False),
+            ("solve", "harvest verified intersection points", cmd_solve, True),
+            ("density", "larger harvest with spread statistics", cmd_density, True)):
+        sp = sub.add_parser(name, help=text)
+        _add_common(sp, solver_opts)
+        sp.set_defaults(func=func)
     sp = sub.add_parser("selftest", help="run the built-in verification suite")
     sp.add_argument("--out", default=None, help="write the JSON report here")
     sp.set_defaults(func=cmd_selftest)

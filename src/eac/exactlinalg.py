@@ -10,15 +10,9 @@ Number Theory, section 2.4.2), built from unimodular row operations only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .multiquad import ComplexMQ, MultiQuadElem
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, (MultiQuadElem, ComplexMQ)):
-        return x.is_zero()
-    return x == 0
 
 
 def _inv(x):
@@ -36,16 +30,22 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if not _is_zero(m[i][c])), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pinv = _inv(m[r][c])
-        m[r] = [pinv * x for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        row = m[r]
+        pinv = _inv(row[c])
+        # the pivot row is zero left of c: only its nonzero entries from c
+        # on change anything, and exact arithmetic makes skipping the rest safe
+        live = [j for j in range(c, ncols) if row[j]]
+        for j in live:
+            row[j] = pinv * row[j]
+        for i, other in enumerate(m):
+            if i != r and other[c]:
+                f = other[c]
+                for j in live:
+                    other[j] = other[j] - f * row[j]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -95,8 +95,6 @@ def primitive_integer_covector(v: list[Fraction]) -> list[int]:
     fracs = [Fraction(x) for x in v]
     if all(f == 0 for f in fracs):
         raise ValueError("zero covector has no primitive form")
-    from math import lcm
-
     denom = lcm(*[f.denominator for f in fracs])
     ints = [int(f * denom) for f in fracs]
     g = 0
@@ -107,7 +105,6 @@ def primitive_integer_covector(v: list[Fraction]) -> list[int]:
     if lead < 0:
         ints = [-a for a in ints]
     return ints
-
 
 
 def hermite_normal_form(rows: list[list[int]]) -> list[list[int]]:

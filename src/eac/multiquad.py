@@ -5,9 +5,13 @@ squarefree positive integers, with 1 standing for the rational part:
 
     x = sum_d  c_d * sqrt(d),   c_d in Q,  d squarefree.
 
-The representation is canonical (radicands squarefree, zero coefficients
-dropped), so equality is coefficient-wise and hashing is well defined.
-Products normalize via sqrt(a)*sqrt(b) = g*sqrt(ab/g^2) with g = gcd(a, b).
+Every element is canonical: squarefree radicands, nonzero Fraction
+coefficients, so equality is coefficient-wise and hashing is well defined.
+Only the public constructor MultiQuadElem(coeffs) normalizes; parse_mq,
+from_rational and sqrt_of, so instance files and the catalog, all use it.
+Arithmetic keeps the invariant and only drops zero coefficients: with
+g = gcd(a, b), sqrt(a)*sqrt(b) = g*sqrt((a/g)(b/g)), and (a/g)(b/g) is
+squarefree, since a prime dividing both quotients would square-divide a.
 Inversion is exact: split on one prime p dividing some radicand,
 x = a + b*sqrt(p) with a, b in the subfield without p, and use
 1/x = (a - b*sqrt(p)) / (a^2 - p*b^2); the denominator lives in the
@@ -54,6 +58,13 @@ class MultiQuadElem:
                     del clean[f]
         self._c = clean
 
+    @classmethod
+    def _canonical(cls, coeffs: dict[int, Fraction]) -> MultiQuadElem:
+        """Wrap coeffs that are canonical apart from zero coefficients."""
+        x = object.__new__(cls)
+        x._c = {d: q for d, q in coeffs.items() if q}
+        return x
+
     # constructors
 
     @classmethod
@@ -63,10 +74,6 @@ class MultiQuadElem:
     @classmethod
     def sqrt_of(cls, d: int, scale=1) -> MultiQuadElem:
         return cls({int(d): Fraction(scale)})
-
-    @classmethod
-    def zero(cls) -> MultiQuadElem:
-        return cls()
 
     @classmethod
     def one(cls) -> MultiQuadElem:
@@ -91,7 +98,7 @@ class MultiQuadElem:
         if isinstance(other, MultiQuadElem):
             return other
         if isinstance(other, Rational):
-            return MultiQuadElem({1: Fraction(other)})
+            return MultiQuadElem._canonical({1: Fraction(other)})
         return None
 
     def __add__(self, other):
@@ -100,25 +107,28 @@ class MultiQuadElem:
             return NotImplemented
         out = dict(self._c)
         for d, q in o._c.items():
-            out[d] = out.get(d, Fraction(0)) + q
-        return MultiQuadElem(out)
+            out[d] = out[d] + q if d in out else q
+        return MultiQuadElem._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiQuadElem({d: -q for d, q in self._c.items()})
+        return MultiQuadElem._canonical({d: -q for d, q in self._c.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        out = dict(self._c)
+        for d, q in o._c.items():
+            out[d] = out[d] - q if d in out else -q
+        return MultiQuadElem._canonical(out)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -129,8 +139,9 @@ class MultiQuadElem:
             for d2, q2 in o._c.items():
                 g = math.gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
-                out[d] = out.get(d, Fraction(0)) + q1 * q2 * g
-        return MultiQuadElem(out)
+                q = q1 * q2 * g
+                out[d] = out[d] + q if d in out else q
+        return MultiQuadElem._canonical(out)
 
     __rmul__ = __mul__
 
@@ -138,7 +149,7 @@ class MultiQuadElem:
         if not self._c:
             raise ZeroDivisionError("inverse of zero multiquadratic element")
         if self.is_rational():
-            return MultiQuadElem({1: 1 / self._c[1]})
+            return MultiQuadElem._canonical({1: 1 / self._c[1]})
         # pick a prime dividing some radicand and split the field on it
         p = None
         for d in self._c:
@@ -155,11 +166,11 @@ class MultiQuadElem:
                 b_part[d // p] = q
             else:
                 a_part[d] = q
-        a = MultiQuadElem(a_part)
-        b = MultiQuadElem(b_part)
+        a = MultiQuadElem._canonical(a_part)
+        b = MultiQuadElem._canonical(b_part)
         denom = a * a - Fraction(p) * (b * b)
         dinv = denom.inv()
-        num = a - b * MultiQuadElem.sqrt_of(p)
+        num = a - b * MultiQuadElem._canonical({p: Fraction(1)})
         return num * dinv
 
     def __truediv__(self, other):
@@ -291,13 +302,13 @@ class ComplexMQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return ComplexMQ(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -329,6 +340,9 @@ class ComplexMQ:
 
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -696,8 +696,9 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
 
     Requires certified=True: running without a nonzero certificate is a
     precondition violation, not a soft warning. kernel is an integer basis of
-    Lambda_L (hull.kernel_lattice); an empty kernel walks every cell. Cells
-    are counted and seeded by cell_seeds in chunks, FIRST_CHUNK cells and
+    Lambda_L (hull.kernel_lattice); an empty kernel walks every cell, drawn
+    from one distinct_cells generator as chunks and home cells need them.
+    Cells are counted and seeded by cell_seeds in chunks, FIRST_CHUNK cells and
     then as many as the mean count so far predicts the target needs; each
     chunk's seeds are refined in one newton_refine call and taken in cell
     order until the target is reached. cells_scanned counts the cells whose
@@ -716,8 +717,8 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     report = SolveReport()
     t0 = time.perf_counter()
     shifts = system.cell_shifts(kernel)
-    walk = list(itertools.islice(distinct_cells(shifts), cfg.budget_cells))
-    index = {cell: i for i, cell in enumerate(walk)}
+    cells_ahead = distinct_cells(shifts)
+    walk, index = [], {}
     accepted = np.empty((0, system.A.g), dtype=complex)
     stage = dict.fromkeys(("scan_s", "newton_s", "dedup_s", "verify_s", "jacobian_s"), 0.0)
     expected = {}
@@ -730,11 +731,17 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
         stage[name] += time.perf_counter() - ts
         return out
 
+    def draw(n):
+        """Extend the walk to n cells, or to its end."""
+        for cell in itertools.islice(cells_ahead, max(n - len(walk), 0)):
+            index[cell] = len(walk)
+            walk.append(cell)
+
     def home(l):
         x, y = system.cell_position(l)
         cell = reduce_cell((math.floor(x), math.floor(y)), shifts)
-        if cell not in index:
-            index[cell] = next(i for i, c in enumerate(distinct_cells(shifts)) if c == cell)
+        while cell not in index:  # every class is on the walk, so this ends
+            draw(len(walk) + 1)
         return index[cell]
 
     def verify_from(refined, zred, k):
@@ -749,13 +756,17 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                 break
         return dict(zip(group, verify_points(system, [refined[i][0] for i in group], cfg)))
 
-    while not report.target_reached and report.cells_scanned < len(walk):
+    while not report.target_reached and report.cells_scanned < cfg.budget_cells:
         start = report.cells_scanned
         size = FIRST_CHUNK
         if start:
             mean = max(zeros_counted / start, 0.5)
             size = math.ceil((cfg.target_count - len(report.solutions)) / mean)
-        cells = walk[start:start + size]
+        end = min(start + size, cfg.budget_cells)
+        draw(end)
+        cells = walk[start:end]
+        if not cells:
+            break
         counted = timed("scan_s", cell_seeds, system, cells)
         batch = [seed for _, seeds in counted for seed in seeds]
         refined = timed("newton_s", newton_refine, system, batch, cfg) if batch else []

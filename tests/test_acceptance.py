@@ -53,7 +53,7 @@ def test_criterion_2_certificate_with_independent_oracle(tmp_path, A2, diagonal_
     # oracle first: expand eta ^ omega_T ^ omega_T' in a dense mask algebra
     # that shares nothing with the sparse forms implementation
     hull = rational_hull(diagonal_line, A2)
-    zero = MultiQuadElem.zero()
+    zero = MultiQuadElem()
     omega_T = brute_wedge_covectors(
         [[MultiQuadElem.from_rational(c) for c in e] for e in hull.equations], 4, zero)
     omega_Tp = brute_wedge_covectors(residual_covectors(diagonal_line, hull, A2), 4, zero)

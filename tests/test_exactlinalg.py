@@ -7,7 +7,7 @@ import pytest
 from eac.exactlinalg import (hermite_normal_form, integer_kernel,
                              primitive_integer_covector, rank_exact,
                              right_nullspace, rref)
-from eac.multiquad import MultiQuadElem
+from eac.multiquad import ComplexMQ, MultiQuadElem
 
 
 def random_rational_matrix(rng, m, n, den=7):
@@ -95,7 +95,7 @@ def test_exact_arithmetic_over_multiquad_entries():
     assert len(ns) == 1
     v = ns[0]
     for row in M:
-        acc = MultiQuadElem.zero()
+        acc = MultiQuadElem()
         for a, b in zip(row, v):
             acc = acc + a * b
         assert acc.is_zero()
@@ -107,7 +107,7 @@ def test_rank_two_realified_diagonal_rows():
     s2 = MultiQuadElem.sqrt_of(2)
     s5 = MultiQuadElem.sqrt_of(5)
     one = MultiQuadElem.one()
-    zero = MultiQuadElem.zero()
+    zero = MultiQuadElem()
     M = [[one, zero, one, zero], [zero, s2, zero, s5]]
     assert rank_exact(M) == 2
     assert len(right_nullspace(M)) == 2
@@ -159,3 +159,24 @@ def test_integer_kernel_is_saturated():
         for v in right_nullspace(M, ncols=4):
             w = primitive_integer_covector(v)
             assert hermite_normal_form(K + [w]) == K
+
+
+def test_rref_pivot_rows_with_zeros_on_both_sides():
+    # the second pivot row, (0, 1, 0, 2, 0, 3), is zero left and right of its
+    # pivot where the first row is not; the reduction is worked by hand
+    M = [[0, 2, 0, 4, 0, 6],
+         [0, 0, 3, 0, 0, 3],
+         [1, 1, 7, 0, 9, 0],
+         [0, 0, 0, 0, 5, 10]]
+    want = [[1, 0, 0, -2, 0, -28],
+            [0, 1, 0, 2, 0, 3],
+            [0, 0, 1, 0, 0, 1],
+            [0, 0, 0, 0, 1, 2]]
+    R, pivots = rref([[Fraction(x) for x in r] for r in M])
+    assert R == want and pivots == [0, 1, 2, 4]
+    assert all(type(x) is Fraction for r in R for x in r)
+    # scaling rows by nonzero field elements leaves the reduced form unchanged
+    s = MultiQuadElem.sqrt_of(2) + 1
+    for scale in (s, ComplexMQ(s, MultiQuadElem.sqrt_of(3))):
+        R, pivots = rref([[scale * k * x for x in r] for k, r in enumerate(M, 1)])
+        assert R == want and pivots == [0, 1, 2, 4]

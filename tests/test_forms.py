@@ -193,10 +193,10 @@ def test_realify_covector_splits_re_im(A2):
     re, im = realify_covector(lam, A2)
     # lam . z = z1 - i z2; with tau_2 = i sqrt(5), -i * tau_2 = sqrt(5)
     s5 = MultiQuadElem.sqrt_of(5)
-    assert re == [MultiQuadElem.one(), MultiQuadElem.zero(),
-                  MultiQuadElem.zero(), s5]
-    assert im == [MultiQuadElem.zero(), MultiQuadElem.sqrt_of(2),
-                  MultiQuadElem.from_rational(-1), MultiQuadElem.zero()]
+    assert re == [MultiQuadElem.one(), MultiQuadElem(),
+                  MultiQuadElem(), s5]
+    assert im == [MultiQuadElem(), MultiQuadElem.sqrt_of(2),
+                  MultiQuadElem.from_rational(-1), MultiQuadElem()]
 
 
 def test_holomorphic_form_flagship_pinned(A2, diagonal_line):
@@ -225,7 +225,7 @@ def test_flagship_certificate_against_brute_force_expansion(A2, diagonal_line):
     # integrate by reading the full-mask cell
     hull = rational_hull(diagonal_line, A2)
     cert = eac_certificate(hypersurface_form(2, 2), diagonal_line, A2)
-    zero = MultiQuadElem.zero()
+    zero = MultiQuadElem()
     omega_T = brute_wedge_covectors(
         [[MultiQuadElem.from_rational(c) for c in e] for e in hull.equations], 4, zero)
     omega_Tp = brute_wedge_covectors(residual_covectors(diagonal_line, hull, A2), 4, zero)

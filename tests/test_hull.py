@@ -23,7 +23,7 @@ def test_diagonal_hull_is_re_equal_hyperplane(A2, diagonal_line):
     assert h.codim == 1
     assert h.equations == ((1, 0, -1, 0),)
     one = MultiQuadElem.one()
-    zero = MultiQuadElem.zero()
+    zero = MultiQuadElem()
     for v, inside in (([one, zero, one, zero], True), ([zero, one, zero, zero], True),
                       ([one, zero, zero, zero], False)):
         assert h.T.contains(ExactSubspace("real", (v,), 4)) is inside
@@ -66,7 +66,7 @@ def test_hull_contains_realification_randomized(A2):
         # minimality: every equation annihilates the realified basis exactly
         for eq in h.equations:
             for v in L.realified(A2).basis:
-                acc = MultiQuadElem.zero()
+                acc = MultiQuadElem()
                 for c, x in zip(eq, v):
                     acc = acc + Fraction(c) * x
                 assert acc.is_zero()

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from eac import instance, solver
-from eac.cli import main
+from eac.cli import build_parser, main
 from eac.instance import (InstanceError, builtin_instance, catalog_dicts,
                           catalog_names, instance_from_dict, load_instance,
                           validate_report)
@@ -142,6 +142,29 @@ def test_importing_the_cli_does_not_import_jsonschema():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PKG_ROOT / "src")), check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_one_parser_serves_successive_main_calls(tmp_path):
+    # the in-process calls share one parser; each must report as a lone call
+    # in a fresh interpreter does, so no option leaks into the next call
+    runs = [["density", "catalog:diag-prod-one", "--budget", "3", "--target", "5"],
+            ["density", "catalog:diag-prod-one"],
+            ["check", "catalog:diag-prod-one"]]
+    codes = [main(argv + ["--out", str(tmp_path / f"shared{i}.json")])
+             for i, argv in enumerate(runs)]
+    assert build_parser() is build_parser()
+    for i, argv in enumerate(runs):
+        alone = tmp_path / f"alone{i}.json"
+        proc = subprocess.run([sys.executable, "-m", "eac.cli", *argv, "--out", str(alone)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(PKG_ROOT / "src")))
+        assert proc.returncode == codes[i]
+        reports = [json.loads(p.read_text()) for p in (tmp_path / f"shared{i}.json", alone)]
+        for r in reports:
+            r.pop("timings")
+        assert reports[0] == reports[1]
+    config = json.loads((tmp_path / "shared1.json").read_text())["solve"]["config"]
+    assert config["target_count"] == 60 and config["budget_cells"] != 3
 
 
 def test_report_validator_rejects_malformed():

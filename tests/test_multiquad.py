@@ -47,10 +47,10 @@ def test_multiplication_associates_and_distributes(x, y, z):
 
 @given(elems)
 def test_additive_and_multiplicative_units(x):
-    assert x + MultiQuadElem.zero() == x
+    assert x + MultiQuadElem() == x
     assert x * MultiQuadElem.one() == x
-    assert x - x == MultiQuadElem.zero()
-    assert x * 0 == MultiQuadElem.zero()
+    assert x - x == MultiQuadElem()
+    assert x * 0 == MultiQuadElem()
 
 
 @given(nonzero_elems)
@@ -69,7 +69,7 @@ def test_float_embedding_is_a_homomorphism(x, y):
 
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        MultiQuadElem.zero().inv()
+        MultiQuadElem().inv()
 
 
 def test_sqrt_products_reduce_by_gcd():
@@ -87,7 +87,7 @@ def test_render_pinned_strings():
     assert render_mq(2 * s5 + 2 * s2) == "2*sqrt(5)+2*sqrt(2)"
     assert render_mq(MultiQuadElem.sqrt_of(10, scale=Fraction(1, 2))) == "1/2*sqrt(10)"
     assert render_mq(MultiQuadElem.from_rational(Fraction(-3, 4))) == "-3/4"
-    assert render_mq(MultiQuadElem.zero()) == "0"
+    assert render_mq(MultiQuadElem()) == "0"
     assert render_mq(s5 - s2 + 1) == "sqrt(5)-sqrt(2)+1"
     assert render_mq(-s2) == "-sqrt(2)"
 
@@ -129,3 +129,42 @@ def test_complexmq_norm_is_real():
     n = z * ComplexMQ(z.re, -z.im)
     assert n.im.is_zero()
     assert n.re == MultiQuadElem.from_rational(7)
+
+
+# the canonical invariant: arithmetic never needs the normalizing constructor
+
+WIDE_RADICANDS = [1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 30]
+wide_elems = st.dictionaries(st.sampled_from(WIDE_RADICANDS), coeffs,
+                             max_size=4).map(MultiQuadElem)
+complex_elems = st.builds(ComplexMQ, wide_elems, wide_elems)
+
+
+def assert_canonical(x):
+    parts = (x.re, x.im) if isinstance(x, ComplexMQ) else (x,)
+    for part in parts:
+        assert isinstance(part, MultiQuadElem)
+        c = part.coeffs
+        assert all(squarefree_split(d)[0] == 1 for d in c)
+        assert all(type(q) is Fraction and q != 0 for q in c.values())
+        assert c == MultiQuadElem(c).coeffs
+
+
+def field_results(x, y, q):
+    out = [x + y, x - y, x * y, -x, x + q, q - x, q * x]
+    if y:
+        out += [x / y, y.inv(), q / y]
+    return out
+
+
+@given(wide_elems, wide_elems, coeffs)
+@settings(max_examples=80)
+def test_multiquad_arithmetic_stays_canonical(x, y, q):
+    for r in field_results(x, y, q):
+        assert_canonical(r)
+
+
+@given(complex_elems, complex_elems, coeffs)
+@settings(max_examples=40)
+def test_complexmq_arithmetic_stays_canonical(x, y, q):
+    for r in field_results(x, y, q):
+        assert_canonical(r)

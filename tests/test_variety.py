@@ -123,7 +123,7 @@ def test_realified_doubles_dimension(A2):
     assert R.ambient == 4
     # the real point (1,0,1,0) is z = (1,1), on the diagonal
     one = MultiQuadElem.one()
-    zero = MultiQuadElem.zero()
+    zero = MultiQuadElem()
     assert R.contains(ExactSubspace("real", ([one, zero, one, zero],), 4))
 
 
