@@ -16,7 +16,7 @@ from .instance import (Instance, InstanceError, builtin_instance,
                        catalog_names, instance_from_dict, load_instance)
 from .multiquad import ComplexMQ, MultiQuadElem, parse_mq, render_mq
 from .pipeline import certify, decide, density_summary, solve
-from .segre import SegrePoint, SegrePolynomial
+from .segre import SegrePolynomial
 from .solver import (PulledBackSystem, SolutionPoint, SolveReport,
                      SolverConfig, harvest_density)
 from .variety import EllipticFactor, ExactSubspace, ProductVariety
@@ -28,7 +28,7 @@ __all__ = [
     "AtInfinity", "Certificate", "ComplexMQ", "EllipticFactor", "ExactSubspace",
     "ExteriorForm", "HomologyClass", "HullChain", "HullResult", "Instance",
     "InstanceError", "MultiQuadElem", "PairVerdict", "ProductEvaluator",
-    "ProductVariety", "PulledBackSystem", "SegrePoint", "SegrePolynomial",
+    "ProductVariety", "PulledBackSystem", "SegrePolynomial",
     "SolutionPoint", "SolveReport", "SolverConfig", "SubvarietyData", "Verdict",
     "WpEvaluator", "bidegree_of", "builtin_instance", "catalog_names",
     "certify", "check_free", "check_pair", "check_rotund",

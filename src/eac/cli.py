@@ -12,7 +12,8 @@ JSON (schema-validated, keys sorted, reproducible for a fixed seed except
 the "timings" block) written to --out, with a human summary on stdout.
 Exit codes: check 0 passed / 2 failed / 3 indeterminate; certify 0 emitted /
 2 refused / 3 indeterminate; solve and density 0 found / 4 uncertified /
-5 certified but empty within budget or all distinct cells; file problems 1.
+5 certified but empty within budget or all distinct cells; file problems and
+usage errors 1.
 """
 
 from __future__ import annotations
@@ -135,9 +136,9 @@ def _emit(report: dict, out_path: str | None):
         _write_file(out_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(report: SolveReport, path: str):
+def _write_csv(solutions, path: str):
     _write_file(path, "re_l,im_l,residual,cell\n" + "".join(
-        f"{s.l.real!r},{s.l.imag!r},{s.residual!r},{s.cell}\n" for s in report.solutions))
+        f"{s.l.real!r},{s.l.imag!r},{s.residual!r},{s.cell}\n" for s in solutions))
 
 
 def _get_instance(spec: str) -> Instance:
@@ -158,7 +159,7 @@ def _apply_overrides(instance: Instance, args) -> Instance:
 
 
 def cmd_check(args) -> int:
-    instance = _apply_overrides(_get_instance(args.instance), args)
+    instance = _get_instance(args.instance)
     decision = decide(instance)
     v = decision.verdicts
     if v.indeterminate:
@@ -187,7 +188,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_hull(args) -> int:
-    instance = _apply_overrides(_get_instance(args.instance), args)
+    instance = _get_instance(args.instance)
     chain = hull_chain(instance.L, instance.A)
     report = _base_report("hull", instance, 0)
     report["hull"] = _hull_block(instance, chain.hull)
@@ -244,8 +245,8 @@ def _run_solve(args, command: str) -> int:
             t0 = time.perf_counter()
             report["density"] = density_summary(instance, outcome.report)
             report["timings"]["density_s"] = time.perf_counter() - t0
-        if args.csv:
-            _write_csv(outcome.report, args.csv)
+    if args.csv:  # a refusal has no report and writes the header only
+        _write_csv(outcome.report.solutions if outcome.report else [], args.csv)
     _emit(report, args.out)
     r = outcome.report
     missing = "".join(f", incomplete cell {c['cell']} ({c['found']} of "
@@ -304,10 +305,12 @@ def cmd_list(args) -> int:
     return 0
 
 
-def _add_common(sp, solver_opts: bool):
+def _add_common(sp, seed: bool, solver_opts: bool):
     sp.add_argument("instance", help="instance file path or catalog:<name>")
     sp.add_argument("--out", default=None, help="write the JSON report here")
-    sp.add_argument("--seed", type=int, default=None, help="override the solver seed")
+    if seed:
+        sp.add_argument("--seed", type=int, default=None,
+                        help="override the solver seed (the cuts of an oversized L)")
     if solver_opts:
         sp.add_argument("--budget", type=int, default=None,
                         help="cell budget for the scan")
@@ -317,23 +320,31 @@ def _add_common(sp, solver_opts: bool):
                         help="also write solutions as CSV (re_l,im_l,residual,cell)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, beside file problems: exit 2 means a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first main call; parse_args leaves it unchanged."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="eac",
         description="certify and solve exponential-algebraic intersections "
                     "on products of elliptic curves")
     p.add_argument("--version", action="version", version=f"eac {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, text, func, solver_opts in (
-            ("check", "freeness and rotundity verdicts", cmd_check, False),
-            ("hull", "rational hull and hull chain", cmd_hull, False),
-            ("certify", "non-vanishing certificate", cmd_certify, False),
-            ("solve", "harvest verified intersection points", cmd_solve, True),
-            ("density", "larger harvest with spread statistics", cmd_density, True)):
+    for name, text, func, seed, solver_opts in (
+            ("check", "freeness and rotundity verdicts", cmd_check, False, False),
+            ("hull", "rational hull and hull chain", cmd_hull, False, False),
+            ("certify", "non-vanishing certificate", cmd_certify, True, False),
+            ("solve", "harvest verified intersection points", cmd_solve, True, True),
+            ("density", "larger harvest with spread statistics", cmd_density, True, True)):
         sp = sub.add_parser(name, help=text)
-        _add_common(sp, solver_opts)
+        _add_common(sp, seed, solver_opts)
         sp.set_defaults(func=func)
     sp = sub.add_parser("selftest", help="run the built-in verification suite")
     sp.add_argument("--out", default=None, help="write the JSON report here")

@@ -4,7 +4,9 @@ An instance bundles the curve product (periods as exact literals), the
 parameter subspace L (basis vectors with multiquadratic string entries), the
 hypersurface W (a polynomial in Segre coordinates, optional bidegree), and
 solver settings. Files are JSON validated against a strict schema; parse
-errors carry the offending line or field path.
+errors carry the offending line or field path. Rules on values belong to the
+model constructors (EllipticFactor, ExactSubspace, SegrePolynomial.from_dict);
+instance_from_dict only adds the field path to their ValueErrors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from importlib import resources
 
 from .checker import SubvarietyData
 from .multiquad import ComplexMQ, MultiQuadElem, parse_mq
-from .segre import SEGRE_DIM, SegrePolynomial
+from .segre import SegrePolynomial
 from .solver import SolverConfig
 from .variety import EllipticFactor, ExactSubspace, ProductVariety
 
@@ -80,16 +82,8 @@ def _parse_rational(s: str, where: str) -> Fraction:
 
 def _parse_tau_im(spec, where: str) -> MultiQuadElem:
     if isinstance(spec, str):
-        try:
-            val = parse_mq(spec)
-        except ValueError as e:
-            raise InstanceError(f"{where}: {e}") from None
-    else:
-        q = _parse_rational(spec["q"], where + ".q")
-        val = MultiQuadElem.sqrt_of(spec["d"], q)
-    if float(val) <= 0:
-        raise InstanceError(f"{where}: imaginary part of tau must be positive")
-    return val
+        return _parse_entry(spec, where).re
+    return MultiQuadElem.sqrt_of(spec["d"], _parse_rational(spec["q"], where + ".q"))
 
 
 def _parse_entry(spec, where: str) -> ComplexMQ:
@@ -113,33 +107,26 @@ def instance_from_dict(data: dict, label_fallback: str = "unnamed") -> Instance:
     g = len(data["factors"])
     factors = []
     for j, f in enumerate(data["factors"]):
-        factors.append(EllipticFactor(
-            tau_re=_parse_rational(f["tau_re"], f"factors[{j}].tau_re"),
-            tau_im=_parse_tau_im(f["tau_im"], f"factors[{j}].tau_im"),
-        ))
+        tau_re = _parse_rational(f["tau_re"], f"factors[{j}].tau_re")
+        tau_im = _parse_tau_im(f["tau_im"], f"factors[{j}].tau_im")
+        try:
+            factors.append(EllipticFactor(tau_re=tau_re, tau_im=tau_im))
+        except ValueError as e:
+            raise InstanceError(f"factors[{j}]: {e}") from None
     asserts = data.get("assertions", {})
     A = ProductVariety(tuple(factors),
                        pairwise_nonisogenous=asserts.get("pairwise_nonisogenous", True),
                        no_cm=asserts.get("no_cm", True))
-    basis_rows = []
-    for i, row in enumerate(data["L"]["basis"]):
-        if len(row) != g:
-            raise InstanceError(f"L.basis[{i}]: expected {g} entries, got {len(row)}")
-        basis_rows.append(tuple(_parse_entry(x, f"L.basis[{i}][{k}]")
-                                for k, x in enumerate(row)))
+    basis_rows = tuple(tuple(_parse_entry(x, f"L.basis[{i}][{k}]") for k, x in enumerate(row))
+                       for i, row in enumerate(data["L"]["basis"]))
     try:
-        L = ExactSubspace("complex", tuple(basis_rows), g)
+        L = ExactSubspace("complex", basis_rows, g)
     except ValueError as e:
         raise InstanceError(f"L.basis: {e}") from None
     wspec = data["W"]
-    dim_expected = SEGRE_DIM[g]
     table = {}
-    for i, mono in enumerate(wspec["monomials"]):
+    for mono in wspec["monomials"]:
         expo = tuple(mono["exponents"])
-        if len(expo) != dim_expected:
-            raise InstanceError(
-                f"W.monomials[{i}].exponents: expected length {dim_expected} "
-                f"for {g} factor(s), got {len(expo)}")
         coeff = complex(mono["re"], mono.get("im", 0.0))
         table[expo] = table.get(expo, 0.0) + coeff
     try:
@@ -150,7 +137,10 @@ def instance_from_dict(data: dict, label_fallback: str = "unnamed") -> Instance:
     W = SubvarietyData(dim=wspec.get("dim", g - 1), bidegree=bidegree)
     if W.dim != g - 1:
         raise InstanceError(f"W.dim: a hypersurface in {g} factor(s) has dimension {g - 1}")
-    config = SolverConfig(**data.get("solver", {}))
+    try:
+        config = SolverConfig(**data.get("solver", {}))
+    except ValueError as e:
+        raise InstanceError(f"solver: {e}") from None
     label = data.get("label", label_fallback)
     return Instance(label=label, A=A, L=L, W=W, F=F, config=config, raw=data)
 

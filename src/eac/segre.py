@@ -11,38 +11,19 @@ A hypersurface is the zero set of a linear-in-Z polynomial with complex
 coefficients (monomials of total degree 1 in the projective chart cover the
 cases of interest; higher products of Z's are accepted and evaluated
 affinely). For a single curve the chart degenerates to [1 : wp : wp'].
+
+The coordinates are affine: at a pole of wp, WpEvaluator.wp_pair raises
+AtInfinity instead. SegrePolynomial.from_dict owns the rules on monomials:
+exponent tuples of the chart's length, nonnegative exponents, finite
+coefficients and at least one nonzero monomial.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
 SEGRE_DIM = {1: 3, 2: 9}
-
-
-@dataclass(frozen=True)
-class SegrePoint:
-    """Affine Segre coordinates of a point, with per-factor pole flags."""
-
-    wp: tuple[complex, ...]
-    wp_prime: tuple[complex, ...]
-    at_infinity: tuple[bool, ...]
-
-    @property
-    def g(self) -> int:
-        return len(self.wp)
-
-    @property
-    def finite(self) -> bool:
-        return not any(self.at_infinity)
-
-    def coords(self) -> np.ndarray:
-        """The affine coordinate vector; poles raise, callers check finite."""
-        if not self.finite:
-            raise ValueError("point sits at infinity in some factor")
-        return np.array(segre_stack(self.wp, self.wp_prime, 1.0), dtype=complex)
 
 
 def segre_stack(wps, wpps, one) -> list:
@@ -81,10 +62,13 @@ class SegrePolynomial:
         for expo, coeff in sorted(table.items()):
             expo = tuple(int(e) for e in expo)
             if len(expo) != dim:
-                raise ValueError(f"exponent tuple {expo} must have length {dim}")
+                raise ValueError(f"exponents {list(expo)}: expected length {dim} "
+                                 f"for {g} factor(s), got {len(expo)}")
             if any(e < 0 for e in expo):
                 raise ValueError("exponents must be nonnegative")
             coeff = complex(coeff)
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"exponents {list(expo)}: coefficient {coeff} is not finite")
             if coeff != 0:
                 items.append((expo, coeff))
         if not items:

@@ -135,9 +135,10 @@ class ExactSubspace:
         if self.kind not in ("complex", "real"):
             raise ValueError(f"unknown subspace kind {self.kind!r}")
         rows = [list(r) for r in self.basis]
-        for r in rows:
+        for i, r in enumerate(rows):
             if len(r) != self.ambient:
-                raise ValueError("basis vector length does not match ambient dimension")
+                raise ValueError(f"basis vector {i}: expected {self.ambient} entries, "
+                                 f"got {len(r)}")
         coerce = self._coerce_complex if self.kind == "complex" else self._coerce_real
         rows = [[coerce(x) for x in r] for r in rows]
         red, _ = rref(rows)

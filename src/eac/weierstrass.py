@@ -22,15 +22,17 @@ The lattice-sum backend shares no formula with the theta series, so it is
 the independent cross-check that harvested points are re-evaluated with.
 Both reduce the argument to the fundamental domain first, so truncation
 orders stay uniform. A point within EPS of the lattice raises AtInfinity, a
-typed signal the callers turn into projective bookkeeping, never a NaN.
+typed signal, never a NaN; wp_pair is its one source, and
+ProductEvaluator.eval_polynomial re-raises it with the factor's index.
 ProductEvaluator holds the float lattice of a curve product: its reduce and
 torus_distances apply the same reduce_to_fundamental to points of C^g.
 
-Zeros on a fiber or a curve are counted by the harvest's counter,
-solver.cell_seeds, on one period cell of the moving factor: the argument
-principle on adaptive Gauss-Legendre panels, plus the orders of the poles
-inside, each minus the winding on a small box around it (solver.box_windings).
-The cell's corner is set by a jitter; an unresolved count raises ContourError.
+count_roots_on_fiber counts the zeros on a fiber, and point_count_on_curve
+on a curve, with the harvest's counter, solver.cell_seeds, on one period cell
+of the moving factor: the argument principle on adaptive Gauss-Legendre
+panels, plus the orders of the poles inside, each minus the winding on a small
+box around it (solver.box_windings). The cell's corner is set by a jitter; an
+unresolved count raises ContourError.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import math
 
 import numpy as np
 
-from .segre import SegrePoint, SegrePolynomial
+from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
 
 TWO_PI = 2.0 * math.pi
@@ -145,8 +147,6 @@ class WpEvaluator:
 
     def __init__(self, tau: complex, backend: str = "theta"):
         tau = complex(tau)
-        if tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half plane")
         if backend not in ("theta", "lattice-sum"):
             raise ValueError(f"unknown backend {backend!r}")
         self.tau = tau
@@ -301,39 +301,31 @@ class ProductEvaluator:
         diff = self.reduce(np.asarray(z, dtype=complex) - np.asarray(others, dtype=complex))
         return np.sqrt(np.sum(np.abs(diff) ** 2, axis=1))
 
-    def exp_segre(self, z: tuple[complex, ...]) -> SegrePoint:
-        """Affine Segre coordinates of exp(z) with per-factor pole flags."""
-        if len(z) != self.A.g:
-            raise ValueError("point length does not match the factor count")
-        wps, wpps, flags = [], [], []
-        for zj, ev in zip(z, self.evals):
+    def eval_polynomial(self, F: SegrePolynomial, z: tuple[complex, ...]) -> complex:
+        """F(exp(z)); raises AtInfinity(j) if factor j sits at a pole."""
+        wps, wpps = [], []
+        for j, (zj, ev) in enumerate(zip(z, self.evals, strict=True)):
             try:
                 p, pp = ev.wp_pair(zj)
-                flags.append(False)
             except AtInfinity:
-                p = pp = complex("inf")
-                flags.append(True)
+                raise AtInfinity(j) from None
             wps.append(p)
             wpps.append(pp)
-        return SegrePoint(tuple(wps), tuple(wpps), tuple(flags))
-
-    def eval_polynomial(self, F: SegrePolynomial, z: tuple[complex, ...]) -> complex:
-        """F(exp(z)); raises AtInfinity if some factor sits at a pole."""
-        pt = self.exp_segre(z)
-        for j, flag in enumerate(pt.at_infinity):
-            if flag:
-                raise AtInfinity(j)
-        return complex(F.eval_affine(pt.coords()))
+        return complex(F.eval_affine(np.array(segre_stack(wps, wpps, 1.0), dtype=complex)))
 
 
-def _period_count(F: SegrePolynomial, A: ProductVariety, pe: ProductEvaluator | None,
-                  which: int, jitter: tuple[float, float], fixed: complex = 0j) -> int:
-    """Zeros of F(exp(z)) as factor which runs over one period cell, the others at fixed.
+def count_roots_on_fiber(F: SegrePolynomial, which: int, fixed: complex,
+                         A: ProductVariety, pe: ProductEvaluator | None = None,
+                         jitter: tuple[float, float] = (0.23, 0.31)) -> int:
+    """Zeros of z -> F(exp(...)) on one curve fiber, counted with multiplicity.
 
-    The cell is cell (0, 0) of the pulled-back system on the line
-    z = base + l e_which, with base placing the cell's corner at
+    which selects the moving factor (0-based); any other factor is pinned at
+    fixed. The count is over cell (0, 0) of the pulled-back system on the
+    line z = base + l e_which, with base placing the cell's corner at
     jitter - (1, 1) in the factor's lattice coordinates, so that exactly one
-    lattice point lies inside; solver.cell_seeds counts it.
+    lattice point lies inside; solver.cell_seeds counts it. Identically
+    vanishing restrictions raise DegenerateFiber and an unresolved count
+    raises ContourError, so the caller can move the fiber.
     """
     from .solver import CELL_OFFSET, PulledBackSystem, cell_seeds
 
@@ -352,27 +344,13 @@ def _period_count(F: SegrePolynomial, A: ProductVariety, pe: ProductEvaluator | 
     return count
 
 
-def count_roots_on_fiber(F: SegrePolynomial, which: int, fixed: complex,
-                         A: ProductVariety, pe: ProductEvaluator | None = None,
-                         jitter: tuple[float, float] = (0.23, 0.31)) -> int:
-    """Zeros of z -> F(exp(...)) on one curve fiber, counted with multiplicity.
-
-    which selects the moving factor (0-based); the other factor is pinned at
-    fixed. Identically vanishing restrictions raise DegenerateFiber and an
-    unresolved count raises ContourError, so the caller can move the fiber.
-    """
-    if A.g != 2:
-        raise ValueError("fiber counting is implemented for two factors")
-    return _period_count(F, A, pe, which, jitter, fixed)
-
-
 def point_count_on_curve(F: SegrePolynomial, A: ProductVariety,
                          pe: ProductEvaluator | None = None,
                          jitter: tuple[float, float] = (0.23, 0.31)) -> int:
     """Zeros of z -> F(exp(z)) on a single curve, counted with multiplicity."""
     if A.g != 1:
         raise ValueError("point_count_on_curve expects a single factor")
-    return _period_count(F, A, pe, 0, jitter)
+    return count_roots_on_fiber(F, 0, 0j, A, pe, jitter)
 
 
 def _reject_degenerate(system):

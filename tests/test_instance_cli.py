@@ -13,6 +13,8 @@ from eac.cli import build_parser, main
 from eac.instance import (InstanceError, builtin_instance, catalog_dicts,
                           catalog_names, instance_from_dict, load_instance,
                           validate_report)
+from eac.segre import SegrePolynomial
+from eac.variety import EllipticFactor, ExactSubspace
 from tests.conftest import unresolvable_bidegree_dict
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -82,15 +84,36 @@ def test_schema_violations_carry_paths():
         instance_from_dict(data)
 
 
+E4 = (0, 0, 0, 0, 1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("edit, construct, match, field", [
+    (lambda d: d["factors"][0].update(tau_im="-1"),
+     lambda: EllipticFactor(0, -1), "upper half plane", "factors[0]"),
+    (lambda d: d["L"].update(basis=[["1"]]),
+     lambda: ExactSubspace("complex", ((1,),), 2), "expected 2 entries", "L.basis"),
+    (lambda d: d["W"]["monomials"][0].update(exponents=[0, 1, 0]),
+     lambda: SegrePolynomial.from_dict(2, {(0, 1, 0): 1.0}), "expected length 9",
+     "W.monomials"),
+    (lambda d: d["W"]["monomials"][0].update(re=float("nan")),
+     lambda: SegrePolynomial.from_dict(2, {E4: complex(1, float("inf"))}), "not finite",
+     "W.monomials"),
+], ids=["tau-sign", "row-length", "exponent-length", "finite-coefficient"])
+def test_each_value_rule_is_the_constructors(edit, construct, match, field, tmp_path):
+    # the model raises its own ValueError; a file adds only the field path
+    with pytest.raises(ValueError, match=match) as api:
+        construct()
+    assert not isinstance(api.value, InstanceError)
+    data = flagship_dict()
+    edit(data)
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InstanceError, match=match) as from_file:
+        load_instance(str(path))
+    assert str(from_file.value).startswith(f"{field}: ")
+
+
 def test_semantic_validation_beyond_schema():
-    data = flagship_dict()
-    data["L"]["basis"] = [["1"]]
-    with pytest.raises(InstanceError, match="expected 2 entries"):
-        instance_from_dict(data)
-    data = flagship_dict()
-    data["W"]["monomials"][0]["exponents"] = [0, 1, 0]
-    with pytest.raises(InstanceError, match="expected length 9"):
-        instance_from_dict(data)
     data = flagship_dict()
     data["W"]["dim"] = 2
     with pytest.raises(InstanceError, match="hypersurface"):
@@ -98,6 +121,10 @@ def test_semantic_validation_beyond_schema():
     data = flagship_dict()
     data["L"]["basis"] = [["1", "1"], ["2", "2"]]
     with pytest.raises(InstanceError, match="L.basis"):
+        instance_from_dict(data)
+    data = flagship_dict()
+    data["solver"] = {"solve_tol": float("nan")}
+    with pytest.raises(InstanceError, match="solver: solve_tol must be positive"):
         instance_from_dict(data)
 
 
@@ -292,10 +319,13 @@ def test_cli_solve_flagship_with_csv(tmp_path, capsys):
 
 def test_cli_solve_uncertified_exit_code(tmp_path):
     out = tmp_path / "r.json"
-    assert run_cli(["solve", "catalog:axis-line", "--out", str(out)]) == 4
+    csv = tmp_path / "r.csv"
+    csv.write_text("stale\n")
+    assert run_cli(["solve", "catalog:axis-line", "--out", str(out), "--csv", str(csv)]) == 4
     report = json.loads(out.read_text())
     assert report["exit_code"] == 4
     assert report["solve"] is None
+    assert csv.read_text() == "re_l,im_l,residual,cell\n"
 
 
 def reject_every_point(system, ls, cfg):
@@ -331,8 +361,49 @@ def test_cli_rejects_out_of_range_overrides(option, value, field, capsys):
 def test_cli_has_no_grid_option(capsys):
     with pytest.raises(SystemExit) as exit_info:
         run_cli(["solve", "catalog:irrational-slope", "--grid", "200"])
-    assert exit_info.value.code == 2
+    assert exit_info.value.code == 1
     assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "catalog:diag-prod-one", "--bogus"], "unrecognized arguments: --bogus"),
+    (["check"], "required: instance"),
+    (["solve", "catalog:axis-line", "--budget", "x"], "invalid int value: 'x'"),
+    (["hull", "catalog:diag-prod-one", "--seed", "1"], "unrecognized arguments: --seed"),
+    (["check", "catalog:diag-prod-one", "--seed", "1"], "unrecognized arguments: --seed"),
+])
+def test_cli_usage_errors_exit_1(argv, message, capsys):
+    # exit 2 is a failed check or a refused certificate, never a usage error
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv)
+    assert exit_info.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
+def test_cli_help_and_version_exit_0(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv)
+    assert exit_info.value.code == 0
+
+
+def test_cli_seed_only_where_reduce_L_reads_it():
+    for command in ("certify", "solve", "density"):
+        assert build_parser().parse_args([command, "catalog:x", "--seed", "7"]).seed == 7
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_cli_non_finite_coefficient_is_one_error_line(literal, command, tmp_path, capsys):
+    text = json.dumps(flagship_dict()).replace('"re": -1.0', f'"re": {literal}', 1)
+    assert literal in text
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    assert run_cli([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: W.monomials: ") and "not finite" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_summary_names_incomplete_cells(tmp_path, capsys, monkeypatch):

@@ -230,15 +230,19 @@ def test_grid_paths_refuse_the_lattice_sum_backend():
 
 
 def test_product_evaluator_segre_and_poles(A2, pe2):
+    # F = wp_1 wp_2 - 1 + 2 wp_1', from the per-factor values; a pole names its factor
+    F = SegrePolynomial.linear(2, {4: 1, 0: -1, 6: 2})
     z = (0.3 + 0.2j, 0.1 + 0.5j)
-    pt = pe2.exp_segre(z)
-    assert pt.finite
-    assert abs(pt.wp[0] - pe2.evals[0].wp(z[0])) < 1e-12 * max(abs(pt.wp[0]), 1)
-    pt_pole = pe2.exp_segre((0.0, 0.1 + 0.5j))
-    assert pt_pole.at_infinity == (True, False)
-    F = SegrePolynomial.linear(2, {4: 1, 0: -1})
-    with pytest.raises(AtInfinity):
-        pe2.eval_polynomial(F, (0.0, 0.1 + 0.5j))
+    (p1, q1), (p2, _) = (ev.wp_pair(zj) for ev, zj in zip(pe2.evals, z))
+    want = p1 * p2 - 1 + 2 * q1
+    assert abs(pe2.eval_polynomial(F, z) - want) < 1e-12 * abs(want)
+    for z_pole, factor in (((0.0, 0.1 + 0.5j), 0), ((0.3 + 0.2j, 1.0), 1),
+                           ((1.0, 1j * math.sqrt(5)), 0)):
+        with pytest.raises(AtInfinity) as pole:
+            pe2.eval_polynomial(F, z_pole)
+        assert pole.value.factor == factor
+    with pytest.raises(ValueError):
+        pe2.eval_polynomial(F, (0.3 + 0.2j,))
 
 
 # contour counting
