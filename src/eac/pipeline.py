@@ -151,7 +151,8 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
     5: certified but nothing verified within budget, or in any of the finitely
     many distinct cells (reported as a defect). The kernel of exp on L is
     computed here, once per harvest, so that the walk skips cells whose
-    image in the product was already scanned.
+    image in the product was already scanned; the closed-form mean zero
+    count per cell, from the bidegree, sizes the harvest's first chunk.
     """
     pe = pe or ProductEvaluator(instance.A)
     cfg = config or instance.config
@@ -166,20 +167,28 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
         return SolveOutcome(refusal, None, 4)
     direction = tuple(complex(x) for x in L.basis[0])
     system = PulledBackSystem(instance.F, direction, instance.A, pe)
-    report = harvest_density(system, cfg, certified=True,
-                             kernel=kernel_lattice(L, instance.A))
+    report = harvest_density(
+        system, cfg, certified=True, kernel=kernel_lattice(L, instance.A),
+        closed_form_mean=system.mean_cell_count(outcome.decision.W_effective.bidegree))
     code = 0 if report.solutions else 5
     return SolveOutcome(outcome, report, code)
 
 
 def density_summary(instance: Instance, report: SolveReport) -> dict:
-    """Spread statistics of the harvested points on the product variety."""
+    """Spread statistics of the harvested points on the product variety.
+
+    mean_zeros_per_cell is the mean of the scanned cells' resolved zero
+    counts, beside the closed form the harvest sized its first chunk from.
+    """
     pts = [s.z for s in report.solutions]
+    counts = [c["expected"] for c in report.cells if c["expected"] is not None]
     out = {
         "points": len(pts),
         "cells": len(report.cells_with_solutions),
         "min_pairwise_distance": None,
         "median_nearest_distance": None,
+        "mean_zeros_per_cell": sum(counts) / len(counts) if counts else None,
+        "closed_form_zeros_per_cell": report.closed_form_mean,
         "per_cell": sorted(
             [[c, sum(1 for s in report.solutions if s.cell == c)]
              for c in report.cells_with_solutions]),

@@ -15,8 +15,10 @@ them by subdivision (Delves and Lyness, Math. Comp. 21 (1967); ZEAL,
 Kravanja, Van Barel et al., Comput. Phys. Commun. 124 (2000)); a box with
 one zero gives its Newton seed from the first moment of G'/G. Every
 contour integral is one _Edges panel sum, also on the small boxes of
-box_windings that give pole orders and verification windings. Newton
-refines a chunk's seeds as one array with the analytic G'(l) of eval_jet:
+box_windings that give pole orders and verification windings. The mean
+count per cell is known in closed form (PulledBackSystem.mean_cell_count),
+and sizes the first chunk of cells counted together. Newton
+refines a batch of seeds as one array with the analytic G'(l) of eval_jet:
 each factor enters as a first-order jet, with d wp = c wp' and
 d wp' = c (6 wp^2 - g2/2) for z = l c (DLMF 23.3). G' at a root also gives
 its Jacobian rank. verify_points recomputes a batch of residuals to 30
@@ -68,7 +70,10 @@ MAX_PANELS_PER_CELL = 1000
 # Pole orders and verification windings are read on boxes of this half side
 # (about 1e-3 of a cell side); poles closer than two half sides count as one.
 WIND_UNITS = 1 << 10
-FIRST_CHUNK = 4  # cells counted before the mean count per cell is known
+FIRST_CHUNK = 4  # cells counted first when no closed-form mean count is known
+# The first chunk holds this many times the cells that the closed-form mean
+# count per cell predicts the target needs, plus one.
+FIRST_CHUNK_MARGIN = 1.15
 
 
 class UncertifiedError(RuntimeError):
@@ -91,8 +96,9 @@ class SolverConfig:
                 raise ValueError(
                     f"{name} must be at least {low}, got {getattr(self, name)}")
         for name in ("solve_tol", "dedup_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -125,6 +131,7 @@ class SolveReport:
     seeds_duplicate: int = 0
     newton_iterations: int = 0
     failures_by_reason: dict = field(default_factory=dict)
+    closed_form_mean: float | None = None
     budget_exhausted: bool = False
     cells_exhausted: bool = False
     target_reached: bool = False
@@ -283,6 +290,22 @@ class PulledBackSystem:
         tau = self.pe.evals[self.anchor].tau
         va = self.v[self.anchor]
         return ((p + CELL_OFFSET[0] + a) + (q + CELL_OFFSET[1] + b) * tau) / va
+
+    def mean_cell_count(self, bidegree) -> float | None:
+        """The mean zero count of G per cell, in closed form, or None.
+
+        W of bidegree (d_1, d_2) meets a fiber of factor j in d_j points, so
+        its class pulls back to d_j |v_j|^2 / Im tau_j zeros per unit area of
+        the l-plane, and a cell has area Im tau_a / |v_a|^2 for the anchor a:
+        the mean is sum_j d_j |v_j|^2 Im tau_a / (|v_a|^2 Im tau_j). None
+        without a bidegree on two factors.
+        """
+        if bidegree is None or self.A.g != 2:
+            return None
+        a = self.anchor
+        cell_area = self.pe.evals[a].tau.imag / abs(self.v[a]) ** 2
+        return sum(d * abs(c) ** 2 * cell_area / ev.tau.imag
+                   for d, c, ev in zip(bidegree, self.v, self.pe.evals))
 
     def cell_position(self, l: complex) -> tuple[float, float]:
         """The inverse of cell_box at cell (0, 0): l lies in cell (floor x, floor y)."""
@@ -691,18 +714,24 @@ def verify_solution(system: PulledBackSystem, l: complex,
 
 
 def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
-                    certified: bool = False, kernel=()) -> SolveReport:
+                    certified: bool = False, kernel=(),
+                    closed_form_mean: float | None = None) -> SolveReport:
     """Scan distinct cells in spiral order until the target count or the budget.
 
     Requires certified=True: running without a nonzero certificate is a
     precondition violation, not a soft warning. kernel is an integer basis of
     Lambda_L (hull.kernel_lattice); an empty kernel walks every cell, drawn
     from one distinct_cells generator as chunks and home cells need them.
-    Cells are counted and seeded by cell_seeds in chunks, FIRST_CHUNK cells and
-    then as many as the mean count so far predicts the target needs; each
-    chunk's seeds are refined in one newton_refine call and taken in cell
-    order until the target is reached. cells_scanned counts the cells whose
-    seeds were taken. Each chunk's converged points are reduced into the
+    Cells are counted and seeded by cell_seeds in chunks: the first holds
+    FIRST_CHUNK_MARGIN times the cells that closed_form_mean (the mean zero
+    count per cell, PulledBackSystem.mean_cell_count) says the target needs,
+    plus one, or FIRST_CHUNK cells without it; each later one holds as many
+    as the mean count measured so far predicts the target still needs.
+    Counted cells are taken in walk order, as many at a time as their counts
+    say the target still needs; their seeds are refined in one newton_refine
+    batch and taken in cell order until the target is reached. cells_scanned
+    counts the cells whose seeds were taken; cells counted past the target
+    are not reported. Each batch's converged points are reduced into the
     fundamental domains in one reduced_points call; the walk deduplicates
     those rows by torus distance at dedup_tol, one verify_points call takes
     the ones apart from the accepted points and each other, as many as the
@@ -714,7 +743,7 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     if not certified:
         raise UncertifiedError(
             "harvest requires a certified instance (nonzero certificate)")
-    report = SolveReport()
+    report = SolveReport(closed_form_mean=closed_form_mean)
     t0 = time.perf_counter()
     shifts = system.cell_shifts(kernel)
     cells_ahead = distinct_cells(shifts)
@@ -756,26 +785,36 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                 break
         return dict(zip(group, verify_points(system, [refined[i][0] for i in group], cfg)))
 
+    counted = []  # (count, seeds) of the cells counted but not yet taken
     while not report.target_reached and report.cells_scanned < cfg.budget_cells:
         start = report.cells_scanned
-        size = FIRST_CHUNK
-        if start:
-            mean = max(zeros_counted / start, 0.5)
-            size = math.ceil((cfg.target_count - len(report.solutions)) / mean)
-        end = min(start + size, cfg.budget_cells)
-        draw(end)
-        cells = walk[start:end]
-        if not cells:
-            break
-        counted = timed("scan_s", cell_seeds, system, cells)
-        batch = [seed for _, seeds in counted for seed in seeds]
+        need = cfg.target_count - len(report.solutions)
+        if not counted:
+            if start:
+                size = math.ceil(need / max(zeros_counted / start, 0.5))
+            elif closed_form_mean:
+                size = math.ceil(FIRST_CHUNK_MARGIN * need / closed_form_mean) + 1
+            else:
+                size = FIRST_CHUNK
+            end = min(start + size, cfg.budget_cells)
+            draw(end)
+            cells = walk[start:end]
+            if not cells:
+                break
+            counted = timed("scan_s", cell_seeds, system, cells)
+        take, covered = 0, 0
+        while take < len(counted) and covered < need:
+            covered += counted[take][0] or 0
+            take += 1
+        taken, counted = counted[:take], counted[take:]
+        batch = [seed for _, seeds in taken for seed in seeds]
         refined = timed("newton_s", newton_refine, system, batch, cfg) if batch else []
         converged = [i for i, r in enumerate(refined) if r[0] is not None]
         zred = dict(zip(converged, timed("dedup_s", reduced_points, system,
                                          [refined[i][0] for i in converged])))
         candidates = iter(enumerate(refined))
         checked = {}
-        for cell_index, (count, seeds) in enumerate(counted, start):
+        for cell_index, (count, seeds) in enumerate(taken, start):
             if report.target_reached:
                 break
             report.cells_scanned += 1

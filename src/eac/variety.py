@@ -17,6 +17,7 @@ its pure-Python oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,8 +40,11 @@ class EllipticFactor:
         object.__setattr__(self, "tau_re", Fraction(self.tau_re))
         if not isinstance(self.tau_im, MultiQuadElem):
             object.__setattr__(self, "tau_im", MultiQuadElem.from_rational(self.tau_im))
-        if float(self.tau_im) <= 0:
-            raise ValueError("tau must lie in the upper half plane")
+        # the theta series needs |q| = exp(-2 pi Im tau) below 1 in doubles
+        im = float(self.tau_im)
+        if not (im > 0 and math.exp(-2.0 * math.pi * im) < 1.0):
+            raise ValueError("tau must lie in the upper half plane, with "
+                             f"|q| = exp(-2 pi tau_im) below 1 in doubles (tau_im {self.tau_im})")
 
     @property
     def tau(self) -> complex:

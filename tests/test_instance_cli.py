@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +16,7 @@ from eac.instance import (InstanceError, builtin_instance, catalog_dicts,
                           catalog_names, instance_from_dict, load_instance,
                           validate_report)
 from eac.segre import SegrePolynomial
+from eac.solver import SolverConfig
 from eac.variety import EllipticFactor, ExactSubspace
 from tests.conftest import unresolvable_bidegree_dict
 
@@ -85,6 +88,7 @@ def test_schema_violations_carry_paths():
 
 
 E4 = (0, 0, 0, 0, 1, 0, 0, 0, 0)
+TINY_TAU_IM = "1/100000000000000000000"
 
 
 @pytest.mark.parametrize("edit, construct, match, field", [
@@ -98,7 +102,17 @@ E4 = (0, 0, 0, 0, 1, 0, 0, 0, 0)
     (lambda d: d["W"]["monomials"][0].update(re=float("nan")),
      lambda: SegrePolynomial.from_dict(2, {E4: complex(1, float("inf"))}), "not finite",
      "W.monomials"),
-], ids=["tau-sign", "row-length", "exponent-length", "finite-coefficient"])
+    # a tau_im so small that |q| = exp(-2 pi tau_im) rounds to 1 in doubles
+    (lambda d: d["factors"][0].update(tau_im=TINY_TAU_IM),
+     lambda: EllipticFactor(0, Fraction(TINY_TAU_IM)), "upper half plane", "factors[0]"),
+    (lambda d: d.update(solver={"solve_tol": math.inf}),
+     lambda: SolverConfig(solve_tol=math.inf), "solve_tol must be positive and finite",
+     "solver"),
+    (lambda d: d.update(solver={"dedup_tol": math.inf}),
+     lambda: SolverConfig(dedup_tol=math.inf), "dedup_tol must be positive and finite",
+     "solver"),
+], ids=["tau-sign", "row-length", "exponent-length", "finite-coefficient", "tau-tiny",
+        "infinite-solve-tol", "infinite-dedup-tol"])
 def test_each_value_rule_is_the_constructors(edit, construct, match, field, tmp_path):
     # the model raises its own ValueError; a file adds only the field path
     with pytest.raises(ValueError, match=match) as api:
@@ -406,6 +420,22 @@ def test_cli_non_finite_coefficient_is_one_error_line(literal, command, tmp_path
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["factors"][0].update(tau_im=TINY_TAU_IM), "factors[0]: tau must lie"),
+    (lambda d: d.update(solver={"dedup_tol": math.inf}), "solver: dedup_tol must be"),
+], ids=["tau-tiny", "infinite-dedup-tol"])
+def test_cli_unusable_value_is_one_error_line(edit, message, tmp_path, capsys):
+    data = flagship_dict()
+    edit(data)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cli_summary_names_incomplete_cells(tmp_path, capsys, monkeypatch):
     real_seeds = solver.cell_seeds
 
@@ -434,6 +464,10 @@ def test_cli_density_defaults_and_stats(tmp_path, capsys):
     assert dens["points"] == report["solve"]["distinct_count"]
     assert dens["cells"] == len(report["solve"]["cells_with_solutions"])
     assert dens["min_pairwise_distance"] > 1e-6
+    counts = [c["expected"] for c in report["solve"]["cells"]]
+    assert dens["mean_zeros_per_cell"] == sum(counts) / len(counts)
+    assert dens["closed_form_zeros_per_cell"] == pytest.approx(2 + 2 * math.sqrt(2 / 5),
+                                                               rel=1e-12)
     assert "median nearest" in capsys.readouterr().out
     assert set(report["timings"]) == {"total_s", "scan_s", "newton_s", "dedup_s",
                                       "verify_s", "jacobian_s", "density_s"}

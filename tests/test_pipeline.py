@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import statistics
 
 import numpy as np
@@ -247,6 +248,96 @@ def test_harvest_ranks_match_the_jacobian_probe(name):
     # every cell before the one that reached the target gave all its zeros
     assert not out.report.incomplete_cells
     assert all(c["found"] == c["expected"] for c in out.report.cells[:-1]), name
+
+
+def harvest_fields(report):
+    """A harvest report's fields, less its timings and the closed form it was given."""
+    out = dataclasses.asdict(report)
+    del out["timings"], out["closed_form_mean"]
+    return out
+
+
+@pytest.fixture
+def harvest_calls(monkeypatch):
+    """What the harvest hands on: each cell_seeds result and each newton_refine batch."""
+    calls = {"counted": [], "refined": []}
+    real_seeds, real_newton = solver.cell_seeds, solver.newton_refine
+
+    def counting(system, cells):
+        calls["counted"].append(real_seeds(system, cells))
+        return calls["counted"][-1]
+
+    def refining(system, seeds, cfg):
+        calls["refined"].extend(seeds)
+        return real_newton(system, seeds, cfg)
+
+    monkeypatch.setattr(solver, "cell_seeds", counting)
+    monkeypatch.setattr(solver, "newton_refine", refining)
+    return calls
+
+
+@pytest.mark.parametrize("name", HARVESTABLE)
+def test_closed_form_sizes_one_chunk_and_keeps_the_pilot_reports(name, harvest_calls,
+                                                                  monkeypatch):
+    inst = builtin_instance(name)
+    for target in (30, 60):
+        for made in harvest_calls.values():
+            made.clear()
+        report = solve(inst, config=dataclasses.replace(inst.config, target_count=target)).report
+        [counted] = harvest_calls["counted"]
+        assert report.target_reached, (name, target)
+        # cells counted past the target are not reported, and Newton sees none of their seeds
+        assert len(report.cells) == report.cells_scanned <= len(counted), name
+        assert harvest_calls["refined"] == [
+            seed for _, seeds in counted[:report.cells_scanned] for seed in seeds], name
+    # the pilot chunk of FIRST_CHUNK cells, then the measured mean: the same harvest
+    monkeypatch.setattr(PulledBackSystem, "mean_cell_count", lambda self, bidegree: None)
+    harvest_calls["counted"].clear()
+    pilot = solve(inst, config=dataclasses.replace(inst.config, target_count=60)).report
+    assert len(harvest_calls["counted"][0]) == solver.FIRST_CHUNK
+    assert pilot.closed_form_mean is None
+    assert harvest_fields(pilot) == harvest_fields(report), name
+
+
+@pytest.mark.parametrize("name", ["diag-prod-one", "irrational-slope"])
+def test_an_overestimated_mean_costs_a_chunk_not_a_point(name, harvest_calls, monkeypatch):
+    inst = builtin_instance(name)
+    cfg = dataclasses.replace(inst.config, target_count=60)
+    once = solve(inst, config=cfg).report
+    real_mean = PulledBackSystem.mean_cell_count
+    monkeypatch.setattr(PulledBackSystem, "mean_cell_count",
+                        lambda self, bidegree: 2 * real_mean(self, bidegree))
+    harvest_calls["counted"].clear()
+    twice = solve(inst, config=cfg).report
+    assert twice.closed_form_mean == 2 * once.closed_form_mean
+    assert len(harvest_calls["counted"]) >= 2, name
+    assert harvest_fields(twice) == harvest_fields(once), name
+
+
+def test_mean_cell_count_is_the_pulled_back_class(A1):
+    _, flagship = catalog_system("diag-prod-one")
+    r = math.sqrt(2 / 5)
+    # d_j counts W's points on a fiber of factor j: (3, 2) and (2, 3) differ
+    assert flagship.mean_cell_count((3, 2)) == pytest.approx(3 + 2 * r, rel=1e-15)
+    assert flagship.mean_cell_count((2, 3)) == pytest.approx(2 + 3 * r, rel=1e-15)
+    _, steep = catalog_system("rational-slope")  # v = (1, 2): |v_2|^2 = 4
+    assert steep.mean_cell_count((2, 2)) == pytest.approx(2 + 8 * r, rel=1e-15)
+    assert flagship.mean_cell_count(None) is None
+    assert one_factor_systems(A1)[0].mean_cell_count((2, 2)) is None
+
+
+@pytest.mark.parametrize("name, closed_form", [
+    ("diag-prod-one", 2 + 2 * math.sqrt(2 / 5)),
+    ("irrational-slope", 2 + 4 * math.sqrt(2 / 5)),
+])
+def test_measured_mean_count_matches_the_closed_form(name, closed_form):
+    inst = builtin_instance(name)
+    config = dataclasses.replace(inst.config, budget_cells=100, target_count=100000)
+    out = solve(inst, config=config)
+    assert out.report.cells_scanned == 100
+    stats = density_summary(inst, out.report)
+    assert stats["closed_form_zeros_per_cell"] == pytest.approx(closed_form, rel=1e-12)
+    assert stats["mean_zeros_per_cell"] == pytest.approx(closed_form, rel=0.01), name
 
 
 # Zeros in the first cells of the walk, each cell shifted by 0.0137 e1 +
