@@ -32,6 +32,7 @@ from .instance import (Instance, InstanceError, builtin_instance, catalog_names,
 from .pipeline import (BidegreeMismatch, CertifyOutcome, Decision, certify,
                        decide, density_summary, solve)
 from .solver import SolveReport
+from .weierstrass import WholeVariety
 
 
 def _chain_block(chain: HullChain) -> dict:
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, BidegreeMismatch) as e:
+    except (InstanceError, BidegreeMismatch, WholeVariety) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -168,38 +168,22 @@ def load_instance(path: str) -> Instance:
 # built-in catalog
 
 
-def _std_factors() -> list[dict]:
-    return [
-        {"tau_re": "0", "tau_im": {"d": 2, "q": "1"}},
-        {"tau_re": "0", "tau_im": {"d": 5, "q": "1"}},
-    ]
-
-
-def _mono(expo: tuple[int, ...], re: float, im: float = 0.0) -> dict:
-    return {"exponents": list(expo), "re": re, "im": im}
-
-
 def _z(i: int, coeff: float = 1.0) -> dict:
-    e = [0] * 9
-    e[i] = 1
-    return _mono(tuple(e), coeff)
+    """The monomial coeff * Z_i."""
+    return {"exponents": [int(k == i) for k in range(9)], "re": coeff, "im": 0.0}
 
 
 def _instance_dict(label: str, basis: list[list[str]], monomials: list[dict],
-                   bidegree: tuple[int, int] | None = None,
-                   solver: dict | None = None) -> dict:
-    out = {
+                   bidegree: tuple[int, int]) -> dict:
+    return {
         "label": label,
-        "factors": _std_factors(),
+        "factors": [{"tau_re": "0", "tau_im": {"d": 2, "q": "1"}},
+                    {"tau_re": "0", "tau_im": {"d": 5, "q": "1"}}],
         "assertions": {"pairwise_nonisogenous": True, "no_cm": True},
         "L": {"basis": basis},
-        "W": {"kind": "segre-hypersurface", "dim": 1, "monomials": monomials},
+        "W": {"kind": "segre-hypersurface", "dim": 1, "monomials": monomials,
+              "bidegree": list(bidegree)},
     }
-    if bidegree is not None:
-        out["W"]["bidegree"] = list(bidegree)
-    if solver is not None:
-        out["solver"] = solver
-    return out
 
 
 def catalog_dicts() -> dict[str, dict]:

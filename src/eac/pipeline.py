@@ -20,18 +20,17 @@ from .hull import HullChain, HullResult, hull_chain, kernel_lattice
 from .instance import Instance
 from .solver import (PulledBackSystem, SolveReport, SolverConfig,
                      harvest_density)
-from .weierstrass import ContourError, ProductEvaluator, bidegree_of, point_count_on_curve
+from .weierstrass import ProductEvaluator, bidegree_of
 
 
 class BidegreeMismatch(ValueError):
-    """Declared and measured fiber counts disagree; the instance is inconsistent."""
+    """The declared bidegree contradicts W's polynomial; the instance is inconsistent."""
 
 
 @dataclass
 class Decision:
     verdicts: PairVerdict
     W_effective: SubvarietyData
-    measured_bidegree: tuple[int, int] | None
     chain: HullChain
 
     @property
@@ -48,41 +47,30 @@ class CertifyOutcome:
     L_used: object = None
 
 
-def resolve_w(instance: Instance, pe: ProductEvaluator | None = None,
-              measure: str = "auto") -> tuple[SubvarietyData, tuple[int, int] | None]:
-    """Fill in the bidegree of W by fiber counting when the file omits it.
+def resolve_w(instance: Instance, pe: ProductEvaluator | None = None
+              ) -> tuple[SubvarietyData, tuple[int, int] | None]:
+    """W with its bidegree read from F's exponents (bidegree_of) on two factors.
 
-    measure: "auto" measures only when missing, and leaves the bidegree
-    unmeasured (so the verdicts indeterminate) when the fiber counts never
-    agree; "always" measures and cross-checks a declared bidegree, raising
-    BidegreeMismatch, and lets ContourError through.
+    Returns (W, measured): a declared bidegree that disagrees with the rule
+    raises BidegreeMismatch, and a missing one is filled in. On one factor W
+    is returned as given, with measured None.
     """
-    if measure not in ("auto", "always"):
-        raise ValueError(f"measure must be 'auto' or 'always', not {measure!r}")
     W = instance.W
-    if instance.A.g != 2 or (W.bidegree is not None and measure != "always"):
+    if instance.A.g != 2:
         return W, None
-    pe = pe or ProductEvaluator(instance.A)
-    try:
-        measured = bidegree_of(instance.F, instance.A, pe)
-    except ContourError:
-        if measure == "always":
-            raise
-        return W, None
+    measured = bidegree_of(instance.F, instance.A, pe)
     if W.bidegree is not None and tuple(W.bidegree) != measured:
         raise BidegreeMismatch(
-            f"declared bidegree {tuple(W.bidegree)} but fiber counts give {measured}")
+            f"declared bidegree {tuple(W.bidegree)} but W's polynomial gives {measured}")
     return SubvarietyData(dim=W.dim, bidegree=measured), measured
 
 
-def decide(instance: Instance, pe: ProductEvaluator | None = None,
-           measure: str = "auto") -> Decision:
+def decide(instance: Instance, pe: ProductEvaluator | None = None) -> Decision:
     """Verdicts on the pair and the hull chain of L, whose first step is the hull."""
-    W_eff, measured = resolve_w(instance, pe, measure)
+    W_eff, _ = resolve_w(instance, pe)
     verdicts = check_pair(instance.L, W_eff, instance.A)
     chain = hull_chain(instance.L, instance.A)
-    return Decision(verdicts=verdicts, W_effective=W_eff,
-                    measured_bidegree=measured, chain=chain)
+    return Decision(verdicts=verdicts, W_effective=W_eff, chain=chain)
 
 
 def certify(instance: Instance, pe: ProductEvaluator | None = None,
@@ -119,8 +107,7 @@ def certify(instance: Instance, pe: ProductEvaluator | None = None,
         m, n = W.bidegree
         eta = hypersurface_form(m, n)
     elif g == 1:
-        pe = pe or ProductEvaluator(A)
-        npts = point_count_on_curve(instance.F, A, pe)
+        npts = bidegree_of(instance.F, A, pe)[0]
         if npts == 0:
             return CertifyOutcome(decision, None, True,
                                   "W has no points on the curve")

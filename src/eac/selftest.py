@@ -3,9 +3,9 @@
 Each entry exercises one load-bearing invariant with fresh randomness or a
 frozen expected value: field axioms for the exact scalars, hull and
 certificate values for the flagship diagonal instance, differential
-equation residuals for both evaluator backends, fiber counts against the
-intersection pairing, and a quick solver round trip. The evaluator factory
-hook exists so a deliberately corrupted evaluator makes the suite fail; the
+equation residuals for both evaluator backends, fiber degrees against
+contour counts, and a quick solver round trip. The evaluator factory hook
+exists so a deliberately corrupted evaluator makes the suite fail; the
 wiring is the fault injection test for the suite itself.
 """
 
@@ -24,7 +24,8 @@ def run_selftest(verbose: bool = False, evaluator_factory=None
     from .multiquad import MultiQuadElem
     from .pipeline import certify, solve
     from .variety import EllipticFactor, ExactSubspace, ProductVariety
-    from .weierstrass import ProductEvaluator, WpEvaluator, bidegree_of
+    from .weierstrass import (ProductEvaluator, WpEvaluator, bidegree_of,
+                              count_roots_on_fiber)
 
     results: list[tuple[str, bool, str]] = []
 
@@ -126,7 +127,11 @@ def run_selftest(verbose: bool = False, evaluator_factory=None
         if evaluator_factory is not None:
             raise AssertionError("fiber counts unavailable under a custom evaluator")
         pe = ProductEvaluator(inst.A)
-        assert bidegree_of(inst.F, inst.A, pe) == (2, 2)
+        rule = bidegree_of(inst.F, inst.A, pe)
+        # each fiber pinned at a generic point of the other factor
+        fixed = (0.27 + 0.33 * pe.evals[1].tau, 0.31 + 0.41 * pe.evals[0].tau)
+        counted = tuple(count_roots_on_fiber(inst.F, j, fixed[j], inst.A, pe) for j in (0, 1))
+        assert rule == counted == (2, 2), f"exponent rule {rule}, contour counts {counted}"
 
     def t_catalog_concordance_quick():
         for name in ("diag-prod-one", "fiber-wp1", "axis-line"):

@@ -271,7 +271,7 @@ class PulledBackSystem:
 
         l is a complex number or an array, which gives an array of distances.
         """
-        dists = [ev.dist_to_lattice(zj) for zj, ev in zip(self.z_of(l), self.pe.evals)]
+        dists = [abs(ev.reduce(zj)) for zj, ev in zip(self.z_of(l), self.pe.evals)]
         return np.min(dists, axis=0)
 
     def cell_shifts(self, kernel) -> tuple[tuple[int, int], ...]:

@@ -27,17 +27,19 @@ ProductEvaluator.eval_polynomial re-raises it with the factor's index.
 ProductEvaluator holds the float lattice of a curve product: its reduce and
 torus_distances apply the same reduce_to_fundamental to points of C^g.
 
-count_roots_on_fiber counts the zeros on a fiber, and point_count_on_curve
-on a curve, with the harvest's counter, solver.cell_seeds, on one period cell
+bidegree_of reads each factor's fiber degree from F's exponents, as a pole
+order. count_roots_on_fiber counts the zeros on one fiber, and
+point_count_on_curve on a curve, with solver.cell_seeds on one period cell
 of the moving factor: the argument principle on adaptive Gauss-Legendre
-panels, plus the orders of the poles inside, each minus the winding on a small
-box around it (solver.box_windings). The cell's corner is set by a jitter; an
-unresolved count raises ContourError.
+panels, plus the orders of the poles inside, each minus the winding on a
+small box around it. An unresolved count raises ContourError. The counts
+are the contour oracle of the rule.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -49,6 +51,9 @@ TWO_PI = 2.0 * math.pi
 # Target absolute tail bound of both backends' series, and the distance
 # from the lattice below which a point is a pole.
 EPS = 1e-12
+# A coefficient whose terms sum to below this share of their sizes has
+# cancelled; so has g2 or g3 below this share of the discriminant.
+CANCEL = 1e-12
 # Below this |z| the n = 0 factor 1 - u of the theta series is taken as
 # -expm1(2 pi i z); above it 1 - u loses under two bits to cancellation.
 NEAR_POLE = 0.1
@@ -66,8 +71,8 @@ class ContourError(RuntimeError):
     """A zero count could not be resolved on its contour."""
 
 
-class DegenerateFiber(ValueError):
-    """The restricted function vanishes identically on the sampled fiber."""
+class WholeVariety(ValueError):
+    """F vanishes identically on the product, so W is not a hypersurface."""
 
 
 def reduce_to_fundamental(z, tau: complex):
@@ -160,9 +165,6 @@ class WpEvaluator:
 
     def reduce(self, z: complex) -> complex:
         return reduce_to_fundamental(z, self.tau)
-
-    def dist_to_lattice(self, z: complex) -> float:
-        return abs(self.reduce(z))
 
     # invariants
 
@@ -323,9 +325,9 @@ def count_roots_on_fiber(F: SegrePolynomial, which: int, fixed: complex,
     fixed. The count is over cell (0, 0) of the pulled-back system on the
     line z = base + l e_which, with base placing the cell's corner at
     jitter - (1, 1) in the factor's lattice coordinates, so that exactly one
-    lattice point lies inside; solver.cell_seeds counts it. Identically
-    vanishing restrictions raise DegenerateFiber and an unresolved count
-    raises ContourError, so the caller can move the fiber.
+    lattice point lies inside; solver.cell_seeds counts it, and an
+    unresolved count raises ContourError. This is the contour oracle for
+    bidegree_of's exponent rule.
     """
     from .solver import CELL_OFFSET, PulledBackSystem, cell_seeds
 
@@ -337,7 +339,6 @@ def count_roots_on_fiber(F: SegrePolynomial, which: int, fixed: complex,
     direction = [0.0] * A.g
     direction[which] = 1.0
     system = PulledBackSystem(F, direction, A, pe, base=base)
-    _reject_degenerate(system)
     count, _ = cell_seeds(system, [(0, 0)])[0]
     if count is None:
         raise ContourError("the period cell's zero count could not be resolved")
@@ -353,44 +354,64 @@ def point_count_on_curve(F: SegrePolynomial, A: ProductVariety,
     return count_roots_on_fiber(F, 0, 0j, A, pe, jitter)
 
 
-def _reject_degenerate(system):
-    a = np.array([0.31, 0.11, 0.57, 0.13, 0.71])
-    b = np.array([0.17, 0.43, 0.29, 0.41, 0.61])
-    pv = system.eval_jet(system.cell_box(0, 0, a, b))[0]
-    finite = np.isfinite(pv)
-    if np.all(~finite) or np.max(np.abs(pv[finite]), initial=0.0) < 1e-13:
-        raise DegenerateFiber("restriction vanishes identically on this fiber")
+class _Exponents(tuple):
+    """Exponents (a_1, b_1, ..., a_g, b_g) of prod wp_j^a_j wp_j'^b_j; * adds them."""
+
+    def __mul__(self, other):
+        return _Exponents(x + y for x, y in zip(self, other))
+
+
+def _cubic(ev) -> list[tuple[int, complex]]:
+    """wp'^2 = 4 wp^3 - g2 wp - g3 as (power of wp, coefficient) terms.
+
+    g2 or g3 below CANCEL of the discriminant g2^3 - 27 g3^2 is 0, as at
+    tau = rho or i.
+    """
+    g2, g3 = ev.invariants()
+    floor = CANCEL * abs(g2 ** 3 - 27 * g3 ** 2)
+    return [(3, 4.0), (1, -g2 if abs(g2) ** 3 >= floor else 0.0),
+            (0, -g3 if 27 * abs(g3) ** 2 >= floor else 0.0)]
 
 
 def bidegree_of(F: SegrePolynomial, A: ProductVariety,
-                pe: ProductEvaluator | None = None) -> tuple[int, int]:
-    """Measure (m, n): roots along factor 1 and factor 2 fibers.
+                pe: ProductEvaluator | None = None) -> tuple[int, ...]:
+    """Zeros of F on a generic fiber of each factor, read from F's exponents.
 
-    m moves factor 1 with factor 2 pinned, n the reverse. Each is the first
-    count that two base points, drawn from a fixed seed, agree on; a
-    degenerate fiber or an unresolved count moves to a new base point.
+    On a fiber of factor j, F is elliptic with its only pole at the lattice,
+    so it has as many zeros in a period cell as that pole's order. Once each
+    wp_j'^2 is reduced to 4 wp_j^3 - g2 wp_j - g3 (DLMF 23.3), wp^a has order
+    2a and wp^a wp' has 2a + 3: factor j's degree is the largest order whose
+    coefficient, a polynomial in the other factor, does not cancel (to CANCEL
+    of the sum of its terms' sizes). segre_stack gives each coordinate's
+    exponents. g2 and g3 (from pe, when given) are read only for a wp' power
+    of 2 or more. Raises WholeVariety when every coefficient cancels.
     """
-    import random
-
-    rng = random.Random(2)
-    if pe is None:
-        pe = ProductEvaluator(A)
-    out = []
-    for which in (0, 1):
-        tau_other = pe.evals[1 - which].tau
-        counts = []
-        for _ in range(12):
-            base = (0.1 + 0.8 * rng.random()) + (0.1 + 0.8 * rng.random()) * tau_other
-            try:
-                counts.append(count_roots_on_fiber(F, which, base, A, pe))
-            except (DegenerateFiber, ContourError):
-                continue
-            if counts.count(counts[-1]) == 2:
-                out.append(counts[-1])
-                break
-        else:
-            raise ContourError("could not stabilize a fiber count")
-    return out[0], out[1]
+    n = 2 * A.g
+    unit = [_Exponents(int(k == i) for k in range(n)) for i in range(n)]
+    coords = segre_stack(unit[::2], unit[1::2], _Exponents([0] * n))
+    cubics: dict[int, list[tuple[int, complex]]] = {}
+    sums: dict[tuple[int, ...], complex] = {}
+    sizes: dict[tuple[int, ...], float] = {}
+    for expo, coeff in F.monomials:
+        e = [sum(k * z[i] for k, z in zip(expo, coords)) for i in range(n)]
+        per_factor = []
+        for j, (a, b) in enumerate(zip(e[::2], e[1::2])):
+            terms = [(a, 1.0)]
+            for _ in range(b // 2):
+                if j not in cubics:
+                    cubics[j] = _cubic(pe.evals[j] if pe else WpEvaluator(A.factors[j].tau))
+                terms = [(p + dp, c * dc) for p, c in terms for dp, dc in cubics[j]]
+            per_factor.append([((p, b % 2), c) for p, c in terms])
+        for combo in itertools.product(*per_factor):
+            key = tuple(x for pq, _ in combo for x in pq)
+            value = coeff * math.prod(c for _, c in combo)
+            sums[key] = sums.get(key, 0.0) + value
+            sizes[key] = sizes.get(key, 0.0) + abs(value)
+    live = [k for k, s in sums.items() if abs(s) > CANCEL * sizes[k]]
+    if not live:
+        raise WholeVariety("W is all of A: its polynomial vanishes identically "
+                           "once each wp'^2 is reduced to 4 wp^3 - g2 wp - g3")
+    return tuple(max(2 * k[2 * j] + 3 * k[2 * j + 1] for k in live) for j in range(A.g))
 
 
 def jacobian_probe(l: complex, L_direction: tuple[complex, ...],

@@ -12,10 +12,11 @@ def factor_sqrt(d: int) -> EllipticFactor:
     return EllipticFactor(0, MultiQuadElem.sqrt_of(d))
 
 
-def unresolvable_bidegree_dict() -> dict:
+def tiny_monomial_dict() -> dict:
     """The flagship with W = 1e-14 wp_1 (plus a zero constant) and no bidegree.
 
-    The fiber counts of bidegree_of never agree on it: ContourError.
+    One term never cancels, so bidegree_of reads (2, 0) from its exponents:
+    W is a union of translates of factor 2, and the pair is not free.
     """
     data = json.loads(json.dumps(catalog_dicts()["diag-prod-one"]))
     data["label"] = "tiny-monomial"

@@ -18,7 +18,8 @@ from eac.instance import (InstanceError, builtin_instance, catalog_dicts,
 from eac.segre import SegrePolynomial
 from eac.solver import SolverConfig
 from eac.variety import EllipticFactor, ExactSubspace
-from tests.conftest import unresolvable_bidegree_dict
+from eac.weierstrass import WpEvaluator
+from tests.conftest import tiny_monomial_dict
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -252,17 +253,45 @@ def test_cli_check_failure_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["check", "certify"])
-def test_cli_unresolvable_bidegree_is_indeterminate(command, tmp_path, capsys):
+def test_cli_tiny_monomial_is_not_free(command, tmp_path, capsys):
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(unresolvable_bidegree_dict()))
+    path.write_text(json.dumps(tiny_monomial_dict()))
     out = tmp_path / "r.json"
-    assert run_cli([command, str(path), "--out", str(out)]) == 3
+    assert run_cli([command, str(path), "--out", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     report = json.loads(out.read_text())
     validate_report(report)
-    assert report["exit_code"] == 3
-    assert report["verdicts"]["bidegree"] is None
-    assert "no bidegree" in report["verdicts"]["indeterminate_reason"]
+    assert report["exit_code"] == 2
+    assert report["verdicts"]["bidegree"] == [2, 0]
+    assert report["verdicts"]["free"] is False
+    assert report["verdicts"]["free_witness"] == "W is a union of translates of factor 2"
+
+
+def test_cli_declared_bidegree_must_match_the_polynomial(tmp_path, capsys):
+    data = flagship_dict()
+    data["W"]["bidegree"] = [1, 1]
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(data))
+    for command in ("check", "certify", "solve"):
+        assert run_cli([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: declared bidegree (1, 1)") and len(err.splitlines()) == 1
+
+
+def test_cli_polynomial_vanishing_on_the_product_exits_1(tmp_path, capsys):
+    # wp_1'^2 - 4 wp_1^3 + g2 wp_1 + g3 is the differential equation: W is all of A
+    g2, g3 = WpEvaluator(1j * 2 ** 0.5).invariants()
+    data = flagship_dict()
+    del data["W"]["bidegree"]
+    data["W"]["monomials"] = [
+        {"exponents": e, "re": c.real, "im": c.imag}
+        for e, c in (([0, 0, 0, 0, 0, 0, 2, 0, 0], 1), ([0, 0, 0, 3, 0, 0, 0, 0, 0], -4),
+                     ([0, 0, 0, 1, 0, 0, 0, 0, 0], g2), ([1, 0, 0, 0, 0, 0, 0, 0, 0], g3))]
+    path = tmp_path / "whole.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: W is all of A") and len(err.splitlines()) == 1
 
 
 def test_cli_hull_flagship(tmp_path, capsys):
@@ -580,6 +609,25 @@ def test_cli_single_factor_end_to_end(tmp_path):
     for s in report["solve"]["solutions"]:
         assert len(s["z"]) == 1
         assert s["jacobian_rank"] == -1
+
+
+@pytest.mark.parametrize("level", [3e6, 1e7])
+def test_cli_single_factor_certifies_a_level_near_the_pole(level, tmp_path):
+    # wp = K has two zeros about K^-1/2 from the pole; a contour count there
+    # cancels them against the pole and refused "W has no points on the curve"
+    inst = {
+        "label": f"wp-level-{level:g}",
+        "factors": [{"tau_re": "0", "tau_im": {"d": 3, "q": "1"}}],
+        "L": {"basis": [["1"]]},
+        "W": {"kind": "segre-hypersurface", "dim": 0,
+              "monomials": [{"exponents": [0, 1, 0], "re": 1.0},
+                            {"exponents": [1, 0, 0], "re": -level}]},
+    }
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps(inst))
+    out = tmp_path / "r.json"
+    assert run_cli(["certify", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["certificate"]["value"] == "2"
 
 
 def test_cli_single_factor_scans_every_distinct_cell_once(tmp_path, capsys, monkeypatch):

@@ -16,8 +16,8 @@ from eac.pipeline import (BidegreeMismatch, Decision, certify, decide,
 from eac.segre import SegrePolynomial, segre_stack
 from eac import solver
 from eac.solver import PulledBackSystem, SolverConfig
-from eac.weierstrass import ContourError, _qseries_terms, jacobian_probe, theta_sums
-from tests.conftest import unresolvable_bidegree_dict
+from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
+from tests.conftest import tiny_monomial_dict
 
 SMALL = SolverConfig(budget_cells=4, target_count=3)
 # the catalog instances with a nonzero certificate and a one-dimensional L
@@ -33,12 +33,6 @@ def variant(name, **edits):
     return instance_from_dict(data)
 
 
-def test_resolve_w_trusts_declared_by_default(flagship, pe2):
-    W, measured = resolve_w(flagship, pe2)
-    assert W.bidegree == (2, 2)
-    assert measured is None
-
-
 def test_resolve_w_measures_when_missing(flagship, pe2):
     data = json.loads(json.dumps(flagship.raw))
     del data["W"]["bidegree"]
@@ -47,38 +41,37 @@ def test_resolve_w_measures_when_missing(flagship, pe2):
     W, measured = resolve_w(inst, pe2)
     assert measured == (2, 2)
     assert W.bidegree == (2, 2)
-    # a mode other than "auto" and "always" is refused, not ignored
-    with pytest.raises(ValueError, match="measure"):
-        resolve_w(inst, pe2, measure="never")
+    # the evaluator only supplies g2 and g3, so the rule needs none
+    assert resolve_w(inst) == (W, measured)
 
 
 def test_resolve_w_cross_checks_on_always(flagship, pe2):
-    W, measured = resolve_w(flagship, pe2, measure="always")
-    assert measured == (2, 2)
+    # a declared bidegree is checked against W's polynomial on every call
+    W, measured = resolve_w(flagship, pe2)
+    assert W == flagship.W and measured == (2, 2)
     data = json.loads(json.dumps(flagship.raw))
     data["W"]["bidegree"] = [1, 1]
     bad = instance_from_dict(data)
     with pytest.raises(BidegreeMismatch, match=r"declared bidegree \(1, 1\)"):
-        resolve_w(bad, pe2, measure="always")
+        resolve_w(bad, pe2)
     # and the mismatch propagates through decide
     with pytest.raises(BidegreeMismatch):
-        decide(bad, pe2, measure="always")
+        decide(bad, pe2)
 
 
-def test_resolve_w_leaves_an_unresolvable_bidegree_unmeasured(pe2):
-    inst = instance_from_dict(unresolvable_bidegree_dict())
+def test_resolve_w_reads_a_tiny_monomial(pe2):
+    inst = instance_from_dict(tiny_monomial_dict())
     W, measured = resolve_w(inst, pe2)
-    assert measured is None and W.bidegree is None
-    assert decide(inst, pe2).verdicts.indeterminate
-    with pytest.raises(ContourError, match="could not stabilize"):
-        resolve_w(inst, pe2, measure="always")
+    assert measured == W.bidegree == (2, 0)
+    free = decide(inst, pe2).verdicts.free
+    assert free.ok is False
+    assert free.witness == "W is a union of translates of factor 2"
 
 
 def test_decide_flagship_composition(flagship, pe2):
     decision = decide(flagship, pe2)
     assert decision.verdicts.certified_ready
     assert decision.W_effective.bidegree == (2, 2)
-    assert decision.measured_bidegree is None
     assert decision.hull.dim == 3
     assert [s.dim for s in decision.chain.chain] == [1, 3, 2]
 
@@ -120,9 +113,9 @@ def test_certify_indeterminate_without_w_data(flagship, pe2):
     data = json.loads(json.dumps(flagship.raw))
     del data["W"]["bidegree"]
     inst = instance_from_dict(data)
-    # decide would measure the bidegree, so decide on the declared data alone
+    # decide would read the bidegree from F, so decide on the declared data alone
     decision = Decision(verdicts=check_pair(inst.L, inst.W, inst.A), W_effective=inst.W,
-                        measured_bidegree=None, chain=hull_chain(inst.L, inst.A))
+                        chain=hull_chain(inst.L, inst.A))
     assert decision.verdicts.indeterminate
     out = certify(inst, pe2, decision=decision)
     assert out.refused

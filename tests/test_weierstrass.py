@@ -1,14 +1,17 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from eac.instance import builtin_instance, catalog_names
+from eac.multiquad import MultiQuadElem
 from eac.segre import SegrePolynomial
-from eac.variety import ProductVariety
-from eac.weierstrass import (NEAR_POLE, AtInfinity, ContourError, DegenerateFiber,
-                             ProductEvaluator, WpEvaluator, bidegree_of,
+from eac.variety import EllipticFactor, ProductVariety
+from eac.weierstrass import (NEAR_POLE, AtInfinity, ContourError, ProductEvaluator,
+                             WholeVariety, WpEvaluator, bidegree_of,
                              _qseries_terms, count_roots_on_fiber,
                              jacobian_probe, point_count_on_curve,
                              reduce_to_fundamental, theta_const, theta_sums)
@@ -290,12 +293,12 @@ def test_double_root_counted_with_multiplicity(A2, pe2):
 
 
 def test_degenerate_fiber_detected(A2, pe2):
-    # F depends only on the pinned factor: identically zero along the fiber
+    # F depends only on the pinned factor: a generic fiber of factor 1 has no
+    # zero, and the one through a zero of F lies in W
     base = 0.27 + 0.33j * math.sqrt(5)
     c = pe2.evals[1].wp(base)
     F = SegrePolynomial.linear(2, {1: 1, 0: -c})
-    with pytest.raises(DegenerateFiber):
-        count_roots_on_fiber(F, 0, base, A2, pe2)
+    assert bidegree_of(F, A2, pe2) == (0, 2)
     # a constant nonzero restriction has zero roots
     F0 = SegrePolynomial.linear(2, {1: 1, 0: -(c + 50.0)})
     assert count_roots_on_fiber(F0, 0, base, A2, pe2) == 0
@@ -327,22 +330,80 @@ def test_counts_keep_zeros_near_the_pole(A1, A2, pe2):
     assert point_count_on_curve(SegrePolynomial.linear(1, {1: 1, 0: -300}), A1) == 2
 
 
-def test_unresolved_count_raises_and_bidegree_moves_the_base(A1, A2, pe2, monkeypatch):
+def test_unresolved_count_raises(A1, monkeypatch):
     from eac import solver
 
-    real = solver.cell_seeds
     monkeypatch.setattr(solver, "cell_seeds", lambda system, cells: [(None, [])])
     with pytest.raises(ContourError):
         point_count_on_curve(SegrePolynomial.linear(1, {1: 1, 0: -2.3}), A1)
-    bases = []
 
-    def first_fails(system, cells):
-        bases.append(system.base)
-        return [(None, [])] if len(bases) == 1 else real(system, cells)
 
-    monkeypatch.setattr(solver, "cell_seeds", first_fails)
-    assert bidegree_of(flagship_poly(), A2, pe2) == (2, 2)
-    assert len(bases) == 5 and bases[1] != bases[0]
+# the exponent rule against the contour oracle
+
+
+def contour_bidegree(F, A, pe):
+    """Both fiber counts at a generic point of the other factor, the first jitter that resolves."""
+    out = []
+    for j in (0, 1):
+        fixed = 0.37 + 0.29 * pe.evals[1 - j].tau
+        for jitter in ((0.23, 0.31), (0.41, 0.17), (0.13, 0.47)):
+            try:
+                out.append(count_roots_on_fiber(F, j, fixed, A, pe, jitter=jitter))
+                break
+            except ContourError:
+                continue
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_bidegree_rule_matches_the_contour_oracle_on_the_catalog(name, pe2):
+    inst = builtin_instance(name)
+    assert bidegree_of(inst.F, inst.A, pe2) == contour_bidegree(inst.F, inst.A, pe2) == inst.W.bidegree
+
+
+def test_bidegree_rule_matches_the_contour_oracle_on_random_polynomials(A2, pe2):
+    rng = random.Random(5)
+    # wp_1'^2 - 4 wp_1^3 + wp_2: the top term of factor 1 cancels, wp_1 is left
+    polys = [SegrePolynomial.from_dict(2, {(0, 0, 0, 0, 0, 0, 2, 0, 0): 1,
+                                           (0, 0, 0, 3, 0, 0, 0, 0, 0): -4,
+                                           (0, 1, 0, 0, 0, 0, 0, 0, 0): 1})]
+    while len(polys) < 60:
+        table = {}
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * 9
+            for _ in range(rng.randint(1, 2)):
+                e[rng.randrange(1, 9)] += rng.randint(1, 2)
+            table[tuple(e)] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        polys.append(SegrePolynomial.from_dict(2, table))
+    # Z2, Z5 and Z8 carry wp_2', Z6, Z7 and Z8 wp_1'
+    squares = sum(any(e[2] + e[5] + e[8] > 1 or e[6] + e[7] + e[8] > 1 for e, _ in F.monomials)
+                  for F in polys)
+    assert squares >= 40
+    for F in polys:
+        assert bidegree_of(F, A2, pe2) == contour_bidegree(F, A2, pe2), F.monomials
+    assert bidegree_of(polys[0], A2, pe2) == (2, 2)
+
+
+def test_bidegree_rule_known_values(A2, pe2):
+    # one term never cancels, however small beside another
+    assert bidegree_of(SegrePolynomial.linear(2, {1: 1e6, 3: 1e-14}), A2, pe2) == (2, 2)
+    assert bidegree_of(SegrePolynomial.linear(1, {2: 1}), ProductVariety((A2.factors[0],))) == (3,)
+    # at tau_1 = rho g2 vanishes: wp_1'^2 - 4 wp_1^3 + wp_2 = wp_2 - g3 has no wp_1
+    rho = EllipticFactor(Fraction(1, 2), MultiQuadElem.sqrt_of(3, Fraction(1, 2)))
+    A = ProductVariety((rho, A2.factors[1]))
+    F = SegrePolynomial.from_dict(2, {(0, 0, 0, 0, 0, 0, 2, 0, 0): 1,
+                                      (0, 0, 0, 3, 0, 0, 0, 0, 0): -4,
+                                      (0, 1, 0, 0, 0, 0, 0, 0, 0): 1})
+    assert abs(WpEvaluator(rho.tau).invariants()[0]) < 1e-9
+    assert bidegree_of(F, A) == (0, 2)
+    # the differential equation itself vanishes on the whole product
+    g2, g3 = pe2.evals[0].invariants()
+    F = SegrePolynomial.from_dict(2, {(0, 0, 0, 0, 0, 0, 2, 0, 0): 1,
+                                      (0, 0, 0, 3, 0, 0, 0, 0, 0): -4,
+                                      (0, 0, 0, 1, 0, 0, 0, 0, 0): g2,
+                                      (1, 0, 0, 0, 0, 0, 0, 0, 0): g3})
+    with pytest.raises(WholeVariety):
+        bidegree_of(F, A2, pe2)
 
 
 def test_jacobian_probe_full_rank_at_transverse_solution(A2, pe2):
