@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 
 from .checker import (PairVerdict, SubvarietyData, Verdict, check_free,
                       check_pair, check_rotund, reduce_L)
-from .forms import (Certificate, ExteriorForm, HomologyClass,
-                    class_of_hypersurface, eac_certificate,
+from .forms import (Certificate, ExteriorForm, eac_certificate,
                     holomorphic_form_realized, hypersurface_form, integrate_top)
 from .hull import (HullChain, HullResult, complexification, hull_chain,
                    kernel_lattice, rational_hull)
@@ -26,13 +25,13 @@ from .weierstrass import (AtInfinity, ProductEvaluator, WpEvaluator,
 
 __all__ = [
     "AtInfinity", "Certificate", "ComplexMQ", "EllipticFactor", "ExactSubspace",
-    "ExteriorForm", "HomologyClass", "HullChain", "HullResult", "Instance",
+    "ExteriorForm", "HullChain", "HullResult", "Instance",
     "InstanceError", "MultiQuadElem", "PairVerdict", "ProductEvaluator",
     "ProductVariety", "PulledBackSystem", "SegrePolynomial",
     "SolutionPoint", "SolveReport", "SolverConfig", "SubvarietyData", "Verdict",
     "WpEvaluator", "bidegree_of", "builtin_instance", "catalog_names",
     "certify", "check_free", "check_pair", "check_rotund",
-    "class_of_hypersurface", "complexification", "count_roots_on_fiber",
+    "complexification", "count_roots_on_fiber",
     "decide", "density_summary", "eac_certificate",
     "harvest_density", "holomorphic_form_realized",
     "hull_chain", "hypersurface_form", "instance_from_dict", "integrate_top",

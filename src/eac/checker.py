@@ -8,10 +8,9 @@ contained in any tangent space of one, W not a finite union of its fiber
 translates). Rotundity asks, for every S including the empty and full sets,
 that the projected dimensions of L and W to A/B_S cover its dimension.
 
-Verdicts are three-valued: True, False with a named witness, or None when
-the W-side data is insufficient, in which case certification must refuse.
-The W-side data is the bidegree on two factors; without it, a W that is
-neither a point nor the whole product is undecided.
+W is a hypersurface in one or two curves, and its fiber degrees decide the
+W side; pipeline.resolve_w reads them from W's polynomial. Verdicts are
+True, or False with a named witness.
 """
 
 from __future__ import annotations
@@ -25,63 +24,43 @@ from .variety import ExactSubspace, ProductVariety
 
 @dataclass(frozen=True)
 class SubvarietyData:
-    """What is known about W: its dimension plus optional hypersurface data.
+    """What is known about W: its dimension and its fiber degrees.
 
-    bidegree (m, n) applies to hypersurfaces in a product of two curves; m
-    counts intersections with horizontal fibers E_1 x {pt}, n with vertical
-    fibers {pt} x E_2.
+    bidegree holds one entry per factor: entry j counts W's points on a
+    generic fiber of factor j, E_1 x {pt} for j = 1 and {pt} x E_2 for
+    j = 2. It is None only for an instance file that declares none, until
+    pipeline.resolve_w reads it from W's polynomial.
     """
 
     dim: int
-    bidegree: tuple[int, int] | None = None
+    bidegree: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("subvariety dimension must be nonnegative")
         if self.bidegree is not None:
-            m, n = self.bidegree
-            if m < 0 or n < 0:
+            if any(d < 0 for d in self.bidegree):
                 raise ValueError("bidegree entries must be nonnegative")
-            object.__setattr__(self, "bidegree", (int(m), int(n)))
+            object.__setattr__(self, "bidegree", tuple(int(d) for d in self.bidegree))
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one decision. ok is None when the data cannot decide."""
+    """Outcome of one decision, with the witness of a failure."""
 
-    ok: bool | None
+    ok: bool
     witness: str | None = None
     detail: dict = field(default_factory=dict)
     assumptions: tuple[str, ...] = ()
-
-    @property
-    def indeterminate(self) -> bool:
-        return self.ok is None
-
-
-class IndeterminateError(ValueError):
-    """Raised when a caller insists on a decision the data cannot support."""
-
-
-def _w_dominant_dims(W: SubvarietyData, g: int) -> tuple[int, ...] | None:
-    """dim of the image of W in each single factor, or None if unknown."""
-    if g == 1:
-        return (min(W.dim, 1),)
-    if g == 2 and W.bidegree is not None:
-        m, n = W.bidegree
-        # m >= 1 iff W meets a generic horizontal fiber iff W covers E_2
-        return (1 if n >= 1 else 0, 1 if m >= 1 else 0)
-    return None
 
 
 def check_free(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verdict:
     """Decide freeness of L x W with respect to proper nontrivial subproducts.
 
     The L side is exact: L lies in the tangent space of the subproduct B_S
-    iff every basis vector vanishes on the complementary coordinates. The W
-    side is decided for a point, for the whole product, and on two factors
-    by the bidegree (a zero entry means W is a finite union of fiber
-    translates); anything else is indeterminate.
+    iff every basis vector vanishes on the complementary coordinates. On the
+    W side a fiber degree of 0 for factor j means W misses a generic fiber
+    of factor j, so W is a finite union of translates of that factor.
     """
     g = A.g
     if L.kind != "complex" or L.ambient != g:
@@ -101,21 +80,13 @@ def check_free(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verdic
     if L.dim == 0:
         return Verdict(False, "L is the zero subspace",
                        {"side": "L", "factors": []}, assumptions)
-    if W.dim == 0:
-        # a point is a translate of the trivial subproduct, never of a proper one
-        return Verdict(True, None, {"w_side": "point"}, assumptions)
-    if W.dim == g:
-        return Verdict(True, None, {"w_side": "full product"}, assumptions)
-    if g != 2 or W.bidegree is None:
-        return Verdict(None, None, {"reason": "no bidegree for W on two factors"},
-                       assumptions)
-    m, n = W.bidegree
-    for j, count in ((1, m), (2, n)):
+    degrees = list(W.bidegree)
+    for j, count in enumerate(degrees, 1):
         if count == 0:
             return Verdict(False, f"W is a union of translates of factor {j}",
-                           {"side": "W", "factors": [j], "bidegree": [m, n]},
+                           {"side": "W", "factors": [j], "bidegree": degrees},
                            assumptions)
-    return Verdict(True, None, {"bidegree": [m, n]}, assumptions)
+    return Verdict(True, None, {"bidegree": degrees}, assumptions)
 
 
 def check_rotund(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verdict:
@@ -124,27 +95,27 @@ def check_rotund(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verd
     For every S (including empty and full), with projection p to A/B_S,
     require dim p(L) + dim p(W) >= g - |S|. dim p(L) is an exact rank after
     deleting the S coordinates. dim p(W) is dim W for S empty and 0 for S
-    full. On two factors with one left, it is min(dim W, 1) if the bidegree
-    says W covers that factor and 0 if W maps to a point in it; without a
-    bidegree it is known only for a point or the whole product.
+    full. On two factors with factor k deleted, W covers the factor left
+    (dim 1) when it meets a generic fiber of factor k, that is when k's
+    fiber degree is positive, and maps it to finitely many points (dim 0)
+    otherwise.
     """
     g = A.g
     if L.kind != "complex" or L.ambient != g:
         raise ValueError("rotundity expects L as a complex subspace of C^g")
     assumptions = tuple(A.assumptions())
-    dims = _w_dominant_dims(W, g)
     table = []
     factors = list(range(1, g + 1))
     for size in range(0, g + 1):
         for S in combinations(factors, size):
             required = g - size
             dim_pL = L.project_deleting({j - 1 for j in S})
-            dim_pW = _projected_w_dim(W, dims, S, g)
-            if dim_pW is None:
-                return Verdict(None, None,
-                               {"reason": "cannot bound the projected dimension of W",
-                                "subproduct": list(S)},
-                               assumptions)
+            if size == 0:
+                dim_pW = W.dim
+            elif size == g:
+                dim_pW = 0
+            else:
+                dim_pW = int(W.bidegree[S[0] - 1] > 0)
             achieved = dim_pL + dim_pW
             table.append({"quotient_of": list(S), "required": required,
                           "dim_pL": dim_pL, "dim_pW": dim_pW})
@@ -158,23 +129,6 @@ def check_rotund(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verd
     return Verdict(True, None, {"table": table}, assumptions)
 
 
-def _projected_w_dim(W: SubvarietyData, dims, S: tuple[int, ...], g: int) -> int | None:
-    size = len(S)
-    if size == 0:
-        return W.dim
-    if size == g:
-        return 0
-    if dims is not None:
-        # two factors: W covers the one that remains or maps it to a point
-        (j,) = [j for j in range(1, g + 1) if j not in S]
-        return min(W.dim, dims[j - 1])
-    if W.dim == 0:
-        return 0
-    if W.dim == g:
-        return g - size
-    return None
-
-
 @dataclass(frozen=True)
 class PairVerdict:
     free: Verdict
@@ -182,11 +136,7 @@ class PairVerdict:
 
     @property
     def certified_ready(self) -> bool:
-        return self.free.ok is True and self.rotund.ok is True
-
-    @property
-    def indeterminate(self) -> bool:
-        return self.free.ok is None or self.rotund.ok is None
+        return self.free.ok and self.rotund.ok
 
 
 def check_pair(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> PairVerdict:
@@ -209,7 +159,7 @@ def reduce_L(L: ExactSubspace, W: SubvarietyData, A: ProductVariety,
     g = A.g
     verdicts = check_pair(L, W, A)
     if not verdicts.certified_ready:
-        raise IndeterminateError("reduce_L needs a free and rotund pair")
+        raise ValueError("reduce_L needs a free and rotund pair")
     rng = random.Random(seed)
     current = L
     tries = 0

@@ -10,10 +10,11 @@
 Instance may also be given as catalog:<name>; see eac list. Reports are
 JSON (schema-validated, keys sorted, reproducible for a fixed seed except
 the "timings" block) written to --out, with a human summary on stdout.
-Exit codes: check 0 passed / 2 failed / 3 indeterminate; certify 0 emitted /
-2 refused / 3 indeterminate; solve and density 0 found / 4 uncertified /
-5 certified but empty within budget or all distinct cells; file problems and
-usage errors 1.
+Exit codes: check 0 passed / 2 failed; certify 0 emitted / 2 refused; solve
+and density 0 found / 4 uncertified / 5 certified but empty within budget or
+all distinct cells; file problems, usage errors and a W that is not a
+hypersurface (a declared bidegree its polynomial contradicts, a polynomial
+that is zero or a nonzero constant) 1.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .instance import (Instance, InstanceError, builtin_instance, catalog_names,
 from .pipeline import (BidegreeMismatch, CertifyOutcome, Decision, certify,
                        decide, density_summary, solve)
 from .solver import SolveReport
-from .weierstrass import WholeVariety
+from .weierstrass import NotAHypersurface
 
 
 def _chain_block(chain: HullChain) -> dict:
@@ -42,19 +43,12 @@ def _chain_block(chain: HullChain) -> dict:
 
 def _verdict_block(decision: Decision) -> dict:
     v = decision.verdicts
-    reason = None
-    for part in (v.free, v.rotund):
-        if part.ok is None:
-            reason = str(part.detail.get("reason", "missing data"))
-            break
-    W = decision.W_effective
     return {
         "free": v.free.ok,
         "free_witness": v.free.witness,
         "rotund": v.rotund.ok,
         "rotund_witness": v.rotund.witness,
-        "indeterminate_reason": reason,
-        "bidegree": list(W.bidegree) if W.bidegree is not None else None,
+        "bidegree": list(decision.W_effective.bidegree),
     }
 
 
@@ -95,6 +89,7 @@ def _solve_block(report: SolveReport, cfg) -> dict:
         } for s in report.solutions],
         "distinct_count": len(report.solutions),
         "cells_scanned": report.cells_scanned,
+        "cells_counted": report.cells_counted,
         "cells_with_solutions": sorted(report.cells_with_solutions),
         "cells": report.cells,
         "incomplete_cells": report.incomplete_cells,
@@ -163,28 +158,18 @@ def cmd_check(args) -> int:
     instance = _get_instance(args.instance)
     decision = decide(instance)
     v = decision.verdicts
-    if v.indeterminate:
-        code = 3
-    elif v.free.ok and v.rotund.ok:
-        code = 0
-    else:
-        code = 2
+    code = 0 if v.certified_ready else 2
     report = _base_report("check", instance, code)
     report["verdicts"] = _verdict_block(decision)
     report["hull"] = _hull_block(instance, decision.hull)
     report["chain"] = _chain_block(decision.chain)
     _emit(report, args.out)
-    word = {0: "free and rotund", 2: "failed", 3: "indeterminate"}[code]
-    print(f"check {instance.label}: {word}")
-    if v.free.ok is False:
+    print(f"check {instance.label}: {'failed' if code else 'free and rotund'}")
+    if not v.free.ok:
         print(f"  not free: {v.free.witness}")
-    if v.rotund.ok is False:
+    if not v.rotund.ok:
         print(f"  not rotund: {v.rotund.witness}")
-    if v.indeterminate:
-        print(f"  indeterminate: {report['verdicts']['indeterminate_reason']}")
-    bd = report["verdicts"]["bidegree"]
-    if bd is not None:
-        print(f"  bidegree ({bd[0]}, {bd[1]})")
+    print(f"  bidegree {decision.W_effective.bidegree}")
     return code
 
 
@@ -209,12 +194,7 @@ def cmd_hull(args) -> int:
 def cmd_certify(args) -> int:
     instance = _apply_overrides(_get_instance(args.instance), args)
     outcome = certify(instance)
-    if not outcome.refused:
-        code = 0
-    elif outcome.decision.verdicts.indeterminate:
-        code = 3
-    else:
-        code = 2
+    code = 2 if outcome.refused else 0
     report = _base_report("certify", instance, code)
     report["verdicts"] = _verdict_block(outcome.decision)
     report["hull"] = _hull_block(instance, outcome.decision.hull)
@@ -359,7 +339,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, BidegreeMismatch, WholeVariety) as e:
+    except (InstanceError, BidegreeMismatch, NotAHypersurface) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -7,10 +7,11 @@ otherwise; mixing an exact coefficient with a float demotes to float. The
 lattice chart gives the real torus covolume 1, so integrating a top form
 over the torus just reads off the coefficient of e_(1..2g).
 
-The certificate for a pair (L, W) wedges the cycle class of W with the
-rational volume form of the hull T of L and a complementary form built from
-the realified complex equations of L. A nonzero value is the homological
-non-vanishing that licenses the intersection solver.
+The certificate for a pair (L, W) wedges the class of W, fixed by its
+fiber degrees (hypersurface_form), with the rational volume form of the
+hull T of L and a complementary form built from the realified complex
+equations of L. A nonzero value is the homological non-vanishing that
+licenses the intersection solver.
 """
 
 from __future__ import annotations
@@ -315,58 +316,15 @@ def holomorphic_form_realized(L: ExactSubspace, A: ProductVariety) -> ExteriorFo
     return form.normalized()
 
 
-@dataclass(frozen=True)
-class HomologyClass:
-    """Cycle class in fixed degree, coefficients on coordinate multi-indices."""
+def hypersurface_form(*degrees: int) -> ExteriorForm:
+    """The class of a hypersurface W with fiber degrees d_1, ..., d_g, as a 2-form.
 
-    degree: int
-    ambient: int
-    coeffs: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, degree: int, ambient: int, table: dict) -> HomologyClass:
-        items = []
-        for k, v in sorted(table.items()):
-            v = Fraction(v)
-            if v != 0:
-                items.append((tuple(k), v))
-        return cls(degree, ambient, tuple(items))
-
-    def dual_form(self) -> ExteriorForm:
-        """Form eta with integral(alpha ^ eta) = pairing(self, alpha) for all alpha."""
-        n = self.ambient
-        table: dict[tuple[int, ...], Fraction] = {}
-        for k, c in self.coeffs:
-            comp = tuple(i for i in range(1, n + 1) if i not in k)
-            sm = _perm_sign_merge(k, comp)
-            sign, _ = sm
-            table[comp] = table.get(comp, Fraction(0)) + c * sign
-        return ExteriorForm(n - self.degree, n, table)
-
-
-class TrivialClassError(ValueError):
-    pass
-
-
-def class_of_hypersurface(m: int, n: int, g: int = 2) -> HomologyClass:
-    """Cycle class of a bidegree-(m, n) hypersurface in a product of 2 curves.
-
-    m counts intersections with a horizontal fiber E_1 x {pt} and n with a
-    vertical fiber {pt} x E_2, so the class is m [{pt} x E_2] + n [E_1 x {pt}]
-    with the vertical fiber spanning the (a_2, b_2) directions.
+    W meets a fiber of factor j in d_j points, so its class is dual to
+    sum_j d_j da_j ^ db_j = sum_j d_j e_(2j-1, 2j): the integral of
+    alpha ^ eta over the torus pairs a 2g-2 form alpha with W.
     """
-    if g != 2:
-        raise ValueError("hypersurface classes are implemented for two factors")
-    if m < 0 or n < 0 or int(m) != m or int(n) != n:
-        raise ValueError("bidegree entries must be nonnegative integers")
-    if m == 0 and n == 0:
-        raise TrivialClassError("bidegree (0, 0) names the trivial class")
-    return HomologyClass.from_dict(2, 4, {(3, 4): m, (1, 2): n})
-
-
-def hypersurface_form(m: int, n: int) -> ExteriorForm:
-    """Dual 2-form of a bidegree-(m, n) hypersurface class: m e12 + n e34."""
-    return class_of_hypersurface(m, n).dual_form()
+    return ExteriorForm(2, 2 * len(degrees),
+                        {(2 * j + 1, 2 * j + 2): d for j, d in enumerate(degrees)})
 
 
 @dataclass(frozen=True)

@@ -3,19 +3,18 @@
 This is the glue the command line and the test suites share. Every flow is
 gated the same way: verdicts first, the certificate only for free and rotund
 pairs, the solver only with a nonzero certificate in hand. Refusals carry
-the witness or the missing-data reason instead of a silent zero.
+the witness instead of a silent zero.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .checker import PairVerdict, SubvarietyData, check_pair, reduce_L
-from .forms import Certificate, ExteriorForm, eac_certificate, hypersurface_form
+from .forms import Certificate, eac_certificate, hypersurface_form
 from .hull import HullChain, HullResult, hull_chain, kernel_lattice
 from .instance import Instance
 from .solver import (PulledBackSystem, SolveReport, SolverConfig,
@@ -48,16 +47,14 @@ class CertifyOutcome:
 
 
 def resolve_w(instance: Instance, pe: ProductEvaluator | None = None
-              ) -> tuple[SubvarietyData, tuple[int, int] | None]:
-    """W with its bidegree read from F's exponents (bidegree_of) on two factors.
+              ) -> tuple[SubvarietyData, tuple[int, ...]]:
+    """W with its fiber degrees read from F's exponents (bidegree_of), one per factor.
 
     Returns (W, measured): a declared bidegree that disagrees with the rule
-    raises BidegreeMismatch, and a missing one is filled in. On one factor W
-    is returned as given, with measured None.
+    raises BidegreeMismatch, and a missing one is filled in. An F that is
+    zero or a nonzero constant raises NotAHypersurface.
     """
     W = instance.W
-    if instance.A.g != 2:
-        return W, None
     measured = bidegree_of(instance.F, instance.A, pe)
     if W.bidegree is not None and tuple(W.bidegree) != measured:
         raise BidegreeMismatch(
@@ -86,14 +83,9 @@ def certify(instance: Instance, pe: ProductEvaluator | None = None,
     if decision is None:
         decision = decide(instance, pe)
     v = decision.verdicts
-    if v.indeterminate:
-        reason = "; ".join(
-            str(x.detail.get("reason", "missing data"))
-            for x in (v.free, v.rotund) if x.ok is None)
-        return CertifyOutcome(decision, None, True, f"indeterminate: {reason}")
-    if v.free.ok is False:
+    if not v.free.ok:
         return CertifyOutcome(decision, None, True, f"not free: {v.free.witness}")
-    if v.rotund.ok is False:
+    if not v.rotund.ok:
         return CertifyOutcome(decision, None, True, f"not rotund: {v.rotund.witness}")
     W = decision.W_effective
     L = instance.L
@@ -103,19 +95,7 @@ def certify(instance: Instance, pe: ProductEvaluator | None = None,
         return CertifyOutcome(
             decision, None, True,
             f"dim L + dim W = {L.dim + W.dim} < {g}: generic intersection is empty")
-    if g == 2:
-        m, n = W.bidegree
-        eta = hypersurface_form(m, n)
-    elif g == 1:
-        npts = bidegree_of(instance.F, A, pe)[0]
-        if npts == 0:
-            return CertifyOutcome(decision, None, True,
-                                  "W has no points on the curve")
-        eta = ExteriorForm(2, 2, {(1, 2): Fraction(npts)})
-    else:
-        return CertifyOutcome(decision, None, True,
-                              "certificates cover one or two factors")
-    cert = eac_certificate(eta, L, A)
+    cert = eac_certificate(hypersurface_form(*W.bidegree), L, A)
     if not cert.nonzero:
         return CertifyOutcome(decision, cert, True,
                               "certificate vanished on a free and rotund pair",
@@ -138,8 +118,7 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
     5: certified but nothing verified within budget, or in any of the finitely
     many distinct cells (reported as a defect). The kernel of exp on L is
     computed here, once per harvest, so that the walk skips cells whose
-    image in the product was already scanned; the closed-form mean zero
-    count per cell, from the bidegree, sizes the harvest's first chunk.
+    image in the product was already scanned.
     """
     pe = pe or ProductEvaluator(instance.A)
     cfg = config or instance.config
@@ -154,9 +133,7 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
         return SolveOutcome(refusal, None, 4)
     direction = tuple(complex(x) for x in L.basis[0])
     system = PulledBackSystem(instance.F, direction, instance.A, pe)
-    report = harvest_density(
-        system, cfg, certified=True, kernel=kernel_lattice(L, instance.A),
-        closed_form_mean=system.mean_cell_count(outcome.decision.W_effective.bidegree))
+    report = harvest_density(system, cfg, certified=True, kernel=kernel_lattice(L, instance.A))
     code = 0 if report.solutions else 5
     return SolveOutcome(outcome, report, code)
 

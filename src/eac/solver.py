@@ -46,7 +46,8 @@ from .exactlinalg import hermite_normal_form
 from .fixed import ONE as FIXED_ONE, Fixed
 from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
-from .weierstrass import NEAR_POLE, ProductEvaluator, _qseries_terms, theta_const, theta_sums
+from .weierstrass import (NEAR_POLE, ProductEvaluator, _qseries_terms, bidegree_of,
+                          lattice_coords, theta_const, theta_sums)
 
 NEWTON_STEPS = 50
 # Relative tolerance of the in-harvest rank, as in weierstrass.jacobian_probe.
@@ -70,10 +71,9 @@ MAX_PANELS_PER_CELL = 1000
 # Pole orders and verification windings are read on boxes of this half side
 # (about 1e-3 of a cell side); poles closer than two half sides count as one.
 WIND_UNITS = 1 << 10
-FIRST_CHUNK = 4  # cells counted first when no closed-form mean count is known
 # The first chunk holds this many times the cells that the closed-form mean
 # count per cell predicts the target needs, plus one.
-FIRST_CHUNK_MARGIN = 1.15
+CLOSED_FORM_MARGIN = 1.15
 
 
 class UncertifiedError(RuntimeError):
@@ -131,7 +131,8 @@ class SolveReport:
     seeds_duplicate: int = 0
     newton_iterations: int = 0
     failures_by_reason: dict = field(default_factory=dict)
-    closed_form_mean: float | None = None
+    closed_form_mean: float = 0.0
+    cells_counted: int = 0
     budget_exhausted: bool = False
     cells_exhausted: bool = False
     target_reached: bool = False
@@ -291,17 +292,15 @@ class PulledBackSystem:
         va = self.v[self.anchor]
         return ((p + CELL_OFFSET[0] + a) + (q + CELL_OFFSET[1] + b) * tau) / va
 
-    def mean_cell_count(self, bidegree) -> float | None:
-        """The mean zero count of G per cell, in closed form, or None.
+    def mean_cell_count(self, bidegree) -> float:
+        """The mean zero count of G per cell, in closed form.
 
-        W of bidegree (d_1, d_2) meets a fiber of factor j in d_j points, so
-        its class pulls back to d_j |v_j|^2 / Im tau_j zeros per unit area of
-        the l-plane, and a cell has area Im tau_a / |v_a|^2 for the anchor a:
-        the mean is sum_j d_j |v_j|^2 Im tau_a / (|v_a|^2 Im tau_j). None
-        without a bidegree on two factors.
+        W of fiber degrees (d_1, ..., d_g) meets a fiber of factor j in d_j
+        points, so its class pulls back to d_j |v_j|^2 / Im tau_j zeros per
+        unit area of the l-plane, and a cell has area Im tau_a / |v_a|^2 for
+        the anchor a: the mean is sum_j d_j |v_j|^2 Im tau_a / (|v_a|^2 Im
+        tau_j), which is d_1 on one curve.
         """
-        if bidegree is None or self.A.g != 2:
-            return None
         a = self.anchor
         cell_area = self.pe.evals[a].tau.imag / abs(self.v[a]) ** 2
         return sum(d * abs(c) ** 2 * cell_area / ev.tau.imag
@@ -309,10 +308,8 @@ class PulledBackSystem:
 
     def cell_position(self, l: complex) -> tuple[float, float]:
         """The inverse of cell_box at cell (0, 0): l lies in cell (floor x, floor y)."""
-        tau = self.pe.evals[self.anchor].tau
-        w = l * self.v[self.anchor]
-        y = w.imag / tau.imag
-        return w.real - y * tau.real - CELL_OFFSET[0], y - CELL_OFFSET[1]
+        x, y = lattice_coords(l * self.v[self.anchor], self.pe.evals[self.anchor].tau)
+        return x - CELL_OFFSET[0], y - CELL_OFFSET[1]
 
     def cell_poles(self, p: int, q: int) -> list[tuple[complex, float, float]]:
         """The poles of G in shifted cell (p, q), as l with its cell_position.
@@ -328,9 +325,7 @@ class PulledBackSystem:
         for ev, b, c in zip(self.pe.evals, self.base, self.v):
             if c == 0:
                 continue
-            zs = [b + w * c for w in corners]
-            ns = [z.imag / ev.tau.imag for z in zs]
-            ms = [z.real - n * ev.tau.real for z, n in zip(zs, ns)]
+            ms, ns = zip(*(lattice_coords(b + w * c, ev.tau) for w in corners))
             for m in range(math.floor(min(ms)), math.ceil(max(ms)) + 1):
                 for n in range(math.floor(min(ns)), math.ceil(max(ns)) + 1):
                     l = (m + n * ev.tau - b) / c
@@ -714,8 +709,7 @@ def verify_solution(system: PulledBackSystem, l: complex,
 
 
 def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
-                    certified: bool = False, kernel=(),
-                    closed_form_mean: float | None = None) -> SolveReport:
+                    certified: bool = False, kernel=()) -> SolveReport:
     """Scan distinct cells in spiral order until the target count or the budget.
 
     Requires certified=True: running without a nonzero certificate is a
@@ -723,27 +717,29 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     Lambda_L (hull.kernel_lattice); an empty kernel walks every cell, drawn
     from one distinct_cells generator as chunks and home cells need them.
     Cells are counted and seeded by cell_seeds in chunks: the first holds
-    FIRST_CHUNK_MARGIN times the cells that closed_form_mean (the mean zero
-    count per cell, PulledBackSystem.mean_cell_count) says the target needs,
-    plus one, or FIRST_CHUNK cells without it; each later one holds as many
-    as the mean count measured so far predicts the target still needs.
+    CLOSED_FORM_MARGIN times the cells that the closed-form mean zero count
+    per cell (PulledBackSystem.mean_cell_count of W's fiber degrees, read by
+    bidegree_of) says the target needs, plus one; each later one holds as
+    many as the mean count measured so far predicts the target still needs.
     Counted cells are taken in walk order, as many at a time as their counts
     say the target still needs; their seeds are refined in one newton_refine
     batch and taken in cell order until the target is reached. cells_scanned
-    counts the cells whose seeds were taken; cells counted past the target
-    are not reported. Each batch's converged points are reduced into the
-    fundamental domains in one reduced_points call; the walk deduplicates
-    those rows by torus distance at dedup_tol, one verify_points call takes
-    the ones apart from the accepted points and each other, as many as the
-    target still needs, and a point's z is its row, the point verify_points
-    reduces the same way and verifies. Each point is labelled with the walk
-    index of the cell that holds it; a cell whose seeds were all taken is
-    incomplete when its points found differ from its count.
+    counts the cells whose seeds were taken and cells_counted the cells that
+    cell_seeds counted; cells counted past the target are not reported. Each
+    batch's converged points are reduced into the fundamental domains in one
+    reduced_points call; the walk deduplicates those rows by torus distance
+    at dedup_tol, one verify_points call takes the ones apart from the
+    accepted points and each other, as many as the target still needs, and a
+    point's z is its row, the point verify_points reduces the same way and
+    verifies. Each point is labelled with the walk index of the cell that
+    holds it; a cell whose seeds were all taken is incomplete when its points
+    found differ from its count.
     """
     if not certified:
         raise UncertifiedError(
             "harvest requires a certified instance (nonzero certificate)")
-    report = SolveReport(closed_form_mean=closed_form_mean)
+    report = SolveReport(
+        closed_form_mean=system.mean_cell_count(bidegree_of(system.F, system.A, system.pe)))
     t0 = time.perf_counter()
     shifts = system.cell_shifts(kernel)
     cells_ahead = distinct_cells(shifts)
@@ -792,16 +788,15 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
         if not counted:
             if start:
                 size = math.ceil(need / max(zeros_counted / start, 0.5))
-            elif closed_form_mean:
-                size = math.ceil(FIRST_CHUNK_MARGIN * need / closed_form_mean) + 1
             else:
-                size = FIRST_CHUNK
+                size = math.ceil(CLOSED_FORM_MARGIN * need / report.closed_form_mean) + 1
             end = min(start + size, cfg.budget_cells)
             draw(end)
             cells = walk[start:end]
             if not cells:
                 break
             counted = timed("scan_s", cell_seeds, system, cells)
+            report.cells_counted += len(cells)
         take, covered = 0, 0
         while take < len(counted) and covered < need:
             covered += counted[take][0] or 0

@@ -71,8 +71,14 @@ class ContourError(RuntimeError):
     """A zero count could not be resolved on its contour."""
 
 
-class WholeVariety(ValueError):
-    """F vanishes identically on the product, so W is not a hypersurface."""
+class NotAHypersurface(ValueError):
+    """F is identically zero or a nonzero constant, so W is all of A or empty."""
+
+
+def lattice_coords(z, tau: complex):
+    """(a, b) with z = a + b tau, for a complex z or numpy arrays that broadcast."""
+    b = z.imag / tau.imag
+    return z.real - b * tau.real, b
 
 
 def reduce_to_fundamental(z, tau: complex):
@@ -81,8 +87,7 @@ def reduce_to_fundamental(z, tau: complex):
     z is a complex number or a numpy array of them, and tau a period or an
     array of periods that broadcasts against z; both round half to even.
     """
-    b = z.imag / tau.imag
-    a = z.real - b * tau.real
+    a, b = lattice_coords(z, tau)
     if isinstance(z, np.ndarray):
         return z - np.round(a) - np.round(b) * tau
     return z - round(a) - round(b) * tau
@@ -384,7 +389,8 @@ def bidegree_of(F: SegrePolynomial, A: ProductVariety,
     coefficient, a polynomial in the other factor, does not cancel (to CANCEL
     of the sum of its terms' sizes). segre_stack gives each coordinate's
     exponents. g2 and g3 (from pe, when given) are read only for a wp' power
-    of 2 or more. Raises WholeVariety when every coefficient cancels.
+    of 2 or more. Raises NotAHypersurface when every degree is 0: F then
+    cancels to zero (W is all of A) or is a nonzero constant (W is empty).
     """
     n = 2 * A.g
     unit = [_Exponents(int(k == i) for k in range(n)) for i in range(n)]
@@ -408,10 +414,13 @@ def bidegree_of(F: SegrePolynomial, A: ProductVariety,
             sums[key] = sums.get(key, 0.0) + value
             sizes[key] = sizes.get(key, 0.0) + abs(value)
     live = [k for k, s in sums.items() if abs(s) > CANCEL * sizes[k]]
-    if not live:
-        raise WholeVariety("W is all of A: its polynomial vanishes identically "
-                           "once each wp'^2 is reduced to 4 wp^3 - g2 wp - g3")
-    return tuple(max(2 * k[2 * j] + 3 * k[2 * j + 1] for k in live) for j in range(A.g))
+    degrees = tuple(max((2 * k[2 * j] + 3 * k[2 * j + 1] for k in live), default=0)
+                    for j in range(A.g))
+    if not any(degrees):
+        what = ("W is empty: its polynomial is a nonzero constant" if live else
+                "W is all of A: its polynomial vanishes identically")
+        raise NotAHypersurface(f"{what} once each wp'^2 is reduced to 4 wp^3 - g2 wp - g3")
+    return degrees
 
 
 def jacobian_probe(l: complex, L_direction: tuple[complex, ...],

@@ -1,7 +1,7 @@
 import pytest
 
-from eac.checker import (IndeterminateError, SubvarietyData, check_free,
-                         check_pair, check_rotund, reduce_L)
+from eac.checker import (SubvarietyData, check_free, check_pair, check_rotund,
+                         reduce_L)
 from eac.variety import ExactSubspace
 
 
@@ -12,7 +12,7 @@ def test_flagship_pair_is_free_and_rotund(A2, diagonal_line):
     v = check_pair(diagonal_line, W22, A2)
     assert v.free.ok is True
     assert v.rotund.ok is True
-    assert v.certified_ready and not v.indeterminate
+    assert v.certified_ready
     assert any("nonisogenous" in a for a in v.free.assumptions)
 
 
@@ -44,24 +44,15 @@ def test_zero_subspace_is_not_free(A2):
     assert "zero subspace" in v.witness
 
 
-def test_missing_w_data_is_indeterminate(A2, diagonal_line):
-    W = SubvarietyData(dim=1)  # no bidegree
-    v = check_free(diagonal_line, W, A2)
-    assert v.ok is None and v.indeterminate
-    r = check_rotund(diagonal_line, W, A2)
-    assert r.ok is None
-    assert "subproduct" in r.detail
-    pair = check_pair(diagonal_line, W, A2)
-    assert pair.indeterminate and not pair.certified_ready
-
-
-def test_point_w_is_free_but_not_rotund_with_a_line(A2, diagonal_line):
-    W = SubvarietyData(dim=0)
-    assert check_free(diagonal_line, W, A2).ok is True
-    r = check_rotund(diagonal_line, W, A2)
-    # quotient by nothing needs dim 2, the line plus a point gives 1
+def test_point_w_is_free_but_not_rotund_with_zero_l(A1):
+    # on one curve W of degree 2 is two points; with L = 0 the quotient by
+    # nothing needs dim 1 and gets 0
+    W = SubvarietyData(dim=0, bidegree=(2,))
+    L = ExactSubspace("complex", (), 1)
+    assert check_free(L, W, A1).ok is True
+    r = check_rotund(L, W, A1)
     assert r.ok is False
-    assert r.detail["required"] == 2 and r.detail["achieved"] == 1
+    assert r.detail["required"] == 1 and r.detail["achieved"] == 0
 
 
 def test_rotund_table_records_all_subproducts(A2, diagonal_line):
@@ -88,7 +79,7 @@ def test_rotundity_fails_when_projection_collapses(A2):
 
 def test_single_factor_freeness_is_vacuous(A1):
     L = ExactSubspace.complex_span([[1]], 1)
-    W = SubvarietyData(dim=0)
+    W = SubvarietyData(dim=0, bidegree=(2,))
     v = check_free(L, W, A1)
     assert v.ok is True
     assert "vacuous" in v.detail["note"]
@@ -104,7 +95,7 @@ def test_subvariety_data_validation():
 
 def test_reduce_l_requires_free_rotund_pair(A2):
     L = ExactSubspace.complex_span([[1, 0]], 2)
-    with pytest.raises(IndeterminateError):
+    with pytest.raises(ValueError, match="free and rotund pair"):
         reduce_L(L, W22, A2)
 
 

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from eac.forms import (CertificateError, DegreeMismatch, ExteriorForm,
-                       HomologyClass, TrivialClassError, class_of_hypersurface,
                        eac_certificate, holomorphic_form_realized, hypersurface_form,
                        integrate_top, realify_covector, residual_covectors)
 from eac.hull import rational_hull
@@ -165,27 +164,25 @@ def test_proportionality_exact_and_float():
 
 
 def test_duality_pairing_consistency():
+    # W of fiber degrees (2, 3) is 2 [{pt} x E_2] + 3 [E_1 x {pt}]: a 2-form
+    # alpha pairs with it as 2 alpha_34 + 3 alpha_12
     rng = random.Random(3)
-    cls = class_of_hypersurface(2, 3)
-    eta = cls.dual_form()
-    assert eta.coeffs == {(1, 2): Fraction(2), (3, 4): Fraction(3)}
+    eta = hypersurface_form(2, 3)
     for _ in range(20):
         alpha = random_form(rng, 2, 4)
-        want = sum((c * alpha.coeffs[k] for k, c in cls.coeffs if k in alpha.coeffs),
-                   Fraction(0))
-        got = integrate_top(alpha.wedge(eta), 2)
-        assert got == want
+        want = (2 * alpha.coeffs.get((3, 4), Fraction(0))
+                + 3 * alpha.coeffs.get((1, 2), Fraction(0)))
+        assert integrate_top(alpha.wedge(eta), 2) == want
 
 
 def test_hypersurface_class_validation():
-    with pytest.raises(TrivialClassError):
-        class_of_hypersurface(0, 0)
-    with pytest.raises(ValueError):
-        class_of_hypersurface(-1, 2)
     assert hypersurface_form(2, 2).coeffs == {(1, 2): Fraction(2), (3, 4): Fraction(2)}
     # fiber-type classes keep only one cell
     assert hypersurface_form(0, 2).coeffs == {(3, 4): Fraction(2)}
     assert hypersurface_form(3, 0).coeffs == {(1, 2): Fraction(3)}
+    # on one curve the class of d points is d e12
+    one = hypersurface_form(3)
+    assert (one.degree, one.ambient, one.coeffs) == (2, 2, {(1, 2): Fraction(3)})
 
 
 def test_realify_covector_splits_re_im(A2):

@@ -497,6 +497,8 @@ def test_cli_density_defaults_and_stats(tmp_path, capsys):
     assert dens["mean_zeros_per_cell"] == sum(counts) / len(counts)
     assert dens["closed_form_zeros_per_cell"] == pytest.approx(2 + 2 * math.sqrt(2 / 5),
                                                                rel=1e-12)
+    # the budget caps the first chunk: every cell counted is scanned
+    assert report["solve"]["cells_counted"] == 3 == report["solve"]["cells_scanned"]
     assert "median nearest" in capsys.readouterr().out
     assert set(report["timings"]) == {"total_s", "scan_s", "newton_s", "dedup_s",
                                       "verify_s", "jacobian_s", "density_s"}
@@ -609,6 +611,80 @@ def test_cli_single_factor_end_to_end(tmp_path):
     for s in report["solve"]["solutions"]:
         assert len(s["z"]) == 1
         assert s["jacobian_rank"] == -1
+
+
+def one_curve_dict(label, terms, bidegree=None):
+    """W on E_sqrt3 as (exponents of (1, wp, wp'), coefficient) pairs, L = C."""
+    data = {
+        "label": label,
+        "factors": [{"tau_re": "0", "tau_im": {"d": 3, "q": "1"}}],
+        "L": {"basis": [["1"]]},
+        "W": {"kind": "segre-hypersurface", "dim": 0,
+              "monomials": [{"exponents": e, "re": c} for e, c in terms]},
+    }
+    if bidegree is not None:
+        data["W"]["bidegree"] = bidegree
+    return data
+
+
+WP_IS_2 = [([0, 1, 0], 1.0), ([1, 0, 0], -2.0)]
+
+
+def test_cli_single_factor_declared_bidegree_is_cross_checked(tmp_path, capsys):
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps(one_curve_dict("wp-2", WP_IS_2, [7, 9])))
+    for command in ("check", "certify"):
+        assert run_cli([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: declared bidegree (7, 9) but W's polynomial gives (2,)\n"
+    path.write_text(json.dumps(one_curve_dict("wp-2", WP_IS_2, [2])))
+    out = tmp_path / "r.json"
+    assert run_cli(["check", str(path), "--out", str(out)]) == 0
+    assert "bidegree (2,)" in capsys.readouterr().out
+    assert json.loads(out.read_text())["verdicts"]["bidegree"] == [2]
+    assert run_cli(["certify", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["certificate"]["value"] == "2"
+
+
+def empty_w_files(tmp_path):
+    """W cut out by the constant 1, on one curve and on the flagship's two."""
+    two = flagship_dict()
+    del two["W"]["bidegree"]
+    two["W"]["monomials"] = [{"exponents": [1] + [0] * 8, "re": 1.0, "im": 0.0}]
+    paths = []
+    for name, data in (("one", one_curve_dict("empty", [([1, 0, 0], 1.0)])), ("two", two)):
+        paths.append(tmp_path / f"empty-{name}.json")
+        paths[-1].write_text(json.dumps(data))
+    return paths
+
+
+def test_cli_empty_w_exits_1_everywhere(tmp_path, capsys):
+    # F = 1 has no zeros on any fiber: all fiber degrees are 0, which names
+    # no hypersurface class, so no command decides or certifies anything
+    for path in empty_w_files(tmp_path):
+        for command in ("check", "certify", "solve"):
+            assert run_cli([command, str(path)]) == 1, (path.name, command)
+            err = capsys.readouterr().err
+            assert err.startswith("error: W is empty") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("terms, degree", [
+    ([([0, 1, 0], 1.0), ([1, 0, 0], -1.7)], 2),  # wp = 1.7
+    ([([0, 0, 1], 1.0), ([1, 0, 0], -1.7)], 3),  # wp' = 1.7
+    ([([1, 0, 0], 1.0)], None),  # empty
+])
+def test_cli_single_factor_commands_agree(terms, degree, tmp_path):
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps(one_curve_dict("g1", terms)))
+    codes = {command: run_cli([command, str(path)]) for command in ("check", "certify", "solve")}
+    assert set(codes.values()) == {0 if degree else 1}, codes
+    if degree:
+        out = tmp_path / "r.json"
+        assert run_cli(["density", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["verdicts"]["bidegree"] == [degree]
+        assert report["density"]["closed_form_zeros_per_cell"] == pytest.approx(degree, rel=1e-15)
+        assert report["solve"]["distinct_count"] == degree
 
 
 @pytest.mark.parametrize("level", [3e6, 1e7])

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from eac import hull
-from eac.checker import check_pair
-from eac.hull import hull_chain, kernel_lattice
+from eac.hull import kernel_lattice
 from eac.instance import builtin_instance, catalog_dicts, catalog_names, instance_from_dict
-from eac.pipeline import (BidegreeMismatch, Decision, certify, decide,
-                          density_summary, resolve_w, solve)
+from eac.pipeline import (BidegreeMismatch, certify, decide, density_summary,
+                          resolve_w, solve)
 from eac.segre import SegrePolynomial, segre_stack
 from eac import solver
 from eac.solver import PulledBackSystem, SolverConfig
@@ -107,20 +106,6 @@ def test_certify_refusals_name_their_witness(pe2):
     out = certify(builtin_instance("fiber-wp1"))
     assert out.refused
     assert "union of translates of factor 2" in out.reason
-
-
-def test_certify_indeterminate_without_w_data(flagship, pe2):
-    data = json.loads(json.dumps(flagship.raw))
-    del data["W"]["bidegree"]
-    inst = instance_from_dict(data)
-    # decide would read the bidegree from F, so decide on the declared data alone
-    decision = Decision(verdicts=check_pair(inst.L, inst.W, inst.A), W_effective=inst.W,
-                        chain=hull_chain(inst.L, inst.A))
-    assert decision.verdicts.indeterminate
-    out = certify(inst, pe2, decision=decision)
-    assert out.refused
-    assert out.reason.startswith("indeterminate:")
-    assert "no bidegree for W" in out.reason
 
 
 def test_certify_reduces_oversized_parameter_space(flagship, pe2):
@@ -244,9 +229,9 @@ def test_harvest_ranks_match_the_jacobian_probe(name):
 
 
 def harvest_fields(report):
-    """A harvest report's fields, less its timings and the closed form it was given."""
+    """A harvest report's fields, less its timings, its closed form and the cells it counted."""
     out = dataclasses.asdict(report)
-    del out["timings"], out["closed_form_mean"]
+    del out["timings"], out["closed_form_mean"], out["cells_counted"]
     return out
 
 
@@ -270,8 +255,7 @@ def harvest_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name", HARVESTABLE)
-def test_closed_form_sizes_one_chunk_and_keeps_the_pilot_reports(name, harvest_calls,
-                                                                  monkeypatch):
+def test_closed_form_sizes_one_chunk_and_keeps_the_pilot_reports(name, harvest_calls):
     inst = builtin_instance(name)
     for target in (30, 60):
         for made in harvest_calls.values():
@@ -281,15 +265,9 @@ def test_closed_form_sizes_one_chunk_and_keeps_the_pilot_reports(name, harvest_c
         assert report.target_reached, (name, target)
         # cells counted past the target are not reported, and Newton sees none of their seeds
         assert len(report.cells) == report.cells_scanned <= len(counted), name
+        assert report.cells_counted == len(counted), name
         assert harvest_calls["refined"] == [
             seed for _, seeds in counted[:report.cells_scanned] for seed in seeds], name
-    # the pilot chunk of FIRST_CHUNK cells, then the measured mean: the same harvest
-    monkeypatch.setattr(PulledBackSystem, "mean_cell_count", lambda self, bidegree: None)
-    harvest_calls["counted"].clear()
-    pilot = solve(inst, config=dataclasses.replace(inst.config, target_count=60)).report
-    assert len(harvest_calls["counted"][0]) == solver.FIRST_CHUNK
-    assert pilot.closed_form_mean is None
-    assert harvest_fields(pilot) == harvest_fields(report), name
 
 
 @pytest.mark.parametrize("name", ["diag-prod-one", "irrational-slope"])
@@ -304,6 +282,9 @@ def test_an_overestimated_mean_costs_a_chunk_not_a_point(name, harvest_calls, mo
     twice = solve(inst, config=cfg).report
     assert twice.closed_form_mean == 2 * once.closed_form_mean
     assert len(harvest_calls["counted"]) >= 2, name
+    # every chunk that cell_seeds counted is in cells_counted, taken or not
+    assert twice.cells_counted == sum(map(len, harvest_calls["counted"])), name
+    assert twice.cells_counted >= twice.cells_scanned
     assert harvest_fields(twice) == harvest_fields(once), name
 
 
@@ -315,8 +296,9 @@ def test_mean_cell_count_is_the_pulled_back_class(A1):
     assert flagship.mean_cell_count((2, 3)) == pytest.approx(2 + 3 * r, rel=1e-15)
     _, steep = catalog_system("rational-slope")  # v = (1, 2): |v_2|^2 = 4
     assert steep.mean_cell_count((2, 2)) == pytest.approx(2 + 8 * r, rel=1e-15)
-    assert flagship.mean_cell_count(None) is None
-    assert one_factor_systems(A1)[0].mean_cell_count((2, 2)) is None
+    # on one curve every cell is a period cell, holding d zeros
+    assert one_factor_systems(A1)[0].mean_cell_count((2,)) == pytest.approx(2, rel=1e-15)
+    assert one_factor_systems(A1)[0].mean_cell_count((3,)) == pytest.approx(3, rel=1e-15)
 
 
 @pytest.mark.parametrize("name, closed_form", [

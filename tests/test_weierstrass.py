@@ -11,7 +11,7 @@ from eac.multiquad import MultiQuadElem
 from eac.segre import SegrePolynomial
 from eac.variety import EllipticFactor, ProductVariety
 from eac.weierstrass import (NEAR_POLE, AtInfinity, ContourError, ProductEvaluator,
-                             WholeVariety, WpEvaluator, bidegree_of,
+                             NotAHypersurface, WpEvaluator, bidegree_of,
                              _qseries_terms, count_roots_on_fiber,
                              jacobian_probe, point_count_on_curve,
                              reduce_to_fundamental, theta_const, theta_sums)
@@ -402,8 +402,11 @@ def test_bidegree_rule_known_values(A2, pe2):
                                       (0, 0, 0, 3, 0, 0, 0, 0, 0): -4,
                                       (0, 0, 0, 1, 0, 0, 0, 0, 0): g2,
                                       (1, 0, 0, 0, 0, 0, 0, 0, 0): g3})
-    with pytest.raises(WholeVariety):
+    with pytest.raises(NotAHypersurface, match="W is all of A"):
         bidegree_of(F, A2, pe2)
+    # a nonzero constant has no zeros on any fiber: W is empty
+    with pytest.raises(NotAHypersurface, match="W is empty"):
+        bidegree_of(SegrePolynomial.linear(2, {0: 1}), A2, pe2)
 
 
 def test_jacobian_probe_full_rank_at_transverse_solution(A2, pe2):
