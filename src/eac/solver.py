@@ -10,22 +10,24 @@ shifts whole cells, by the lattice K in Z^2 that is Lambda_L read in the
 anchor's lattice coordinates, onto cells with the same image; the walk
 visits each class of Z^2/K once, and ends after the last when K has rank 2.
 
-cell_seeds counts each cell's zeros by the argument principle and isolates
-them by subdivision (Delves and Lyness, Math. Comp. 21 (1967); ZEAL,
-Kravanja, Van Barel et al., Comput. Phys. Commun. 124 (2000)); a box with
-one zero gives its Newton seed from the first moment of G'/G. Every
-contour integral is one _Edges panel sum, also on the small boxes of
-box_windings that give pole orders and verification windings. The mean
-count per cell is known in closed form (PulledBackSystem.mean_cell_count),
-and sizes the first chunk of cells counted together. Newton
-refines a batch of seeds as one array with the analytic G'(l) of eval_jet:
-each factor enters as a first-order jet, with d wp = c wp' and
-d wp' = c (6 wp^2 - g2/2) for z = l c (DLMF 23.3). G' at a root also gives
-its Jacobian rank. verify_points recomputes a batch of residuals to 30
-digits from the same theta series (weierstrass.theta_sums), in the
-fixed-point arithmetic of eac.fixed over object arrays rather than doubles,
-and requires a positive winding on a small box. Verified points are
-deduplicated on the product variety and placed in the cell that holds
+cell_seeds counts each cell's zeros by the argument principle on one box
+per cell, and takes a box's N zeros, up to MOMENT_MAX_ZEROS, as the roots
+of the polynomial whose power sums about the box centre are the contour
+moments of G'/G (Delves and Lyness, Math. Comp. 21 (1967); ZEAL, Kravanja,
+Van Barel et al., Comput. Phys. Commun. 124 (2000)). A box whose roots
+fail their checks is split in four. Every contour integral is one _Edges
+panel sum, also on the small boxes of box_windings that give pole orders
+and verification windings. The mean count per cell is known in closed
+form (PulledBackSystem.mean_cell_count), and sizes the first chunk of
+cells counted together. Newton refines a batch of seeds as one array with
+the analytic G'(l) of eval_jet: each factor enters as a first-order jet,
+with d wp = c wp' and d wp' = c (6 wp^2 - g2/2) for z = l c (DLMF 23.3).
+G' at a root also gives its Jacobian rank. verify_points recomputes a
+batch of residuals to 30 digits from the same theta series
+(weierstrass.theta_sums), in the fixed-point arithmetic of eac.fixed over
+object arrays rather than doubles, at the double point z_of(l) reduced
+exactly, and requires a positive winding on a small box. Verified points
+are deduplicated on the product variety and placed in the cell that holds
 them, so each cell reports its zeros expected against its zeros found. The
 lattice-sum backend, which shares no formula with the theta series, is the
 independent cross-check of harvested points.
@@ -47,7 +49,7 @@ from .fixed import ONE as FIXED_ONE, Fixed
 from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
 from .weierstrass import (NEAR_POLE, ProductEvaluator, _qseries_terms, bidegree_of,
-                          lattice_coords, theta_const, theta_sums)
+                          lattice_coords, lattice_shift, theta_const, theta_sums)
 
 NEWTON_STEPS = 50
 # Relative tolerance of the in-harvest rank, as in weierstrass.jacobian_probe.
@@ -59,14 +61,18 @@ CELL_OFFSET = (2.0 / 3.0, 2.0 / 3.0)
 # Box corners and panel ends are integers, CELL_UNITS to a cell side, so
 # neighbouring boxes and cells share their edges exactly.
 CELL_UNITS = 1 << 20
-START_BOXES = 2  # boxes per cell side before the first count
 PANEL_UNITS = CELL_UNITS // 4  # longest quadrature panel
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 PANEL_NODES = np.concatenate([[0.0], (_GL_X + 1.0) / 2.0, [1.0]])
 PANEL_WEIGHTS = _GL_W / 2.0
 PANEL_TOL = 1e-3  # on each panel's integral of G'/G
 INTEGER_TOL = 1e-2  # on a box's winding number
-MAX_BOX_DEPTH = 12
+# A box is halved at most this often, down to a side of 2^-13 of a cell side.
+MAX_BOX_DEPTH = 13
+# A box of 2 to MOMENT_MAX_ZEROS zeros takes them from its power sums when
+# they reproduce the next power sum within MOMENT_TOL (moment_roots).
+MOMENT_MAX_ZEROS = 8
+MOMENT_TOL = 1e-3
 MAX_PANELS_PER_CELL = 1000
 # Pole orders and verification windings are read on boxes of this half side
 # (about 1e-3 of a cell side); poles closer than two half sides count as one.
@@ -298,12 +304,12 @@ class PulledBackSystem:
         W of fiber degrees (d_1, ..., d_g) meets a fiber of factor j in d_j
         points, so its class pulls back to d_j |v_j|^2 / Im tau_j zeros per
         unit area of the l-plane, and a cell has area Im tau_a / |v_a|^2 for
-        the anchor a: the mean is sum_j d_j |v_j|^2 Im tau_a / (|v_a|^2 Im
-        tau_j), which is d_1 on one curve.
+        the anchor a: the mean is sum_j d_j (|v_j|^2 / |v_a|^2) (Im tau_a /
+        Im tau_j). The anchor's own term is d_a exactly, and so the mean is
+        d_1 exactly on one curve.
         """
-        a = self.anchor
-        cell_area = self.pe.evals[a].tau.imag / abs(self.v[a]) ** 2
-        return sum(d * abs(c) ** 2 * cell_area / ev.tau.imag
+        va, ta = abs(self.v[self.anchor]) ** 2, self.pe.evals[self.anchor].tau.imag
+        return sum(d * (abs(c) ** 2 / va) * (ta / ev.tau.imag)
                    for d, c, ev in zip(bidegree, self.v, self.pe.evals))
 
     def cell_position(self, l: complex) -> tuple[float, float]:
@@ -357,8 +363,17 @@ def coarse_scan(system: PulledBackSystem, p: int, q: int,
                   key=lambda s: s[1])
 
 
+def _box_sides(x0, y0, h):
+    """The four edges of the box with corner (x0, y0) and side h: bottom, right, top, left.
+
+    The box runs counterclockwise along the first two and against the last two.
+    """
+    return [(0, y0, x0, x0 + h), (1, x0 + h, y0, y0 + h),
+            (0, y0 + h, x0, x0 + h), (1, x0, y0, y0 + h)]
+
+
 class _Edges:
-    """Integrals of G'/G and l G'/G along the axis-parallel edges of boxes.
+    """Integrals of G'/G along the axis-parallel edges of boxes, with their nodes.
 
     An edge is (axis, c, a, b) in CELL_UNITS: y = c and a <= x <= b for
     axis 0, x = c and a <= y <= b for axis 1, run from a to b. An edge longer
@@ -367,18 +382,21 @@ class _Edges:
     PANEL_TOL: the Gauss-Legendre sum, and log G(b) - log G(a) with the
     argument followed through the samples, each step below 1.5 radians.
     A panel through a pole or a zero of G, a panel too short to cut, and
-    every panel past the budget of max_panels evaluations are NaN.
+    every panel past the budget of max_panels evaluations are NaN. A panel
+    that passes keeps its 8 nodes l and the weighted values w of G'/G there,
+    so that any polynomial f in l is integrated against G'/G as sum w f(l).
     """
 
     def __init__(self, system: PulledBackSystem, max_panels: int):
         self.system = system
         self.values = {}
+        self.nodes = {}
         self.parts = {}
         self.pending = set()
         self.budget = max_panels
 
     def get(self, edge):
-        """The two integrals along edge, or None while a panel of it is unevaluated."""
+        """The integral of G'/G along edge, or None while a panel of it is unevaluated."""
         if edge in self.values:
             return self.values[edge]
         axis, c, a, b = edge
@@ -390,21 +408,40 @@ class _Edges:
         parts = [self.get(e) for e in self.parts[edge]]
         if any(v is None for v in parts):
             return None
-        self.values[edge] = tuple(sum(v[k] for v in parts) for k in (0, 1))
+        self.values[edge] = sum(parts)
         return self.values[edge]
 
     def box(self, x0, y0, h):
-        """(s0, s1) of the box with corner (x0, y0) and side h, or None while pending.
+        """The winding number of G around the box with corner (x0, y0) and side h.
 
-        s0 is the winding number of G around the box, s1 the integral of
-        l G'/G over 2 pi i.
+        It is the integral of G'/G around the box over 2 pi i, or None while
+        a panel is pending.
         """
-        sides = [self.get((0, y0, x0, x0 + h)), self.get((1, x0 + h, y0, y0 + h)),
-                 self.get((0, y0 + h, x0, x0 + h)), self.get((1, x0, y0, y0 + h))]
+        sides = [self.get(e) for e in _box_sides(x0, y0, h)]
         if any(v is None for v in sides):
             return None
-        return tuple((sides[0][i] + sides[1][i] - sides[2][i] - sides[3][i]) / (2j * math.pi)
-                     for i in (0, 1))
+        return (sides[0] + sides[1] - sides[2] - sides[3]) / (2j * math.pi)
+
+    def leaves(self, edge) -> list:
+        """The panels, in order, whose integrals sum to a finite integral along edge."""
+        if edge in self.nodes:
+            return [edge]
+        return [p for e in self.parts[edge] for p in self.leaves(e)]
+
+    def power_sums(self, x0, y0, h, c: complex, kmax: int, poles) -> np.ndarray:
+        """sum (z - c)^k over the zeros z in a box of finite winding, for k = 0..kmax.
+
+        Each is (1/2 pi i) times the integral of (l - c)^k G'/G around the
+        box, plus order (p - c)^k for each (p, order) of poles, the poles
+        inside: the power sums about c, not shifted from the origin, so a
+        far cell loses no digits to cancellation.
+        """
+        sides = [[self.nodes[p] for p in self.leaves(e)] for e in _box_sides(x0, y0, h)]
+        l = np.concatenate([nl for side in sides for nl, _ in side] + [[p for p, _ in poles]])
+        w = np.concatenate([nw for side in sides[:2] for _, nw in side]
+                           + [-nw for side in sides[2:] for _, nw in side]) / (2j * math.pi)
+        w = np.concatenate([w, [order for _, order in poles]])
+        return np.vander(l - c, kmax + 1, increasing=True).T @ w
 
     def evaluate(self):
         """Evaluate every pending panel in one eval_jet call."""
@@ -412,7 +449,7 @@ class _Edges:
         self.pending = set()
         self.budget -= len(edges)
         if self.budget < 0:
-            self.values.update(dict.fromkeys(edges, (complex("nan"), complex("nan"))))
+            self.values.update(dict.fromkeys(edges, complex("nan")))
             return
         axis, c, a, b = np.array(edges, dtype=np.int64).T
         s = a[:, None] + (b - a)[:, None] * PANEL_NODES
@@ -425,7 +462,7 @@ class _Edges:
         with np.errstate(all="ignore"):
             ratio = dg[:, 1:-1] / g[:, 1:-1] * (l[:, -1] - l[:, 0])[:, None]
             i0 = ratio @ PANEL_WEIGHTS
-            i1 = (ratio * l[:, 1:-1]) @ PANEL_WEIGHTS
+            weighted = ratio * PANEL_WEIGHTS
             steps = np.angle(g[:, 1:] / g[:, :-1])
             logs = np.log(np.abs(g[:, -1] / g[:, 0])) + 1j * steps.sum(axis=1)
             ok = (np.abs(i0 - logs) < PANEL_TOL) & (np.abs(steps).max(axis=1) < 1.5)
@@ -433,9 +470,10 @@ class _Edges:
         for k, edge in enumerate(edges):
             ax, cc, aa, bb = edge
             if ok[k]:
-                self.values[edge] = (complex(i0[k]), complex(i1[k]))
+                self.values[edge] = complex(i0[k])
+                self.nodes[edge] = (l[k, 1:-1], weighted[k])
             elif singular[k] or bb - aa < 8:
-                self.values[edge] = (complex("nan"), complex("nan"))
+                self.values[edge] = complex("nan")
             else:
                 # past the first halving a panel is cut in four, so that a
                 # zero near the edge is reached in fewer rounds
@@ -466,22 +504,69 @@ def box_windings(system: PulledBackSystem, ls) -> list[int | None]:
     while True:
         sums = [edges.box(x0, y0, 2 * WIND_UNITS) for x0, y0 in corners]
         if not edges.pending:
-            return [_winding(s[0]) for s in sums]
+            return [_winding(s) for s in sums]
         edges.evaluate()
 
 
-def cell_seeds(system: PulledBackSystem, cells) -> list[tuple[int | None, list[complex]]]:
-    """Zero count and Newton seeds of each shifted cell, by argument-principle subdivision.
+def moment_roots(sums) -> np.ndarray | None:
+    """The n numbers whose k-th power sums are sums[k] for k = 1..n, or None.
 
-    Each cell starts as START_BOXES^2 boxes. A box's count is its winding
-    number, the integral of G'/G around it over 2 pi i, plus the orders of
-    the poles inside it, each minus the winding of its box_windings box;
-    the first moment s_1, the integral of l G'/G, is the sum of its zeros
-    less the poles' l times their orders. A box is split in four while its
-    count exceeds one or its winding is not within INTEGER_TOL of an
-    integer, down to MAX_BOX_DEPTH, where a box with several zeros gives
-    their mean as one seed. A cell's count is None when a pole order, a
-    panel or a box could not be resolved.
+    sums runs from k = 0 to n + 1. Newton's identities give the monic
+    polynomial of degree n with these power sums, and np.roots its roots.
+    They are refused when a power sum is not finite, or when the sum of
+    their (n + 1)-th powers misses sums[n + 1] by MOMENT_TOL or more of the
+    sum of those powers' absolute values.
+    """
+    if not np.all(np.isfinite(sums)):
+        return None
+    s = [complex(x) for x in sums]
+    n = len(s) - 2
+    coeffs = [1.0]
+    for k in range(1, n + 1):
+        coeffs.append(-(s[k] + sum(coeffs[i] * s[k - i] for i in range(1, k))) / k)
+    roots = np.roots(coeffs)
+    top = roots ** (n + 1)
+    if not abs(top.sum() - s[n + 1]) < MOMENT_TOL * np.abs(top).sum():
+        return None
+    return roots
+
+
+def _box_seeds(system: PulledBackSystem, edges: _Edges, box, count: int, poles):
+    """Newton seeds for the count >= 1 zeros of a box, or None to split it.
+
+    box is (x0, y0, h, depth) and poles the (l, order) of the poles inside;
+    the power sums S_k are taken about the box centre c. One zero is
+    c + S_1. Two to MOMENT_MAX_ZEROS zeros are c plus the moment_roots of
+    S_0..S_(count + 1), when all of them lie inside the box in the anchor's
+    lattice coordinates. Otherwise a box at MAX_BOX_DEPTH gives the mean of
+    its zeros, c + S_1 / count, as one seed.
+    """
+    x0, y0, h, depth = box
+    moments = 1 < count <= MOMENT_MAX_ZEROS
+    if count > 1 and not moments and depth < MAX_BOX_DEPTH:
+        return None
+    c = complex(system.cell_box(0, 0, (x0 + h / 2) / CELL_UNITS, (y0 + h / 2) / CELL_UNITS))
+    sums = edges.power_sums(x0, y0, h, c, count + 1 if moments else 1, poles)
+    roots = moment_roots(sums) if moments else None
+    if roots is not None:
+        x, y = (t * CELL_UNITS for t in system.cell_position(c + roots))
+        if np.all((x0 <= x) & (x < x0 + h) & (y0 <= y) & (y < y0 + h)):
+            return [c + complex(r) for r in roots]
+    if count == 1 or depth == MAX_BOX_DEPTH:
+        return [c + complex(sums[1]) / count]
+    return None
+
+
+def cell_seeds(system: PulledBackSystem, cells) -> list[tuple[int | None, list[complex]]]:
+    """Zero count and Newton seeds of each shifted cell, by the argument principle.
+
+    Each cell starts as one box. A box's count is its winding number, the
+    integral of G'/G around it over 2 pi i, plus the orders of the poles
+    inside it, each minus the winding of its box_windings box. _box_seeds
+    takes the seeds of a box with zeros from its power sums; a box is split
+    in four when it refuses them or when its winding is not within
+    INTEGER_TOL of an integer, down to MAX_BOX_DEPTH. A cell's count is None
+    when a pole order, a panel or a box could not be resolved.
     """
     edges = _Edges(system, MAX_PANELS_PER_CELL * len(cells))
     poles = [system.cell_poles(*cell) for cell in cells]
@@ -492,21 +577,17 @@ def cell_seeds(system: PulledBackSystem, cells) -> list[tuple[int | None, list[c
     failed = {k for k, cell_poles in enumerate(poles) if any(w is None for *_, w in cell_poles)}
     counts = [0] * len(cells)
     seeds = [[] for _ in cells]
-    side = CELL_UNITS // START_BOXES
-    boxes = [(k, p * CELL_UNITS + i * side, q * CELL_UNITS + j * side, side, 0)
-             for k, (p, q) in enumerate(cells)
-             for i in range(START_BOXES) for j in range(START_BOXES)]
+    boxes = [(k, p * CELL_UNITS, q * CELL_UNITS, CELL_UNITS, 0) for k, (p, q) in enumerate(cells)]
     while boxes:
         waiting = []
         for box in boxes:
             k, x0, y0, h, depth = box
             if k in failed:
                 continue
-            sums = edges.box(x0, y0, h)
-            if sums is None:
+            s0 = edges.box(x0, y0, h)
+            if s0 is None:
                 waiting.append(box)
                 continue
-            s0, s1 = sums
             inside = [(l, -w) for l, x, y, w in poles[k]
                       if x0 <= x < x0 + h and y0 <= y < y0 + h]
             count = _winding(s0)
@@ -514,9 +595,10 @@ def cell_seeds(system: PulledBackSystem, cells) -> list[tuple[int | None, list[c
                 count += sum(order for _, order in inside)
             if count == 0:
                 continue
-            if count is not None and (count == 1 or count > 1 and depth == MAX_BOX_DEPTH):
+            found = _box_seeds(system, edges, box[1:], count, inside) if (count or 0) > 0 else None
+            if found is not None:
                 counts[k] += count
-                seeds[k].append(complex(s1 + sum(order * l for l, order in inside)) / count)
+                seeds[k] += found
             elif not np.isfinite(s0) or depth == MAX_BOX_DEPTH or (count or 0) < 0:
                 failed.add(k)
             else:
@@ -646,21 +728,27 @@ def _two_pi_i_powers():
         return two_pi_i, Fixed.lift(two_pi_i ** 2), Fixed.lift(two_pi_i ** 3)
 
 
-def _fixed_theta_sums(tau: complex, zrs):
-    """theta_sums at the reduced points zrs in Fixed over arrays, to the 1e-30 tail bound.
+def _fixed_theta_sums(tau: complex, zs, shifts):
+    """theta_sums at the points zs in Fixed over arrays, to the 1e-30 tail bound.
 
-    u = exp(2 pi i zr) and, below NEAR_POLE, 1 - u = -expm1(2 pi i zr)
-    come from mpmath at 40 digits, rounded once onto the grid.
+    shifts holds, per point, the integers (m, n) of the lattice point to
+    subtract. The reduced point w = z - m - n tau is taken at 40 digits, so
+    the double z is reduced exactly, and u = exp(2 pi i w) and, for w below
+    NEAR_POLE, 1 - u = -expm1(2 pi i w) come from mpmath, each rounded once
+    onto the grid.
     """
     from mpmath import mp
 
     q, const, nterms = _lattice_30_digits(tau)
     two_pi_i = _two_pi_i_powers()[0]
+    shifts = [(int(m), int(n)) for m, n in shifts]
     with mp.workdps(40):
-        ws = [two_pi_i * mp.mpc(zr.real, zr.imag) for zr in zrs]
+        tau_mp = mp.mpc(tau.real, tau.imag)
+        lattice = {mn: mn[0] + mn[1] * tau_mp for mn in set(shifts)}
+        ws = [two_pi_i * (mp.mpc(z.real, z.imag) - lattice[mn]) for z, mn in zip(zs, shifts)]
         us = [Fixed.lift(mp.exp(w)) for w in ws]
-        ms = [Fixed.lift(-mp.expm1(w)) if abs(zr) < NEAR_POLE else FIXED_ONE - u
-              for w, zr, u in zip(ws, zrs, us)]
+        ms = [Fixed.lift(-mp.expm1(w)) if abs(z - m - n * tau) < NEAR_POLE else FIXED_ONE - u
+              for w, z, (m, n), u in zip(ws, zs, shifts, us)]
     return theta_sums(Fixed.stack(us), q, nterms, FIXED_ONE, const, Fixed.stack(ms))
 
 
@@ -678,19 +766,22 @@ def verify_points(system: PulledBackSystem, ls,
     """Independent acceptance test for refined points, each stage one array pass.
 
     Re-evaluates each residual to 30 digits through the theta series of the
-    scan, to its 1e-30 tail bound, in eac.fixed (absolute step 2**-128); only
-    z_of(l) and its reduction, the rows of reduced_points that the harvest
-    reports as z, are doubles. A point that passes then needs a
-    positive winding of G around its box_windings box. Returns (accepted,
-    verified residual, winding, reason) per point, each a function of its l
-    alone.
+    scan, to its 1e-30 tail bound, in eac.fixed (absolute step 2**-128), at
+    the doubles z_of(l): only that point is a double. Its reduction into the
+    fundamental domain subtracts the lattice point that
+    ProductEvaluator.reduce subtracts, at 40 digits, so the residual is
+    |G| at z_of(l) itself, not at its reduced row. A point that passes then
+    needs a positive winding of G around its box_windings box. Returns
+    (accepted, verified residual, winding, reason) per point, each a
+    function of its l alone.
     """
     ls = np.asarray(ls, dtype=complex)
-    zred = reduced_points(system, ls.tolist())
+    zs = np.array([system.z_of(l) for l in ls.tolist()], dtype=complex).reshape(len(ls), system.A.g)
+    ms, ns = lattice_shift(zs, system.pe.taus)
     _, two_pi_i_2, two_pi_i_3 = _two_pi_i_powers()
     wps, wpps = [], []
     for j, ev in enumerate(system.pe.evals):
-        s, sp = _fixed_theta_sums(ev.tau, zred[:, j].tolist())
+        s, sp = _fixed_theta_sums(ev.tau, zs[:, j].tolist(), list(zip(ms[:, j], ns[:, j])))
         wps.append(two_pi_i_2 * s)
         wpps.append(two_pi_i_3 * sp)
     vres = [float(v) for v in abs(system.F.eval_affine(segre_stack(wps, wpps, FIXED_ONE)))]
@@ -730,8 +821,8 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     reduced_points call; the walk deduplicates those rows by torus distance
     at dedup_tol, one verify_points call takes the ones apart from the
     accepted points and each other, as many as the target still needs, and a
-    point's z is its row, the point verify_points reduces the same way and
-    verifies. Each point is labelled with the walk index of the cell that
+    point's z is its row, reduced by the lattice point that verify_points
+    subtracts at 40 digits. Each point is labelled with the walk index of the cell that
     holds it; a cell whose seeds were all taken is incomplete when its points
     found differ from its count.
     """

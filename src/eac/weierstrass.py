@@ -81,16 +81,22 @@ def lattice_coords(z, tau: complex):
     return z.real - b * tau.real, b
 
 
-def reduce_to_fundamental(z, tau: complex):
-    """Translate z by the lattice Z + tau Z into the centered domain.
+def lattice_shift(z, tau: complex):
+    """The integers (m, n) of the lattice point m + n tau that reduce_to_fundamental subtracts.
 
     z is a complex number or a numpy array of them, and tau a period or an
     array of periods that broadcasts against z; both round half to even.
     """
     a, b = lattice_coords(z, tau)
     if isinstance(z, np.ndarray):
-        return z - np.round(a) - np.round(b) * tau
-    return z - round(a) - round(b) * tau
+        return np.round(a), np.round(b)
+    return round(a), round(b)
+
+
+def reduce_to_fundamental(z, tau: complex):
+    """Translate z by the lattice Z + tau Z into the centered domain."""
+    m, n = lattice_shift(z, tau)
+    return z - m - n * tau
 
 
 def _qseries_terms(tau: complex, eps: float) -> int:

@@ -106,7 +106,7 @@ def test_fixed_theta_sums_match_60_digits(tau):
         one = mp.mpf(1)
         q = mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag))
         nterms = _qseries_terms(tau, 1e-60)
-        batch = solver._fixed_theta_sums(tau, zs)
+        batch = solver._fixed_theta_sums(tau, zs, [(0, 0)] * len(zs))
         for k, z in enumerate(zs):
             w = 2j * mp.pi * mp.mpc(z.real, z.imag)
             ref = theta_sums(mp.exp(w), q, nterms, one, None, -mp.expm1(w))

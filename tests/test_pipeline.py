@@ -297,8 +297,8 @@ def test_mean_cell_count_is_the_pulled_back_class(A1):
     _, steep = catalog_system("rational-slope")  # v = (1, 2): |v_2|^2 = 4
     assert steep.mean_cell_count((2, 2)) == pytest.approx(2 + 8 * r, rel=1e-15)
     # on one curve every cell is a period cell, holding d zeros
-    assert one_factor_systems(A1)[0].mean_cell_count((2,)) == pytest.approx(2, rel=1e-15)
-    assert one_factor_systems(A1)[0].mean_cell_count((3,)) == pytest.approx(3, rel=1e-15)
+    assert one_factor_systems(A1)[0].mean_cell_count((2,)) == 2
+    assert one_factor_systems(A1)[0].mean_cell_count((3,)) == 3
 
 
 @pytest.mark.parametrize("name, closed_form", [
@@ -335,6 +335,28 @@ def test_cell_counts_match_an_independent_boundary_count(name, monkeypatch):
     assert sum(count for count, _ in solver.cell_seeds(system, cells)) == zeros
 
 
+@pytest.mark.parametrize("name", HARVESTABLE)
+def test_every_resolved_cell_gets_one_seed_per_zero(name):
+    # a box's power sums give all of its zeros at once, never their mean
+    inst, system = catalog_system(name)
+    shifts = system.cell_shifts(kernel_lattice(certify(inst).L_used, inst.A))
+    cells = list(itertools.islice(solver.distinct_cells(shifts), 20))
+    counted = solver.cell_seeds(system, cells)
+    assert all(count is not None for count, _ in counted), name
+    assert all(len(seeds) == count for count, seeds in counted), name
+
+
+@pytest.mark.parametrize("name, zeros", [("diag-prod-one", 326), ("irrational-slope", 452)])
+def test_a_100_cell_harvest_finds_every_counted_zero(name, zeros):
+    inst, _ = catalog_system(name)
+    cfg = dataclasses.replace(inst.config, budget_cells=100, target_count=100000)
+    report = solve(inst, config=cfg).report
+    assert report.cells_scanned == 100
+    assert sum(c["expected"] for c in report.cells) == len(report.solutions) == zeros
+    assert all(c["found"] == c["expected"] for c in report.cells)
+    assert report.incomplete_cells == [] and report.seeds_duplicate == 0
+
+
 def mp_value(system, l, zs=None):
     """G at l, an mpmath number, from the theta series at working precision.
 
@@ -363,16 +385,18 @@ def test_verified_residual_matches_60_digits(name):
     from mpmath import mp
 
     inst, system = catalog_system(name)
-    cfg = dataclasses.replace(inst.config, target_count=5)
+    # every point of the 60-point harvest of `eac density`, far cells included
+    cfg = dataclasses.replace(inst.config, target_count=60, budget_cells=64)
     out = solve(inst, config=cfg)
-    assert len(out.report.solutions) == 5, name
+    assert len(out.report.solutions) == 60, name
     for s in out.report.solutions:
         # at the doubles z_of(l), as verification evaluates: an irrational
         # direction puts l c_j off the double grid by about 1e-16 |z|
         with mp.workdps(60):
             want = abs(mp_value(system, s.l, system.z_of(s.l)))
         assert abs(s.verified_residual - want) <= 1e-25, (name, s.l)
-        # a point moved off the root fails the residual gate
+    # a point moved off the root fails the residual gate
+    for s in out.report.solutions[:5]:
         ok, _, _, reason = solver.verify_solution(system, s.l + 1e-6, cfg)
         assert not ok and reason == "doubled-precision residual too large", (name, s.l)
 

@@ -305,12 +305,67 @@ def test_cell_count_matches_a_dense_newton_search(name, cell):
     count, seeds = cell_seeds(system, [cell])[0]
     roots = dense_newton_roots(system, cell)
     assert count == len(roots) == len(seeds) >= 4
-    # each seed's box isolates one zero, so Newton takes each seed to a
+    # each seed stands for one zero of its box, so Newton takes each seed to a
     # different one of the oracle's roots
     refined = [l for l, _ in newton_refine(system, seeds, SolverConfig())]
     assert all(min(abs(l - r) for r in roots) < 1e-9 for l in refined)
     assert len({min(range(len(roots)), key=lambda k: abs(l - roots[k])) for l in refined}) \
         == count
+
+
+def test_power_sums_seed_three_zeros_beside_a_pole(A1, monkeypatch):
+    # W: wp' = 1.7 on one curve: the cell's one box holds the 3 zeros and
+    # the pole of order 3, and its power sums seed all three at once
+    sys_ = PulledBackSystem(SegrePolynomial.linear(1, {2: 1, 0: -1.7}), (1,), A1)
+    assert box_windings(sys_, [l for l, _, _ in sys_.cell_poles(0, 0)]) == [-3]
+    calls = []
+    real = solver.moment_roots
+
+    def recording(sums):
+        out = real(sums)
+        calls.append((len(sums) - 2, out is not None))
+        return out
+
+    monkeypatch.setattr(solver, "moment_roots", recording)
+    count, seeds = cell_seeds(sys_, [(0, 0)])[0]
+    assert count == len(seeds) == 3 and calls == [(3, True)]
+    roots = [l for l, _ in newton_refine(sys_, seeds, SolverConfig())]
+    assert None not in roots
+    assert min(abs(a - b) for a, b in itertools.combinations(roots, 2)) > 1e-3
+    for l in roots:
+        x, y = sys_.cell_position(l)
+        assert (math.floor(x), math.floor(y)) == (0, 0)
+
+
+def test_power_sum_seeds_reach_the_zeros_that_splitting_reaches(monkeypatch):
+    # with MOMENT_TOL at 0 every box of several zeros is split, as before
+    # power sums seeded them; counts and Newton's zeros must not change
+    system, shifts = catalog_case("diag-prod-one")
+    cells = list(itertools.islice(distinct_cells(shifts), 3))
+    default = cell_seeds(system, cells)
+    monkeypatch.setattr(solver, "MOMENT_TOL", 0.0)
+    split = cell_seeds(system, cells)
+    assert default != split
+    cfg = SolverConfig()
+    for (count, seeds), (split_count, split_seeds) in zip(default, split):
+        assert count == split_count == len(seeds) == len(split_seeds) >= 2
+        got = [l for l, _ in newton_refine(system, seeds, cfg)]
+        want = [l for l, _ in newton_refine(system, split_seeds, cfg)]
+        assert None not in got and None not in want
+        assert all(min(abs(l - w) for w in want) < 1e-9 for l in got)
+        assert all(min(abs(w - l) for l in got) < 1e-9 for w in want)
+
+
+def test_moment_roots_check_the_next_power_sum():
+    roots = np.array([0.1 + 0.2j, -0.3j, 0.25])
+    sums = np.array([np.sum(roots ** k) for k in range(5)])
+    got = solver.moment_roots(sums)
+    assert got is not None and len(got) == 3
+    assert all(min(abs(r - g) for g in got) < 1e-12 for r in roots)
+    # a fourth zero missed by the count leaves the next power sum unmatched
+    four = np.append(roots, 0.4 + 0.1j)
+    assert solver.moment_roots(np.array([np.sum(four ** k) for k in range(5)])) is None
+    assert solver.moment_roots(np.array([3, np.nan, 0, 0, 0])) is None
 
 
 def product_of(tau_d: int, direction, A1):
