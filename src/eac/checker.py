@@ -8,14 +8,14 @@ contained in any tangent space of one, W not a finite union of its fiber
 translates). Rotundity asks, for every S including the empty and full sets,
 that the projected dimensions of L and W to A/B_S cover its dimension.
 
-W is a hypersurface in one or two curves, and its fiber degrees decide the
-W side; pipeline.resolve_w reads them from W's polynomial. Verdicts are
-True, or False with a named witness.
+W is a hypersurface in one or two curves, so it is known by its fiber
+degrees alone; pipeline.resolve_w reads them from W's polynomial. Verdicts
+are True, or False with a named witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .exactlinalg import right_nullspace
@@ -24,7 +24,7 @@ from .variety import ExactSubspace, ProductVariety
 
 @dataclass(frozen=True)
 class SubvarietyData:
-    """What is known about W: its dimension and its fiber degrees.
+    """What is known about the hypersurface W: its fiber degrees.
 
     bidegree holds one entry per factor: entry j counts W's points on a
     generic fiber of factor j, E_1 x {pt} for j = 1 and {pt} x E_2 for
@@ -32,12 +32,9 @@ class SubvarietyData:
     pipeline.resolve_w reads it from W's polynomial.
     """
 
-    dim: int
     bidegree: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("subvariety dimension must be nonnegative")
         if self.bidegree is not None:
             if any(d < 0 for d in self.bidegree):
                 raise ValueError("bidegree entries must be nonnegative")
@@ -50,8 +47,6 @@ class Verdict:
 
     ok: bool
     witness: str | None = None
-    detail: dict = field(default_factory=dict)
-    assumptions: tuple[str, ...] = ()
 
 
 def check_free(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verdict:
@@ -65,28 +60,21 @@ def check_free(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verdic
     g = A.g
     if L.kind != "complex" or L.ambient != g:
         raise ValueError("freeness expects L as a complex subspace of C^g")
-    assumptions = tuple(A.assumptions())
     if g == 1:
         # no proper nontrivial subproduct exists
-        return Verdict(True, None, {"note": "single factor, condition is vacuous"},
-                       assumptions)
+        return Verdict(True)
     factors = list(range(1, g + 1))
     for size in range(1, g):
         for S in combinations(factors, size):
             outside = [j for j in range(g) if j + 1 not in S]
             if L.dim > 0 and all(v[j].is_zero() for v in L.basis for j in outside):
-                return Verdict(False, f"L lies in the subproduct of factors {list(S)}",
-                               {"side": "L", "factors": list(S)}, assumptions)
+                return Verdict(False, f"L lies in the subproduct of factors {list(S)}")
     if L.dim == 0:
-        return Verdict(False, "L is the zero subspace",
-                       {"side": "L", "factors": []}, assumptions)
-    degrees = list(W.bidegree)
-    for j, count in enumerate(degrees, 1):
+        return Verdict(False, "L is the zero subspace")
+    for j, count in enumerate(W.bidegree, 1):
         if count == 0:
-            return Verdict(False, f"W is a union of translates of factor {j}",
-                           {"side": "W", "factors": [j], "bidegree": degrees},
-                           assumptions)
-    return Verdict(True, None, {"bidegree": degrees}, assumptions)
+            return Verdict(False, f"W is a union of translates of factor {j}")
+    return Verdict(True)
 
 
 def check_rotund(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verdict:
@@ -94,39 +82,32 @@ def check_rotund(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> Verd
 
     For every S (including empty and full), with projection p to A/B_S,
     require dim p(L) + dim p(W) >= g - |S|. dim p(L) is an exact rank after
-    deleting the S coordinates. dim p(W) is dim W for S empty and 0 for S
-    full. On two factors with factor k deleted, W covers the factor left
-    (dim 1) when it meets a generic fiber of factor k, that is when k's
-    fiber degree is positive, and maps it to finitely many points (dim 0)
-    otherwise.
+    deleting the S coordinates. dim p(W) is g - 1 for S empty, W being a
+    hypersurface, and 0 for S full. On two factors with factor k deleted, W
+    covers the factor left (dim 1) when it meets a generic fiber of factor
+    k, that is when k's fiber degree is positive, and maps it to finitely
+    many points (dim 0) otherwise.
     """
     g = A.g
     if L.kind != "complex" or L.ambient != g:
         raise ValueError("rotundity expects L as a complex subspace of C^g")
-    assumptions = tuple(A.assumptions())
-    table = []
     factors = list(range(1, g + 1))
     for size in range(0, g + 1):
         for S in combinations(factors, size):
             required = g - size
             dim_pL = L.project_deleting({j - 1 for j in S})
             if size == 0:
-                dim_pW = W.dim
+                dim_pW = g - 1
             elif size == g:
                 dim_pW = 0
             else:
                 dim_pW = int(W.bidegree[S[0] - 1] > 0)
             achieved = dim_pL + dim_pW
-            table.append({"quotient_of": list(S), "required": required,
-                          "dim_pL": dim_pL, "dim_pW": dim_pW})
             if achieved < required:
                 return Verdict(False,
                                f"projection to the quotient by factors {list(S)} "
-                               f"drops to dimension {achieved} < {required}",
-                               {"subproduct": list(S), "required": required,
-                                "achieved": achieved, "table": table},
-                               assumptions)
-    return Verdict(True, None, {"table": table}, assumptions)
+                               f"drops to dimension {achieved} < {required}")
+    return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -145,7 +126,7 @@ def check_pair(L: ExactSubspace, W: SubvarietyData, A: ProductVariety) -> PairVe
 
 def reduce_L(L: ExactSubspace, W: SubvarietyData, A: ProductVariety,
              seed: int = 0) -> ExactSubspace:
-    """Cut L by random rational hyperplanes until dim L + dim W = g.
+    """Cut L by random rational hyperplanes down to a line, the complement of W.
 
     Each cut intersects L with the kernel of a random small-integer rational
     covector on C^g, keeping only cuts that preserve freeness and rotundity.
@@ -157,13 +138,12 @@ def reduce_L(L: ExactSubspace, W: SubvarietyData, A: ProductVariety,
     from .multiquad import ComplexMQ
 
     g = A.g
-    verdicts = check_pair(L, W, A)
-    if not verdicts.certified_ready:
+    if not check_pair(L, W, A).certified_ready:
         raise ValueError("reduce_L needs a free and rotund pair")
     rng = random.Random(seed)
     current = L
     tries = 0
-    while current.dim + W.dim > g:
+    while current.dim > 1:
         if tries >= 200:
             raise RuntimeError("reduce_L exhausted its retry budget")
         tries += 1
@@ -184,7 +164,6 @@ def reduce_L(L: ExactSubspace, W: SubvarietyData, A: ProductVariety,
             candidate = ExactSubspace("complex", tuple(new_basis), g)
         except ValueError:
             continue
-        v2 = check_pair(candidate, W, A)
-        if v2.certified_ready:
+        if check_pair(candidate, W, A).certified_ready:
             current = candidate
     return current

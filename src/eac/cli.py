@@ -105,17 +105,24 @@ def _solve_block(report: SolveReport, cfg) -> dict:
     }
 
 
-def _base_report(command: str, instance: Instance, exit_code: int) -> dict:
+def _report(command: str, label: str, instance_hash: str, assumptions: list[str],
+            exit_code: int) -> dict:
+    """The report skeleton of every command, its blocks left for the command to fill."""
     return {
         "command": command,
-        "label": instance.label,
-        "instance_hash": instance.hash,
-        "assumptions": list(instance.A.assumptions()),
+        "label": label,
+        "instance_hash": instance_hash,
+        "assumptions": assumptions,
         "exit_code": exit_code,
         "verdicts": None, "hull": None, "chain": None,
         "certificate": None, "solve": None, "density": None,
         "selftest": None, "timings": {},
     }
+
+
+def _base_report(command: str, instance: Instance, exit_code: int) -> dict:
+    return _report(command, instance.label, instance.hash,
+                   list(instance.A.assumptions()), exit_code)
 
 
 def _write_file(path: str, text: str):
@@ -267,15 +274,10 @@ def cmd_selftest(args) -> int:
 
     passed, results = run_selftest(verbose=True)
     if args.out:
-        report = {
-            "command": "selftest", "label": "selftest", "instance_hash": "",
-            "assumptions": [], "exit_code": 0 if passed else 1,
-            "verdicts": None, "hull": None, "chain": None, "certificate": None,
-            "solve": None, "density": None, "timings": {},
-            "selftest": {"passed": passed,
-                         "results": [{"name": n, "ok": ok, "detail": d}
-                                     for n, ok, d in results]},
-        }
+        report = _report("selftest", "selftest", "", [], 0 if passed else 1)
+        report["selftest"] = {"passed": passed,
+                              "results": [{"name": n, "ok": ok, "detail": d}
+                                          for n, ok, d in results]}
         _emit(report, args.out)
     return 0 if passed else 1
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .exactlinalg import rank_exact
-from .hull import HullResult, rational_hull
+from .hull import HullResult
 from .multiquad import ComplexMQ, MultiQuadElem, render_mq
 from .variety import ExactSubspace, ProductVariety
 
@@ -346,8 +346,6 @@ class Certificate:
     omega_T: ExteriorForm
     omega_T_prime: ExteriorForm
     eta_W: ExteriorForm
-    hull: HullResult
-    assumptions: tuple[str, ...]
 
     @property
     def nonzero(self) -> bool:
@@ -382,18 +380,19 @@ def residual_covectors(L: ExactSubspace, hull: HullResult, A: ProductVariety,
     return kept
 
 
-def eac_certificate(eta_W: ExteriorForm, L: ExactSubspace, A: ProductVariety) -> Certificate:
+def eac_certificate(eta_W: ExteriorForm, L: ExactSubspace, A: ProductVariety,
+                    hull: HullResult) -> Certificate:
     """Pair the W class form against omega_T ^ omega_T' on the torus.
 
-    eta_W must have degree 2 dim_C(L) so the product is a top form. The hull
-    is computed from L. Exact inputs give an exact multiquadratic value and
-    its canonical rendering.
+    eta_W must have degree 2 dim_C(L) so the product is a top form. hull is
+    rational_hull(L, A), which the caller has already computed (decide's
+    hull chain starts with it). Exact inputs give an exact multiquadratic
+    value and its canonical rendering.
     """
     g = A.g
     n = 2 * g
     if L.kind != "complex" or L.ambient != g:
         raise CertificateError("certificate needs a complex subspace of C^g")
-    hull = rational_hull(L, A)
     d = g - L.dim
     if eta_W.degree != 2 * L.dim:
         raise DegreeMismatch(
@@ -425,6 +424,4 @@ def eac_certificate(eta_W: ExteriorForm, L: ExactSubspace, A: ProductVariety) ->
         omega_T=omega_T,
         omega_T_prime=omega_Tp,
         eta_W=eta_W,
-        hull=hull,
-        assumptions=tuple(A.assumptions()),
     )

@@ -133,10 +133,9 @@ def instance_from_dict(data: dict, label_fallback: str = "unnamed") -> Instance:
         F = SegrePolynomial.from_dict(g, table)
     except ValueError as e:
         raise InstanceError(f"W.monomials: {e}") from None
-    bidegree = tuple(wspec["bidegree"]) if "bidegree" in wspec else None
-    W = SubvarietyData(dim=wspec.get("dim", g - 1), bidegree=bidegree)
-    if W.dim != g - 1:
+    if wspec.get("dim", g - 1) != g - 1:
         raise InstanceError(f"W.dim: a hypersurface in {g} factor(s) has dimension {g - 1}")
+    W = SubvarietyData(bidegree=wspec.get("bidegree"))
     try:
         config = SolverConfig(**data.get("solver", {}))
     except ValueError as e:

@@ -3,7 +3,9 @@
 This is the glue the command line and the test suites share. Every flow is
 gated the same way: verdicts first, the certificate only for free and rotund
 pairs, the solver only with a nonzero certificate in hand. Refusals carry
-the witness instead of a silent zero.
+the witness instead of a silent zero. decide computes the rational hull of
+L once, as the first step of its hull chain, and certify pairs W's class
+against that same hull.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .checker import PairVerdict, SubvarietyData, check_pair, reduce_L
 from .forms import Certificate, eac_certificate, hypersurface_form
-from .hull import HullChain, HullResult, hull_chain, kernel_lattice
+from .hull import HullChain, HullResult, hull_chain, kernel_lattice, rational_hull
 from .instance import Instance
 from .solver import (PulledBackSystem, SolveReport, SolverConfig,
                      harvest_density)
@@ -59,7 +61,7 @@ def resolve_w(instance: Instance, pe: ProductEvaluator | None = None
     if W.bidegree is not None and tuple(W.bidegree) != measured:
         raise BidegreeMismatch(
             f"declared bidegree {tuple(W.bidegree)} but W's polynomial gives {measured}")
-    return SubvarietyData(dim=W.dim, bidegree=measured), measured
+    return SubvarietyData(bidegree=measured), measured
 
 
 def decide(instance: Instance, pe: ProductEvaluator | None = None) -> Decision:
@@ -74,12 +76,13 @@ def certify(instance: Instance, pe: ProductEvaluator | None = None,
             decision: Decision | None = None) -> CertifyOutcome:
     """Produce the non-vanishing certificate or an explicit refusal.
 
-    When dim L + dim W exceeds g the parameter space is first cut down by
+    A free and rotund pair has dim L >= 1. When L is larger than a line, the
+    dimension that complements the hypersurface W, it is first cut down by
     rational hyperplanes drawn from the solver seed, and the certificate
-    describes the reduced pair; the solver consumes the same reduction.
+    describes the cut line and its own hull; the solver consumes the same
+    line. Otherwise the certificate reuses the decision's hull of L.
     """
     A = instance.A
-    g = A.g
     if decision is None:
         decision = decide(instance, pe)
     v = decision.verdicts
@@ -88,14 +91,11 @@ def certify(instance: Instance, pe: ProductEvaluator | None = None,
     if not v.rotund.ok:
         return CertifyOutcome(decision, None, True, f"not rotund: {v.rotund.witness}")
     W = decision.W_effective
-    L = instance.L
-    if L.dim + W.dim > g:
+    L, hull = instance.L, decision.hull
+    if L.dim > 1:
         L = reduce_L(L, W, A, seed=instance.config.seed)
-    if L.dim + W.dim < g:
-        return CertifyOutcome(
-            decision, None, True,
-            f"dim L + dim W = {L.dim + W.dim} < {g}: generic intersection is empty")
-    cert = eac_certificate(hypersurface_form(*W.bidegree), L, A)
+        hull = rational_hull(L, A)
+    cert = eac_certificate(hypersurface_form(*W.bidegree), L, A, hull)
     if not cert.nonzero:
         return CertifyOutcome(decision, cert, True,
                               "certificate vanished on a free and rotund pair",
@@ -126,11 +126,6 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
     if outcome.refused:
         return SolveOutcome(outcome, None, 4)
     L = outcome.L_used
-    if L.dim != 1:
-        refusal = CertifyOutcome(outcome.decision, outcome.certificate, True,
-                                 "solver needs a one-dimensional parameter space",
-                                 L_used=L)
-        return SolveOutcome(refusal, None, 4)
     direction = tuple(complex(x) for x in L.basis[0])
     system = PulledBackSystem(instance.F, direction, instance.A, pe)
     report = harvest_density(system, cfg, certified=True, kernel=kernel_lattice(L, instance.A))

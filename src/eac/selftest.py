@@ -82,7 +82,7 @@ def run_selftest(verbose: bool = False, evaluator_factory=None
 
     def t_certificate_flagship():
         A, L = _flagship()
-        cert = eac_certificate(hypersurface_form(2, 2), L, A)
+        cert = eac_certificate(hypersurface_form(2, 2), L, A, rational_hull(L, A))
         assert cert.value_str == "2*sqrt(5)+2*sqrt(2)", cert.value_str
         assert abs(cert.value_float - (2 * math.sqrt(5) + 2 * math.sqrt(2))) < 1e-12
         assert abs(cert.cross_float) > 1e-9

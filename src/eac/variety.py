@@ -59,8 +59,8 @@ class ProductVariety:
     """A product of elliptic curves with its standing genericity assertions.
 
     pairwise_nonisogenous and no_cm are recorded assertions about the chosen
-    periods, not theorems this code proves; every verdict and certificate
-    downstream carries them as consumed assumptions.
+    periods, not theorems this code proves; every report lists them under
+    assumptions.
     """
 
     factors: tuple[EllipticFactor, ...]

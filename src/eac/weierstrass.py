@@ -103,6 +103,8 @@ def _qseries_terms(tau: complex, eps: float) -> int:
     absq = math.exp(-TWO_PI * tau.imag)
     if absq >= 1.0:
         raise ValueError("tau must have positive imaginary part")
+    if absq == 0.0:  # |q| underflowed (Im tau >= 118.6): the shortest series will do
+        return 6
     n = int(math.log(eps * (1.0 - absq) * 0.1) / math.log(absq)) + 2
     return max(n, 6)
 

@@ -294,6 +294,18 @@ def test_cli_polynomial_vanishing_on_the_product_exits_1(tmp_path, capsys):
     assert err.startswith("error: W is all of A") and len(err.splitlines()) == 1
 
 
+def test_cli_commands_survive_an_underflowing_q(tmp_path, capsys):
+    # tau_1 = 120i gives |q| = 0.0 in doubles; every command must end in an exit code
+    data = flagship_dict()
+    data["factors"][0]["tau_im"] = "120"
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["certify", str(path)]) == 0
+    assert "2*sqrt(5)+240" in capsys.readouterr().out
+    # 5 is the large-Im tau harvest defect (ROADMAP item 3), 0 once it is mended
+    assert run_cli(["solve", str(path), "--budget", "2"]) in (0, 5)
+
+
 def test_cli_hull_flagship(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run_cli(["hull", "catalog:diag-prod-one", "--out", str(out)]) == 0

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +123,30 @@ def test_certify_reduces_oversized_parameter_space(flagship, pe2):
     again = certify(inst, pe2)
     assert again.L_used.basis == out.L_used.basis
     assert again.certificate.value == out.certificate.value
+
+
+def test_certify_computes_each_hull_once(flagship, pe2, monkeypatch):
+    # the certificate pairs against decide's hull of a line; L = C^2 adds
+    # only the hull of the line it is cut down to
+    calls = []
+    real = hull.rational_hull
+
+    def counting(L, A):
+        calls.append(L.dim)
+        return real(L, A)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "eac" and getattr(module, "rational_hull", None) is real:
+            monkeypatch.setattr(module, "rational_hull", counting)
+    for name in catalog_names():
+        calls.clear()
+        certify(builtin_instance(name), pe2)
+        assert calls == [1], name
+    data = json.loads(json.dumps(flagship.raw))
+    data["L"]["basis"] = [["1", "0"], ["0", "1"]]
+    calls.clear()
+    assert certify(instance_from_dict(data), pe2).certificate.nonzero
+    assert calls == [2, 1]
 
 
 def test_solve_flagship_small_budget(flagship, pe2):

@@ -68,6 +68,17 @@ def test_tau_validation_and_backend_names():
         WpEvaluator(1j, backend="mystery")
 
 
+@pytest.mark.parametrize("tau_im", [120.0, 1000.0])
+def test_underflowing_q_keeps_the_shortest_series(tau_im):
+    # past Im tau = 118.6, |q| = exp(-2 pi Im tau) is 0.0 in doubles; the
+    # q-series then reduces to its q = 0 limit pi^2 (1/sin^2(pi z) - 1/3)
+    ev = WpEvaluator(1j * tau_im)
+    assert ev.nterms == 6
+    z = 0.3 + 0.2j
+    want = math.pi ** 2 * (1 / cmath.sin(math.pi * z) ** 2 - 1 / 3)
+    assert abs(ev.wp(z) - want) <= 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize("tau", TAUS)
 def test_parity_periodicity_ode(tau):
     rng = random.Random(hash(("lattice", round(tau.real, 6))) & 0xFFFF)
