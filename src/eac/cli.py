@@ -120,6 +120,11 @@ def _report(command: str, label: str, instance_hash: str, assumptions: list[str]
     }
 
 
+def _stage_timings(t0: float, t1: float, t2: float, stage: str) -> dict:
+    """load_s from t0 to t1 (read, schema check and parse), stage to t2, total_s until now."""
+    return {"load_s": t1 - t0, stage: t2 - t1, "total_s": time.perf_counter() - t0}
+
+
 def _base_report(command: str, instance: Instance, exit_code: int) -> dict:
     return _report(command, instance.label, instance.hash,
                    list(instance.A.assumptions()), exit_code)
@@ -162,14 +167,18 @@ def _apply_overrides(instance: Instance, args) -> Instance:
 
 
 def cmd_check(args) -> int:
+    t0 = time.perf_counter()
     instance = _get_instance(args.instance)
+    t1 = time.perf_counter()
     decision = decide(instance)
+    t2 = time.perf_counter()
     v = decision.verdicts
     code = 0 if v.certified_ready else 2
     report = _base_report("check", instance, code)
     report["verdicts"] = _verdict_block(decision)
     report["hull"] = _hull_block(instance, decision.hull)
     report["chain"] = _chain_block(decision.chain)
+    report["timings"] = _stage_timings(t0, t1, t2, "decide_s")
     _emit(report, args.out)
     print(f"check {instance.label}: {'failed' if code else 'free and rotund'}")
     if not v.free.ok:
@@ -181,11 +190,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_hull(args) -> int:
+    t0 = time.perf_counter()
     instance = _get_instance(args.instance)
+    t1 = time.perf_counter()
     chain = hull_chain(instance.L, instance.A)
+    t2 = time.perf_counter()
     report = _base_report("hull", instance, 0)
     report["hull"] = _hull_block(instance, chain.hull)
     report["chain"] = _chain_block(chain)
+    report["timings"] = _stage_timings(t0, t1, t2, "hull_s")
     _emit(report, args.out)
     h = report["hull"]
     print(f"hull {instance.label}: dim_C L = {h['dim_L_complex']}, "
@@ -199,13 +212,17 @@ def cmd_hull(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    t0 = time.perf_counter()
     instance = _apply_overrides(_get_instance(args.instance), args)
+    t1 = time.perf_counter()
     outcome = certify(instance)
+    t2 = time.perf_counter()
     code = 2 if outcome.refused else 0
     report = _base_report("certify", instance, code)
     report["verdicts"] = _verdict_block(outcome.decision)
     report["hull"] = _hull_block(instance, outcome.decision.hull)
     report["certificate"] = _cert_block(outcome)
+    report["timings"] = _stage_timings(t0, t1, t2, "certify_s")
     _emit(report, args.out)
     if outcome.refused:
         print(f"certify {instance.label}: refused ({outcome.reason})")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -34,27 +35,99 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-@functools.lru_cache(maxsize=None)
+# Draft 7 types as jsonschema tests them: a bool is no number, 3.0 is an integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: (type(x) is float or type(x) is int
+                         or isinstance(x, numbers.Number) and not isinstance(x, bool)),
+    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
+                          or (isinstance(x, float) and x.is_integer())),
+}
+
+
+def _keyword(key: str, value, schema: dict):
+    """(the type test of the values a keyword applies to, or None for all, and its test)."""
+    obj, arr, num = _TYPES["object"], _TYPES["array"], _TYPES["number"]
+    if key == "type":
+        kinds = [_TYPES[t] for t in ([value] if isinstance(value, str) else value)]
+        return None, kinds[0] if len(kinds) == 1 else lambda x: any(k(x) for k in kinds)
+    if key in ("enum", "const"):  # jsonschema's equality: True != 1 == 1.0
+        values = value if key == "enum" else [value]
+        if any(isinstance(v, (list, dict)) for v in values):
+            raise ValueError(f"schema keyword {key!r} over arrays or objects is not compiled")
+        return None, lambda x: any(v is x if isinstance(v, bool) or isinstance(x, bool)
+                                   else v == x for v in values)
+    if key == "oneOf":
+        branches = [_compile(s) for s in value]
+        return None, lambda x: sum(branch(x) for branch in branches) == 1
+    if key == "properties":
+        props = {k: _compile(s) for k, s in value.items()}
+        return obj, lambda x: all(props[k](v) for k, v in x.items() if k in props)
+    if key == "additionalProperties":
+        known = schema.get("properties", {})
+        extra = _compile(value) if isinstance(value, dict) else lambda _: value
+        return obj, lambda x: all(extra(v) for k, v in x.items() if k not in known)
+    if key in ("propertyNames", "items"):
+        sub = _compile(value)
+        return (obj if key == "propertyNames" else arr), lambda x: all(map(sub, x))
+    tests = {"required": (obj, lambda x: x.keys() >= set(value)),
+             "minItems": (arr, lambda x: len(x) >= value),
+             "maxItems": (arr, lambda x: len(x) <= value),
+             "maxLength": (_TYPES["string"], lambda x: len(x) <= value),
+             "minimum": (num, lambda x: not x < value),  # so NaN passes
+             "exclusiveMinimum": (num, lambda x: not x <= value)}
+    if key not in tests:
+        raise ValueError(f"schema keyword {key!r} is not compiled")
+    return tests[key]
+
+
+def _compile(schema: dict):
+    """A test deciding what Draft7Validator(schema).is_valid decides, for the keywords above."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"schema {schema!r} is not an object")
+    tests = [_keyword(k, v, schema) for k, v in schema.items() if k not in ("$schema", "title")]
+
+    def check(x) -> bool:
+        for applies, test in tests:
+            if (applies is None or applies(x)) and not test(x):
+                return False
+        return True
+    return tests[0][1] if len(tests) == 1 and tests[0][0] is None else check
+
+
+@functools.cache
+def _checker(name: str):
+    return _compile(_load_schema(name))
+
+
+@functools.cache
 def _validator(name: str):
-    """A Draft 7 validator of one packaged schema, checked against its metaschema once."""
+    """The Draft 7 validator of one packaged schema, which words a rejection."""
     import jsonschema
 
-    schema = _load_schema(name)
-    jsonschema.Draft7Validator.check_schema(schema)
-    return jsonschema.Draft7Validator(schema)
+    return jsonschema.Draft7Validator(_load_schema(name))
 
 
-def _validate(obj, name: str):
-    """Raise the most relevant jsonschema.ValidationError of obj, if it has one."""
+def _schema_error(obj, name: str):
+    """The best jsonschema.ValidationError of obj, or None: jsonschema only words a rejection."""
+    if _checker(name)(obj):
+        return None
     from jsonschema.exceptions import best_match
 
     error = best_match(_validator(name).iter_errors(obj))
-    if error is not None:
-        raise error
+    if error is None:
+        raise RuntimeError(f"{name}: the compiled check rejects what jsonschema accepts")
+    return error
 
 
 def validate_report(obj: dict):
-    _validate(obj, "report.schema.json")
+    error = _schema_error(obj, "report.schema.json")
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)
@@ -96,14 +169,11 @@ def _parse_entry(spec, where: str) -> ComplexMQ:
 
 
 def instance_from_dict(data: dict, label_fallback: str = "unnamed") -> Instance:
-    from jsonschema import ValidationError
-
-    try:
-        _validate(data, "instance.schema.json")
-    except ValidationError as e:
+    error = _schema_error(data, "instance.schema.json")
+    if error is not None:
         path = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]"
-                             for p in e.absolute_path)
-        raise InstanceError(f"instance validation failed at {path}: {e.message}") from None
+                             for p in error.absolute_path)
+        raise InstanceError(f"instance validation failed at {path}: {error.message}")
     g = len(data["factors"])
     factors = []
     for j, f in enumerate(data["factors"]):
@@ -115,8 +185,8 @@ def instance_from_dict(data: dict, label_fallback: str = "unnamed") -> Instance:
             raise InstanceError(f"factors[{j}]: {e}") from None
     asserts = data.get("assertions", {})
     A = ProductVariety(tuple(factors),
-                       pairwise_nonisogenous=asserts.get("pairwise_nonisogenous", True),
-                       no_cm=asserts.get("no_cm", True))
+                       pairwise_nonisogenous=asserts.get("pairwise_nonisogenous", False),
+                       no_cm=asserts.get("no_cm", False))
     basis_rows = tuple(tuple(_parse_entry(x, f"L.basis[{i}][{k}]") for k, x in enumerate(row))
                        for i, row in enumerate(data["L"]["basis"]))
     try:

@@ -59,13 +59,13 @@ class ProductVariety:
     """A product of elliptic curves with its standing genericity assertions.
 
     pairwise_nonisogenous and no_cm are recorded assertions about the chosen
-    periods, not theorems this code proves; every report lists them under
-    assumptions.
+    periods, not theorems this code proves; every report lists those made
+    under assumptions, and none is made unless given.
     """
 
     factors: tuple[EllipticFactor, ...]
-    pairwise_nonisogenous: bool = True
-    no_cm: bool = True
+    pairwise_nonisogenous: bool = False
+    no_cm: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))

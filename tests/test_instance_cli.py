@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -161,29 +162,46 @@ def test_removed_solver_settings_fail_validation(field, value):
         instance_from_dict(data)
 
 
-def test_validators_are_built_once_and_keep_their_messages(monkeypatch):
-    checks = []
-    real = jsonschema.Draft7Validator.check_schema
-    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema",
-                        classmethod(lambda cls, schema: checks.append(schema) or real(schema)))
-    instance._validator.cache_clear()
+def test_validators_are_built_once_and_keep_their_messages(monkeypatch, tmp_path):
+    # each schema is compiled once; jsonschema's validator is built on the
+    # first rejection only, to word it
+    compiled = []
+    real = instance._compile
+    monkeypatch.setattr(instance, "_compile",
+                        lambda schema: compiled.append(schema.get("title")) or real(schema))
+    monkeypatch.setattr(instance, "_checker", functools.cache(instance._checker.__wrapped__))
+    monkeypatch.setattr(instance, "_validator", functools.cache(instance._validator.__wrapped__))
+    out = tmp_path / "r.json"
     for _ in range(3):
-        instance_from_dict(flagship_dict())
+        assert main(["check", "catalog:diag-prod-one", "--out", str(out)]) == 0
+        validate_report(json.loads(out.read_text()))
+    assert instance._validator.cache_info().currsize == 0
+    for _ in range(3):
         with pytest.raises(jsonschema.ValidationError, match="'label' is a required"):
             validate_report({"command": "check"})
-    assert [c["title"] for c in checks] == ["eac instance file", "eac command report"]
     data = flagship_dict()
     data["factors"][0]["tau_re"] = 3
-    with pytest.raises(InstanceError, match=r"at \$\['factors'\]\[0\]\['tau_re'\]"):
+    with pytest.raises(InstanceError, match=r"at \$\['factors'\]\[0\]\['tau_re'\]: 3 is not"):
         instance_from_dict(data)
+    assert [t for t in compiled if t] == ["eac instance file", "eac command report"]
+    assert instance._validator.cache_info().misses == 2
 
 
-def test_importing_the_cli_does_not_import_jsonschema():
-    code = ("import sys, eac.cli; from eac.instance import builtin_instance; "
-            "builtin_instance; print('jsonschema' in sys.modules)")
+def test_importing_the_cli_does_not_import_jsonschema(tmp_path):
+    # nor does loading a valid file and checking its valid report
+    example = PKG_ROOT / "docs" / "examples" / "diag-prod-one.json"
+    out = tmp_path / "check.json"
+    code = ("import json, sys, eac.cli; from eac.instance import builtin_instance; "
+            "builtin_instance; print('jsonschema' in sys.modules); "
+            "from eac.instance import load_instance, validate_report; "
+            f"load_instance({str(example)!r}); "
+            f"assert eac.cli.main(['check', {str(example)!r}, '--out', {str(out)!r}]) == 0; "
+            f"validate_report(json.load(open({str(out)!r}))); "
+            "print('jsonschema' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PKG_ROOT / "src")), check=True)
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "False"
 
 
 def test_one_parser_serves_successive_main_calls(tmp_path):
@@ -241,6 +259,31 @@ def test_cli_check_flagship(tmp_path, capsys):
     assert report["verdicts"]["bidegree"] == [2, 2]
     assert report["hull"]["dim_T"] == 3
     assert report["chain"]["rounds"] == 1
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("check", "decide_s"), ("hull", "hull_s"), ("certify", "certify_s")])
+def test_cli_exact_commands_time_load_and_stage(command, stage, tmp_path):
+    out = tmp_path / "r.json"
+    run_cli([command, str(PKG_ROOT / "docs" / "examples" / "diag-prod-one.json"),
+             "--out", str(out)])
+    timings = json.loads(out.read_text())["timings"]
+    assert set(timings) == {"load_s", stage, "total_s"}
+    assert 0 < timings["load_s"] + timings[stage] <= timings["total_s"]
+
+
+def test_cli_lists_only_the_assertions_a_file_makes(tmp_path):
+    # E_sqrt3 has CM by Z[sqrt -3]: a file that asserts nothing gets nothing asserted
+    out = tmp_path / "r.json"
+    for assertions, listed in (
+            (None, []), ({"no_cm": True}, ["no complex multiplication (asserted)"])):
+        data = one_curve_dict("wp-2", WP_IS_2)
+        if assertions is not None:
+            data["assertions"] = assertions
+        path = tmp_path / "g1.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["check", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["assumptions"] == listed
 
 
 def test_cli_check_failure_exit_code(tmp_path, capsys):
@@ -519,15 +562,13 @@ def test_cli_density_defaults_and_stats(tmp_path, capsys):
 
 def test_cli_reports_reproducible_modulo_timings(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for p in (a, b):
-        assert run_cli(["check", "catalog:rational-slope", "--out", str(p)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    for p in (a, b):
-        assert run_cli(["solve", "catalog:diag-prod-one", "--budget", "2",
-                        "--target", "3", "--out", str(p)]) == 0
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-    ra.pop("timings"), rb.pop("timings")
-    assert ra == rb
+    for argv in (["check", "catalog:rational-slope"],
+                 ["solve", "catalog:diag-prod-one", "--budget", "2", "--target", "3"]):
+        for p in (a, b):
+            assert run_cli(argv + ["--out", str(p)]) == 0
+        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+        ra.pop("timings"), rb.pop("timings")
+        assert ra == rb
 
 
 def test_cli_density_report_identical_at_one_and_two_threads(tmp_path, monkeypatch):
