@@ -32,8 +32,7 @@ from .instance import (Instance, InstanceError, builtin_instance, catalog_names,
                        load_instance, validate_report)
 from .pipeline import (BidegreeMismatch, CertifyOutcome, Decision, certify,
                        decide, density_summary, solve)
-from .solver import SolveReport
-from .weierstrass import NotAHypersurface
+from .segre import NotAHypersurface
 
 
 def _chain_block(chain: HullChain) -> dict:
@@ -73,7 +72,7 @@ def _cert_block(outcome: CertifyOutcome) -> dict:
     }
 
 
-def _solve_block(report: SolveReport, cfg) -> dict:
+def _solve_block(report, cfg) -> dict:
     return {
         "config": {
             "seed": cfg.seed, "budget_cells": cfg.budget_cells,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,6 @@ from importlib import resources
 from .checker import SubvarietyData
 from .multiquad import ComplexMQ, MultiQuadElem, parse_mq
 from .segre import SegrePolynomial
-from .solver import SolverConfig
 from .variety import EllipticFactor, ExactSubspace, ProductVariety
 
 
@@ -128,6 +128,29 @@ def validate_report(obj: dict):
     error = _schema_error(obj, "report.schema.json")
     if error is not None:
         raise error
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """An instance's solver block: seed, cell budget, target and tolerances."""
+
+    seed: int = 0
+    budget_cells: int = 64
+    target_count: int = 30
+    solve_tol: float = 1e-10
+    dedup_tol: float = 1e-6
+
+    def __post_init__(self):
+        """Reject out-of-range settings by field name, with the schema's bounds."""
+        minimums = {"seed": 0, "budget_cells": 1, "target_count": 1}
+        for name, low in minimums.items():
+            if getattr(self, name) < low:
+                raise ValueError(
+                    f"{name} must be at least {low}, got {getattr(self, name)}")
+        for name in ("solve_tol", "dedup_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

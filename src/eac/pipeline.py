@@ -5,23 +5,26 @@ gated the same way: verdicts first, the certificate only for free and rotund
 pairs, the solver only with a nonzero certificate in hand. Refusals carry
 the witness instead of a silent zero. decide computes the rational hull of
 L once, as the first step of its hull chain, and certify pairs W's class
-against that same hull.
+against that same hull. decide, hull and certify stay on the exact layer:
+solve and density_summary import the solver, weierstrass and numpy
+themselves.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .checker import PairVerdict, SubvarietyData, check_pair, reduce_L
 from .forms import Certificate, eac_certificate, hypersurface_form
 from .hull import HullChain, HullResult, hull_chain, kernel_lattice, rational_hull
-from .instance import Instance
-from .solver import (PulledBackSystem, SolveReport, SolverConfig,
-                     harvest_density)
-from .weierstrass import ProductEvaluator, bidegree_of
+from .instance import Instance, SolverConfig
+from .segre import bidegree_of
+
+if TYPE_CHECKING:
+    from .solver import SolveReport
+    from .weierstrass import ProductEvaluator
 
 
 class BidegreeMismatch(ValueError):
@@ -120,6 +123,9 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
     computed here, once per harvest, so that the walk skips cells whose
     image in the product was already scanned.
     """
+    from .solver import PulledBackSystem, harvest_density
+    from .weierstrass import ProductEvaluator
+
     pe = pe or ProductEvaluator(instance.A)
     cfg = config or instance.config
     outcome = certify(instance, pe)
@@ -153,6 +159,10 @@ def density_summary(instance: Instance, report: SolveReport) -> dict:
              for c in report.cells_with_solutions]),
     }
     if len(pts) >= 2:
+        import numpy as np
+
+        from .weierstrass import ProductEvaluator
+
         zs = np.array(pts, dtype=complex)
         d = ProductEvaluator(instance.A).torus_distances(zs[:, None], zs).reshape(len(pts), -1)
         np.fill_diagonal(d, np.inf)

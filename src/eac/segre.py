@@ -16,14 +16,33 @@ The coordinates are affine: at a pole of wp, WpEvaluator.wp_pair raises
 AtInfinity instead. SegrePolynomial.from_dict owns the rules on monomials:
 exponent tuples of the chart's length, nonnegative exponents, finite
 coefficients and at least one nonzero monomial.
+
+bidegree_of reads W's fiber degree on each factor from F's exponents, as a
+pole order. It is exact bookkeeping on exponents; only a wp'^2 term needs
+the invariants g2 and g3, and so weierstrass and numpy.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+from .variety import ProductVariety
+
+if TYPE_CHECKING:
+    from .weierstrass import ProductEvaluator
 
 SEGRE_DIM = {1: 3, 2: 9}
+# A coefficient whose terms sum to below this share of their sizes has
+# cancelled; so has g2 or g3 below this share of the discriminant.
+CANCEL = 1e-12
+
+
+class NotAHypersurface(ValueError):
+    """F is identically zero or a nonzero constant, so W is all of A or empty."""
 
 
 def segre_stack(wps, wpps, one) -> list:
@@ -100,3 +119,69 @@ class SegrePolynomial:
                     term = term * zi ** e
             total = term if total is None else total + term
         return total
+
+
+class _Exponents(tuple):
+    """Exponents (a_1, b_1, ..., a_g, b_g) of prod wp_j^a_j wp_j'^b_j; * adds them."""
+
+    def __mul__(self, other):
+        return _Exponents(x + y for x, y in zip(self, other))
+
+
+def _cubic(ev) -> list[tuple[int, complex]]:
+    """wp'^2 = 4 wp^3 - g2 wp - g3 as (power of wp, coefficient) terms.
+
+    g2 or g3 below CANCEL of the discriminant g2^3 - 27 g3^2 is 0, as at
+    tau = rho or i.
+    """
+    g2, g3 = ev.invariants()
+    floor = CANCEL * abs(g2 ** 3 - 27 * g3 ** 2)
+    return [(3, 4.0), (1, -g2 if abs(g2) ** 3 >= floor else 0.0),
+            (0, -g3 if 27 * abs(g3) ** 2 >= floor else 0.0)]
+
+
+def bidegree_of(F: SegrePolynomial, A: ProductVariety,
+                pe: ProductEvaluator | None = None) -> tuple[int, ...]:
+    """Zeros of F on a generic fiber of each factor, read from F's exponents.
+
+    On a fiber of factor j, F is elliptic with its only pole at the lattice,
+    so it has as many zeros in a period cell as that pole's order. Once each
+    wp_j'^2 is reduced to 4 wp_j^3 - g2 wp_j - g3 (DLMF 23.3), wp^a has order
+    2a and wp^a wp' has 2a + 3: factor j's degree is the largest order whose
+    coefficient, a polynomial in the other factor, does not cancel (to CANCEL
+    of the sum of its terms' sizes). segre_stack gives each coordinate's
+    exponents. g2 and g3 (from pe, when given) are read only for a wp' power
+    of 2 or more. Raises NotAHypersurface when every degree is 0: F then
+    cancels to zero (W is all of A) or is a nonzero constant (W is empty).
+    """
+    n = 2 * A.g
+    unit = [_Exponents(int(k == i) for k in range(n)) for i in range(n)]
+    coords = segre_stack(unit[::2], unit[1::2], _Exponents([0] * n))
+    cubics: dict[int, list[tuple[int, complex]]] = {}
+    sums: dict[tuple[int, ...], complex] = {}
+    sizes: dict[tuple[int, ...], float] = {}
+    for expo, coeff in F.monomials:
+        e = [sum(k * z[i] for k, z in zip(expo, coords)) for i in range(n)]
+        per_factor = []
+        for j, (a, b) in enumerate(zip(e[::2], e[1::2])):
+            terms = [(a, 1.0)]
+            for _ in range(b // 2):
+                if j not in cubics:
+                    from .weierstrass import WpEvaluator  # numpy, for a wp'^2 only
+
+                    cubics[j] = _cubic(pe.evals[j] if pe else WpEvaluator(A.factors[j].tau))
+                terms = [(p + dp, c * dc) for p, c in terms for dp, dc in cubics[j]]
+            per_factor.append([((p, b % 2), c) for p, c in terms])
+        for combo in itertools.product(*per_factor):
+            key = tuple(x for pq, _ in combo for x in pq)
+            value = coeff * math.prod(c for _, c in combo)
+            sums[key] = sums.get(key, 0.0) + value
+            sizes[key] = sizes.get(key, 0.0) + abs(value)
+    live = [k for k, s in sums.items() if abs(s) > CANCEL * sizes[k]]
+    degrees = tuple(max((2 * k[2 * j] + 3 * k[2 * j + 1] for k in live), default=0)
+                    for j in range(A.g))
+    if not any(degrees):
+        what = ("W is empty: its polynomial is a nonzero constant" if live else
+                "W is all of A: its polynomial vanishes identically")
+        raise NotAHypersurface(f"{what} once each wp'^2 is reduced to 4 wp^3 - g2 wp - g3")
+    return degrees

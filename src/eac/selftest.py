@@ -23,9 +23,9 @@ def run_selftest(verbose: bool = False, evaluator_factory=None
     from .instance import builtin_instance
     from .multiquad import MultiQuadElem
     from .pipeline import certify, solve
+    from .segre import bidegree_of
     from .variety import EllipticFactor, ExactSubspace, ProductVariety
-    from .weierstrass import (ProductEvaluator, WpEvaluator, bidegree_of,
-                              count_roots_on_fiber)
+    from .weierstrass import ProductEvaluator, WpEvaluator, count_roots_on_fiber
 
     results: list[tuple[str, bool, str]] = []
 

@@ -46,9 +46,10 @@ import numpy as np
 
 from .exactlinalg import hermite_normal_form
 from .fixed import ONE as FIXED_ONE, Fixed
-from .segre import SegrePolynomial, segre_stack
+from .instance import SolverConfig
+from .segre import SegrePolynomial, bidegree_of, segre_stack
 from .variety import ProductVariety
-from .weierstrass import (NEAR_POLE, ProductEvaluator, _qseries_terms, bidegree_of,
+from .weierstrass import (NEAR_POLE, ProductEvaluator, _qseries_terms,
                           lattice_coords, lattice_shift, theta_const, theta_sums)
 
 NEWTON_STEPS = 50
@@ -84,27 +85,6 @@ CLOSED_FORM_MARGIN = 1.15
 
 class UncertifiedError(RuntimeError):
     """The solver was asked to run without a nonzero certificate."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    seed: int = 0
-    budget_cells: int = 64
-    target_count: int = 30
-    solve_tol: float = 1e-10
-    dedup_tol: float = 1e-6
-
-    def __post_init__(self):
-        """Reject out-of-range settings by field name, with the schema's bounds."""
-        minimums = {"seed": 0, "budget_cells": 1, "target_count": 1}
-        for name, low in minimums.items():
-            if getattr(self, name) < low:
-                raise ValueError(
-                    f"{name} must be at least {low}, got {getattr(self, name)}")
-        for name in ("solve_tol", "dedup_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass

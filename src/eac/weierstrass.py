@@ -5,12 +5,13 @@ Two independent evaluation backends share one interface:
   "theta"        q-expansions in u = exp(2 pi i z), q = exp(2 pi i tau).
                  Terms decay like |q|^n, so a tail bound picks the
                  truncation order from the target accuracy. The series is
-                 written once, in theta_sums, for the scalar and the numpy
-                 paths here and the fixed-point (eac.fixed) recomputation
-                 of a batch of points in the solver's verification; only
-                 this backend evaluates on grids. Each term costs two
-                 reciprocals and multiplications, and the constant q-sum
-                 (theta_const) is summed once per lattice.
+                 written once, in theta_sums, for the numpy path here (the
+                 scalar wp_pair reads it on a one-element array) and the
+                 fixed-point (eac.fixed) recomputation of a batch of points
+                 in the solver's verification; only this backend evaluates
+                 on grids. Each term costs two reciprocals and
+                 multiplications, and the constant q-sum (theta_const) is
+                 summed once per lattice.
                  Near a pole the n = 0 factor 1 - u is taken as
                  -expm1(2 pi i z), so values keep their relative accuracy.
   "lattice-sum"  row-resummed series: the double sum over the lattice is
@@ -27,8 +28,8 @@ ProductEvaluator.eval_polynomial re-raises it with the factor's index.
 ProductEvaluator holds the float lattice of a curve product: its reduce and
 torus_distances apply the same reduce_to_fundamental to points of C^g.
 
-bidegree_of reads each factor's fiber degree from F's exponents, as a pole
-order. count_roots_on_fiber counts the zeros on one fiber, and
+segre.bidegree_of reads each factor's fiber degree from F's exponents, as
+a pole order. count_roots_on_fiber counts the zeros on one fiber, and
 point_count_on_curve on a curve, with solver.cell_seeds on one period cell
 of the moving factor: the argument principle on adaptive Gauss-Legendre
 panels, plus the orders of the poles inside, each minus the winding on a
@@ -39,21 +40,18 @@ are the contour oracle of the rule.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 import numpy as np
 
-from .segre import SegrePolynomial, segre_stack
+# perfbench wraps the fiber-degree rule under the name weierstrass.bidegree_of
+from .segre import SegrePolynomial, bidegree_of, segre_stack  # noqa: F401
 from .variety import ProductVariety
 
 TWO_PI = 2.0 * math.pi
 # Target absolute tail bound of both backends' series, and the distance
 # from the lattice below which a point is a pole.
 EPS = 1e-12
-# A coefficient whose terms sum to below this share of their sizes has
-# cancelled; so has g2 or g3 below this share of the discriminant.
-CANCEL = 1e-12
 # Below this |z| the n = 0 factor 1 - u of the theta series is taken as
 # -expm1(2 pi i z); above it 1 - u loses under two bits to cancellation.
 NEAR_POLE = 0.1
@@ -69,10 +67,6 @@ class AtInfinity(Exception):
 
 class ContourError(RuntimeError):
     """A zero count could not be resolved on its contour."""
-
-
-class NotAHypersurface(ValueError):
-    """F is identically zero or a nonzero constant, so W is all of A or empty."""
 
 
 def lattice_coords(z, tau: complex):
@@ -226,16 +220,19 @@ class WpEvaluator:
     # scalar evaluation
 
     def wp_pair(self, z: complex) -> tuple[complex, complex]:
-        """(wp(z), wp'(z)); a lattice point raises AtInfinity."""
-        z = self.reduce(complex(z))
-        if abs(z) < EPS:
+        """(wp(z), wp'(z)); a lattice point raises AtInfinity.
+
+        The theta backend reads wp_pair_grid on a one-element array, so the
+        near-pole rule and the scaling are written once.
+        """
+        z = complex(z)
+        zr = self.reduce(z)
+        if abs(zr) < EPS:
             raise AtInfinity()
         if self.backend == "lattice-sum":
-            return self._wp_rows(z), self._wp_prime_rows(z)
-        w = 2j * math.pi * z
-        m = -complex(np.expm1(w)) if abs(z) < NEAR_POLE else None
-        s, sp = theta_sums(cmath.exp(w), self.q, self.nterms, 1.0, self.const, m)
-        return (2j * math.pi) ** 2 * s, (2j * math.pi) ** 3 * sp
+            return self._wp_rows(zr), self._wp_prime_rows(zr)
+        wp, wpp = self.wp_pair_grid(np.array([z]))
+        return complex(wp[0]), complex(wpp[0])
 
     def wp(self, z: complex) -> complex:
         return self.wp_pair(z)[0]
@@ -365,70 +362,6 @@ def point_count_on_curve(F: SegrePolynomial, A: ProductVariety,
     if A.g != 1:
         raise ValueError("point_count_on_curve expects a single factor")
     return count_roots_on_fiber(F, 0, 0j, A, pe, jitter)
-
-
-class _Exponents(tuple):
-    """Exponents (a_1, b_1, ..., a_g, b_g) of prod wp_j^a_j wp_j'^b_j; * adds them."""
-
-    def __mul__(self, other):
-        return _Exponents(x + y for x, y in zip(self, other))
-
-
-def _cubic(ev) -> list[tuple[int, complex]]:
-    """wp'^2 = 4 wp^3 - g2 wp - g3 as (power of wp, coefficient) terms.
-
-    g2 or g3 below CANCEL of the discriminant g2^3 - 27 g3^2 is 0, as at
-    tau = rho or i.
-    """
-    g2, g3 = ev.invariants()
-    floor = CANCEL * abs(g2 ** 3 - 27 * g3 ** 2)
-    return [(3, 4.0), (1, -g2 if abs(g2) ** 3 >= floor else 0.0),
-            (0, -g3 if 27 * abs(g3) ** 2 >= floor else 0.0)]
-
-
-def bidegree_of(F: SegrePolynomial, A: ProductVariety,
-                pe: ProductEvaluator | None = None) -> tuple[int, ...]:
-    """Zeros of F on a generic fiber of each factor, read from F's exponents.
-
-    On a fiber of factor j, F is elliptic with its only pole at the lattice,
-    so it has as many zeros in a period cell as that pole's order. Once each
-    wp_j'^2 is reduced to 4 wp_j^3 - g2 wp_j - g3 (DLMF 23.3), wp^a has order
-    2a and wp^a wp' has 2a + 3: factor j's degree is the largest order whose
-    coefficient, a polynomial in the other factor, does not cancel (to CANCEL
-    of the sum of its terms' sizes). segre_stack gives each coordinate's
-    exponents. g2 and g3 (from pe, when given) are read only for a wp' power
-    of 2 or more. Raises NotAHypersurface when every degree is 0: F then
-    cancels to zero (W is all of A) or is a nonzero constant (W is empty).
-    """
-    n = 2 * A.g
-    unit = [_Exponents(int(k == i) for k in range(n)) for i in range(n)]
-    coords = segre_stack(unit[::2], unit[1::2], _Exponents([0] * n))
-    cubics: dict[int, list[tuple[int, complex]]] = {}
-    sums: dict[tuple[int, ...], complex] = {}
-    sizes: dict[tuple[int, ...], float] = {}
-    for expo, coeff in F.monomials:
-        e = [sum(k * z[i] for k, z in zip(expo, coords)) for i in range(n)]
-        per_factor = []
-        for j, (a, b) in enumerate(zip(e[::2], e[1::2])):
-            terms = [(a, 1.0)]
-            for _ in range(b // 2):
-                if j not in cubics:
-                    cubics[j] = _cubic(pe.evals[j] if pe else WpEvaluator(A.factors[j].tau))
-                terms = [(p + dp, c * dc) for p, c in terms for dp, dc in cubics[j]]
-            per_factor.append([((p, b % 2), c) for p, c in terms])
-        for combo in itertools.product(*per_factor):
-            key = tuple(x for pq, _ in combo for x in pq)
-            value = coeff * math.prod(c for _, c in combo)
-            sums[key] = sums.get(key, 0.0) + value
-            sizes[key] = sizes.get(key, 0.0) + abs(value)
-    live = [k for k, s in sums.items() if abs(s) > CANCEL * sizes[k]]
-    degrees = tuple(max((2 * k[2 * j] + 3 * k[2 * j + 1] for k in live), default=0)
-                    for j in range(A.g))
-    if not any(degrees):
-        what = ("W is empty: its polynomial is a nonzero constant" if live else
-                "W is all of A: its polynomial vanishes identically")
-        raise NotAHypersurface(f"{what} once each wp'^2 is reduced to 4 wp^3 - g2 wp - g3")
-    return degrees
 
 
 def jacobian_probe(l: complex, L_direction: tuple[complex, ...],

@@ -188,20 +188,28 @@ def test_validators_are_built_once_and_keep_their_messages(monkeypatch, tmp_path
 
 
 def test_importing_the_cli_does_not_import_jsonschema(tmp_path):
-    # nor does loading a valid file and checking its valid report
-    example = PKG_ROOT / "docs" / "examples" / "diag-prod-one.json"
-    out = tmp_path / "check.json"
-    code = ("import json, sys, eac.cli; from eac.instance import builtin_instance; "
-            "builtin_instance; print('jsonschema' in sys.modules); "
-            "from eac.instance import load_instance, validate_report; "
-            f"load_instance({str(example)!r}); "
-            f"assert eac.cli.main(['check', {str(example)!r}, '--out', {str(out)!r}]) == 0; "
-            f"validate_report(json.load(open({str(out)!r}))); "
-            "print('jsonschema' in sys.modules)")
+    # nor does loading a valid file and checking its valid report; check, hull
+    # and certify import nothing numeric either, and a density run afterwards
+    # still finds what solve and density_summary import themselves
+    example = str(PKG_ROOT / "docs" / "examples" / "diag-prod-one.json")
+    numeric = ["numpy", "mpmath", "jsonschema", "eac.solver", "eac.weierstrass", "eac.fixed"]
+    code = f"""
+import json, sys, eac.cli
+from eac.instance import builtin_instance, load_instance, validate_report
+print('jsonschema' in sys.modules)
+load_instance({example!r})
+for command in ("check", "hull", "certify"):
+    out = {str(tmp_path)!r} + "/" + command + ".json"
+    assert eac.cli.main([command, {example!r}, "--out", out]) == 0
+    validate_report(json.load(open(out)))
+print("loaded", sorted(set({numeric!r}) & set(sys.modules)))
+assert eac.cli.main(["density", {example!r}]) == 0
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PKG_ROOT / "src")), check=True)
     lines = proc.stdout.splitlines()
-    assert lines[0] == lines[-1] == "False"
+    assert lines[0] == "False"
+    assert "loaded []" in lines
 
 
 def test_one_parser_serves_successive_main_calls(tmp_path):
@@ -616,13 +624,13 @@ def test_cli_unwritable_outputs_are_one_error_line(tmp_path, capsys):
 
 
 def test_cli_hull_runs_no_verdicts_and_no_fiber_counts(tmp_path, capsys, monkeypatch):
-    from eac import checker, pipeline, weierstrass
+    from eac import checker, pipeline, segre
 
     def forbidden(*args, **kwargs):
         raise AssertionError("eac hull must not decide freeness or measure W")
 
     for mod, name in ((checker, "check_pair"), (pipeline, "check_pair"),
-                      (weierstrass, "bidegree_of"), (pipeline, "bidegree_of")):
+                      (segre, "bidegree_of"), (pipeline, "bidegree_of")):
         monkeypatch.setattr(mod, name, forbidden)
     data = flagship_dict()
     del data["W"]["bidegree"]
