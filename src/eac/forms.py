@@ -11,7 +11,8 @@ The certificate for a pair (L, W) wedges the class of W, fixed by its
 fiber degrees (hypersurface_form), with the rational volume form of the
 hull T of L and a complementary form built from the realified complex
 equations of L. A nonzero value is the homological non-vanishing that
-licenses the intersection solver.
+licenses the intersection solver; zeros_per_cell reads the pairing with
+L's realified equations as the mean zero count of each cell it walks.
 """
 
 from __future__ import annotations
@@ -425,3 +426,21 @@ def eac_certificate(eta_W: ExteriorForm, L: ExactSubspace, A: ProductVariety,
         omega_T_prime=omega_Tp,
         eta_W=eta_W,
     )
+
+
+def zeros_per_cell(cert: Certificate, L: ExactSubspace, A: ProductVariety) -> float:
+    """The certificate read as the harvest's mean zero count per cell along v = L.basis[0].
+
+    On two curves cross_value is |s|^2 Im tau_1 Im tau_2 rho, with rho the
+    zeros per unit area of the l-plane and L's echelon equation s (v_2, -v_1),
+    so s = 1 / v_b for b not the anchor a; a cell has area Im tau_a / |v_a|^2.
+    On one curve the mean is cross_value = d_1. Exact until the final float.
+    """
+    mean = cert.cross_value
+    if A.g == 2:
+        v = L.basis[0]
+        a = next(j for j, c in enumerate(v) if not c.is_zero())
+        va, vb = v[a], v[1 - a]
+        mean = (mean * (vb.re * vb.re + vb.im * vb.im)
+                / ((va.re * va.re + va.im * va.im) * A.factors[1 - a].tau_im))
+    return float(mean)

@@ -83,19 +83,13 @@ def rational_component_rows(vectors: list[list[MultiQuadElem]]) -> list[list[Fra
 
 
 def rational_hull(L: ExactSubspace, A: ProductVariety) -> HullResult:
-    """Smallest lattice-rational subspace of R^(2g) containing L (realified).
+    """Smallest lattice-rational subspace of R^(2g) containing the complex L, realified.
 
-    Accepts L either complex (realified first) or already real in the lattice
-    chart. The returned equations are primitive integer covectors in echelon
-    order; T is their kernel with a rational reduced echelon basis.
+    The returned equations are primitive integer covectors in echelon order;
+    T is their kernel with a rational reduced echelon basis.
     """
-    if L.kind == "complex":
-        Lr = L.realified(A)
-    else:
-        Lr = L
+    Lr = L.realified(A)
     n = 2 * A.g
-    if Lr.ambient != n:
-        raise ValueError("subspace ambient does not match the variety")
     rows = rational_component_rows([list(v) for v in Lr.basis])
     null = right_nullspace(rows, ncols=n)
     if null:
@@ -141,10 +135,7 @@ def complexification(T: ExactSubspace, A: ProductVariety) -> ExactSubspace:
     g = A.g
     if T.ambient != 2 * g:
         raise ValueError("subspace ambient does not match the variety")
-    vectors = [A.from_lattice_exact(list(v)) for v in T.basis]
-    if not vectors:
-        return ExactSubspace("complex", (), g)
-    red, _ = rref(vectors)
+    red, _ = rref([A.from_lattice_exact(list(v)) for v in T.basis])
     return ExactSubspace("complex", tuple(tuple(r) for r in red), g)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .checker import PairVerdict, SubvarietyData, check_pair, reduce_L
-from .forms import Certificate, eac_certificate, hypersurface_form
+from .forms import Certificate, eac_certificate, hypersurface_form, zeros_per_cell
 from .hull import HullChain, HullResult, hull_chain, kernel_lattice, rational_hull
 from .instance import Instance, SolverConfig
 from .segre import bidegree_of
@@ -119,9 +119,11 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
 
     Exit code 0: at least one verified point. 4: refused before solving.
     5: certified but nothing verified within budget, or in any of the finitely
-    many distinct cells (reported as a defect). The kernel of exp on L is
-    computed here, once per harvest, so that the walk skips cells whose
-    image in the product was already scanned.
+    many distinct cells (reported as a defect). The certificate, read as the
+    mean zero count per cell (forms.zeros_per_cell), sizes the harvest's
+    first chunk. The kernel of exp on L is computed here, once per harvest,
+    so that the walk skips cells whose image in the product was already
+    scanned.
     """
     from .solver import PulledBackSystem, harvest_density
     from .weierstrass import ProductEvaluator
@@ -134,7 +136,8 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
     L = outcome.L_used
     direction = tuple(complex(x) for x in L.basis[0])
     system = PulledBackSystem(instance.F, direction, instance.A, pe)
-    report = harvest_density(system, cfg, certified=True, kernel=kernel_lattice(L, instance.A))
+    report = harvest_density(system, cfg, zeros_per_cell(outcome.certificate, L, instance.A),
+                             kernel=kernel_lattice(L, instance.A))
     code = 0 if report.solutions else 5
     return SolveOutcome(outcome, report, code)
 
@@ -143,7 +146,8 @@ def density_summary(instance: Instance, report: SolveReport) -> dict:
     """Spread statistics of the harvested points on the product variety.
 
     mean_zeros_per_cell is the mean of the scanned cells' resolved zero
-    counts, beside the closed form the harvest sized its first chunk from.
+    counts, beside the certificate's closed form that the harvest sized its
+    first chunk from.
     """
     pts = [s.z for s in report.solutions]
     counts = [c["expected"] for c in report.cells if c["expected"] is not None]

@@ -17,10 +17,10 @@ moments of G'/G (Delves and Lyness, Math. Comp. 21 (1967); ZEAL, Kravanja,
 Van Barel et al., Comput. Phys. Commun. 124 (2000)). A box whose roots
 fail their checks is split in four. Every contour integral is one _Edges
 panel sum, also on the small boxes of box_windings that give pole orders
-and verification windings. The mean count per cell is known in closed
-form (PulledBackSystem.mean_cell_count), and sizes the first chunk of
-cells counted together. Newton refines a batch of seeds as one array with
-the analytic G'(l) of eval_jet: each factor enters as a first-order jet,
+and verification windings. The mean count per cell is the certificate
+read as a zero density (forms.zeros_per_cell), and sizes the first chunk
+of cells counted together. Newton refines a batch of seeds as one array
+with the analytic G'(l) of eval_jet: each factor enters as a first-order jet,
 with d wp = c wp' and d wp' = c (6 wp^2 - g2/2) for z = l c (DLMF 23.3).
 G' at a root also gives its Jacobian rank. verify_points recomputes a
 batch of residuals to 30 digits from the same theta series
@@ -47,7 +47,7 @@ import numpy as np
 from .exactlinalg import hermite_normal_form
 from .fixed import ONE as FIXED_ONE, Fixed
 from .instance import SolverConfig
-from .segre import SegrePolynomial, bidegree_of, segre_stack
+from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
 from .weierstrass import (NEAR_POLE, ProductEvaluator, _qseries_terms,
                           lattice_coords, lattice_shift, theta_const, theta_sums)
@@ -277,20 +277,6 @@ class PulledBackSystem:
         tau = self.pe.evals[self.anchor].tau
         va = self.v[self.anchor]
         return ((p + CELL_OFFSET[0] + a) + (q + CELL_OFFSET[1] + b) * tau) / va
-
-    def mean_cell_count(self, bidegree) -> float:
-        """The mean zero count of G per cell, in closed form.
-
-        W of fiber degrees (d_1, ..., d_g) meets a fiber of factor j in d_j
-        points, so its class pulls back to d_j |v_j|^2 / Im tau_j zeros per
-        unit area of the l-plane, and a cell has area Im tau_a / |v_a|^2 for
-        the anchor a: the mean is sum_j d_j (|v_j|^2 / |v_a|^2) (Im tau_a /
-        Im tau_j). The anchor's own term is d_a exactly, and so the mean is
-        d_1 exactly on one curve.
-        """
-        va, ta = abs(self.v[self.anchor]) ** 2, self.pe.evals[self.anchor].tau.imag
-        return sum(d * (abs(c) ** 2 / va) * (ta / ev.tau.imag)
-                   for d, c, ev in zip(bidegree, self.v, self.pe.evals))
 
     def cell_position(self, l: complex) -> tuple[float, float]:
         """The inverse of cell_box at cell (0, 0): l lies in cell (floor x, floor y)."""
@@ -780,18 +766,18 @@ def verify_solution(system: PulledBackSystem, l: complex,
 
 
 def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
-                    certified: bool = False, kernel=()) -> SolveReport:
+                    zeros_per_cell: float, kernel=()) -> SolveReport:
     """Scan distinct cells in spiral order until the target count or the budget.
 
-    Requires certified=True: running without a nonzero certificate is a
-    precondition violation, not a soft warning. kernel is an integer basis of
-    Lambda_L (hull.kernel_lattice); an empty kernel walks every cell, drawn
-    from one distinct_cells generator as chunks and home cells need them.
-    Cells are counted and seeded by cell_seeds in chunks: the first holds
-    CLOSED_FORM_MARGIN times the cells that the closed-form mean zero count
-    per cell (PulledBackSystem.mean_cell_count of W's fiber degrees, read by
-    bidegree_of) says the target needs, plus one; each later one holds as
-    many as the mean count measured so far predicts the target still needs.
+    zeros_per_cell is the mean zero count per cell that the certificate
+    gives (forms.zeros_per_cell); one that is not positive means there is no
+    nonzero certificate, and raises UncertifiedError. kernel is an integer
+    basis of Lambda_L (hull.kernel_lattice); an empty kernel walks every
+    cell, drawn from one distinct_cells generator as chunks and home cells
+    need them. Cells are counted and seeded by cell_seeds in chunks: the
+    first holds CLOSED_FORM_MARGIN times the cells that zeros_per_cell says
+    the target needs, plus one; each later one holds as many as the mean
+    count measured so far predicts the target still needs.
     Counted cells are taken in walk order, as many at a time as their counts
     say the target still needs; their seeds are refined in one newton_refine
     batch and taken in cell order until the target is reached. cells_scanned
@@ -806,11 +792,10 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     holds it; a cell whose seeds were all taken is incomplete when its points
     found differ from its count.
     """
-    if not certified:
+    if not zeros_per_cell > 0:
         raise UncertifiedError(
-            "harvest requires a certified instance (nonzero certificate)")
-    report = SolveReport(
-        closed_form_mean=system.mean_cell_count(bidegree_of(system.F, system.A, system.pe)))
+            f"harvest requires a nonzero certificate, got {zeros_per_cell} zeros per cell")
+    report = SolveReport(closed_form_mean=zeros_per_cell)
     t0 = time.perf_counter()
     shifts = system.cell_shifts(kernel)
     cells_ahead = distinct_cells(shifts)

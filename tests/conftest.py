@@ -4,12 +4,44 @@ import pytest
 
 from eac.instance import builtin_instance, catalog_dicts
 from eac.multiquad import MultiQuadElem
+from eac.segre import bidegree_of
 from eac.variety import EllipticFactor, ExactSubspace, ProductVariety
 from eac.weierstrass import ProductEvaluator
 
 
 def factor_sqrt(d: int) -> EllipticFactor:
     return EllipticFactor(0, MultiQuadElem.sqrt_of(d))
+
+
+def closed_form_zeros_per_cell(system, degrees=None) -> float:
+    """The float oracle of forms.zeros_per_cell: W's class pulled back along L, per cell.
+
+    W of fiber degrees (d_1, ..., d_g), read by bidegree_of unless given,
+    meets a fiber of factor j in d_j points, so its class pulls back to
+    d_j |v_j|^2 / Im tau_j zeros per unit area of the l-plane, and a cell
+    has area Im tau_a / |v_a|^2 for the anchor a: the mean is
+    sum_j d_j (|v_j|^2 / |v_a|^2) (Im tau_a / Im tau_j). The anchor's own
+    term is d_a exactly, and so the mean is d_1 exactly on one curve.
+    """
+    if degrees is None:
+        degrees = bidegree_of(system.F, system.A, system.pe)
+    va, ta = abs(system.v[system.anchor]) ** 2, system.pe.evals[system.anchor].tau.imag
+    return sum(d * (abs(c) ** 2 / va) * (ta / ev.tau.imag)
+               for d, c, ev in zip(degrees, system.v, system.pe.evals))
+
+
+def one_curve_dict(label, terms, bidegree=None):
+    """W on E_sqrt3 as (exponents of (1, wp, wp'), coefficient) pairs, L = C."""
+    data = {
+        "label": label,
+        "factors": [{"tau_re": "0", "tau_im": {"d": 3, "q": "1"}}],
+        "L": {"basis": [["1"]]},
+        "W": {"kind": "segre-hypersurface", "dim": 0,
+              "monomials": [{"exponents": e, "re": c} for e, c in terms]},
+    }
+    if bidegree is not None:
+        data["W"]["bidegree"] = bidegree
+    return data
 
 
 def tiny_monomial_dict() -> dict:

@@ -16,11 +16,12 @@ from eac.cli import build_parser, main
 from eac.instance import (InstanceError, builtin_instance, catalog_dicts,
                           catalog_names, instance_from_dict, load_instance,
                           validate_report)
+from eac.multiquad import ComplexMQ
 from eac.segre import SegrePolynomial
 from eac.solver import SolverConfig
 from eac.variety import EllipticFactor, ExactSubspace
 from eac.weierstrass import WpEvaluator
-from tests.conftest import tiny_monomial_dict
+from tests.conftest import one_curve_dict, tiny_monomial_dict
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -515,7 +516,9 @@ def test_cli_non_finite_coefficient_is_one_error_line(literal, command, tmp_path
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["factors"][0].update(tau_im=TINY_TAU_IM), "factors[0]: tau must lie"),
     (lambda d: d.update(solver={"dedup_tol": math.inf}), "solver: dedup_tol must be"),
-], ids=["tau-tiny", "infinite-dedup-tol"])
+    (lambda d: d["factors"][0].update(tau_re="1/0"),
+     "factors[0].tau_re: bad rational literal '1/0'"),
+], ids=["tau-tiny", "infinite-dedup-tol", "zero-denominator"])
 def test_cli_unusable_value_is_one_error_line(edit, message, tmp_path, capsys):
     data = flagship_dict()
     edit(data)
@@ -674,20 +677,6 @@ def test_cli_single_factor_end_to_end(tmp_path):
         assert s["jacobian_rank"] == -1
 
 
-def one_curve_dict(label, terms, bidegree=None):
-    """W on E_sqrt3 as (exponents of (1, wp, wp'), coefficient) pairs, L = C."""
-    data = {
-        "label": label,
-        "factors": [{"tau_re": "0", "tau_im": {"d": 3, "q": "1"}}],
-        "L": {"basis": [["1"]]},
-        "W": {"kind": "segre-hypersurface", "dim": 0,
-              "monomials": [{"exponents": e, "re": c} for e, c in terms]},
-    }
-    if bidegree is not None:
-        data["W"]["bidegree"] = bidegree
-    return data
-
-
 WP_IS_2 = [([0, 1, 0], 1.0), ([1, 0, 0], -2.0)]
 
 
@@ -746,6 +735,38 @@ def test_cli_single_factor_commands_agree(terms, degree, tmp_path):
         assert report["verdicts"]["bidegree"] == [degree]
         assert report["density"]["closed_form_zeros_per_cell"] == degree
         assert report["solve"]["distinct_count"] == degree
+
+
+def test_cli_single_factor_empty_l_is_not_rotund(tmp_path, capsys):
+    # L = 0 on one curve: exp(L) is a point, which misses a hypersurface
+    data = one_curve_dict("empty-l", WP_IS_2)
+    data["L"]["basis"] = []
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "r.json"
+    assert run_cli(["check", str(path), "--out", str(out)]) == 2
+    text = capsys.readouterr().out
+    assert "check empty-l: failed" in text
+    verdicts = json.loads(out.read_text())["verdicts"]
+    assert verdicts["free"] is True and verdicts["rotund"] is False
+    witness = verdicts["rotund_witness"]
+    assert f"  not rotund: {witness}" in text
+    assert run_cli(["certify", str(path), "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["certificate"]["reason"] == f"not rotund: {witness}"
+    assert f"refused (not rotund: {witness})" in capsys.readouterr().out
+    assert run_cli(["solve", str(path), "--out", str(out)]) == 4
+    assert json.loads(out.read_text())["solve"] is None
+
+
+def test_cli_reads_a_complex_l_entry(tmp_path, capsys):
+    # the row (1 + i, 2) spans the line whose echelon basis is (1, 1 - i)
+    data = flagship_dict()
+    data["L"]["basis"] = [[{"re": "1", "im": "1"}, "2"]]
+    assert instance_from_dict(data).L.basis == ((1, ComplexMQ(1, -1)),)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["certify", str(path)]) == 0
+    assert "value sqrt(5)+2*sqrt(2)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("level", [3e6, 1e7])

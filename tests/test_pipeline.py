@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from eac import hull
-from eac.hull import kernel_lattice
+from eac import hull, pipeline
+from eac.forms import eac_certificate, hypersurface_form, zeros_per_cell
+from eac.hull import kernel_lattice, rational_hull
 from eac.instance import builtin_instance, catalog_dicts, catalog_names, instance_from_dict
 from eac.pipeline import (BidegreeMismatch, certify, decide, density_summary,
                           resolve_w, solve)
@@ -17,7 +18,7 @@ from eac.segre import SegrePolynomial, segre_stack
 from eac import solver
 from eac.solver import PulledBackSystem, SolverConfig
 from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
-from tests.conftest import tiny_monomial_dict
+from tests.conftest import closed_form_zeros_per_cell, one_curve_dict, tiny_monomial_dict
 
 SMALL = SolverConfig(budget_cells=4, target_count=3)
 # the catalog instances with a nonzero certificate and a one-dimensional L
@@ -300,9 +301,9 @@ def test_an_overestimated_mean_costs_a_chunk_not_a_point(name, harvest_calls, mo
     inst = builtin_instance(name)
     cfg = dataclasses.replace(inst.config, target_count=60)
     once = solve(inst, config=cfg).report
-    real_mean = PulledBackSystem.mean_cell_count
-    monkeypatch.setattr(PulledBackSystem, "mean_cell_count",
-                        lambda self, bidegree: 2 * real_mean(self, bidegree))
+    real_mean = pipeline.zeros_per_cell
+    monkeypatch.setattr(pipeline, "zeros_per_cell",
+                        lambda cert, L, A: 2 * real_mean(cert, L, A))
     harvest_calls["counted"].clear()
     twice = solve(inst, config=cfg).report
     assert twice.closed_form_mean == 2 * once.closed_form_mean
@@ -313,17 +314,70 @@ def test_an_overestimated_mean_costs_a_chunk_not_a_point(name, harvest_calls, mo
     assert harvest_fields(twice) == harvest_fields(once), name
 
 
-def test_mean_cell_count_is_the_pulled_back_class(A1):
-    _, flagship = catalog_system("diag-prod-one")
+def certificate_zeros_per_cell(inst, degrees=None):
+    """forms.zeros_per_cell of inst's certificate, with W's class of the given degrees."""
+    out = certify(inst)
+    assert not out.refused, inst.label
+    L = out.L_used
+    cert = out.certificate
+    if degrees is not None:
+        cert = eac_certificate(hypersurface_form(*degrees), L, inst.A, rational_hull(L, inst.A))
+    return zeros_per_cell(cert, L, inst.A)
+
+
+def test_zeros_per_cell_is_the_pulled_back_class():
     r = math.sqrt(2 / 5)
+    flagship = builtin_instance("diag-prod-one")
     # d_j counts W's points on a fiber of factor j: (3, 2) and (2, 3) differ
-    assert flagship.mean_cell_count((3, 2)) == pytest.approx(3 + 2 * r, rel=1e-15)
-    assert flagship.mean_cell_count((2, 3)) == pytest.approx(2 + 3 * r, rel=1e-15)
-    _, steep = catalog_system("rational-slope")  # v = (1, 2): |v_2|^2 = 4
-    assert steep.mean_cell_count((2, 2)) == pytest.approx(2 + 8 * r, rel=1e-15)
+    assert certificate_zeros_per_cell(flagship, (3, 2)) == pytest.approx(3 + 2 * r, rel=1e-15)
+    assert certificate_zeros_per_cell(flagship, (2, 3)) == pytest.approx(2 + 3 * r, rel=1e-15)
+    # v = (1, 2): |v_2|^2 = 4
+    steep = builtin_instance("rational-slope")
+    assert certificate_zeros_per_cell(steep, (2, 2)) == pytest.approx(2 + 8 * r, rel=1e-15)
     # on one curve every cell is a period cell, holding d zeros
-    assert one_factor_systems(A1)[0].mean_cell_count((2,)) == 2
-    assert one_factor_systems(A1)[0].mean_cell_count((3,)) == 3
+    for terms, d in (([([0, 1, 0], 1.0), ([1, 0, 0], -1.7)], 2),
+                     ([([0, 0, 1], 1.0), ([1, 0, 0], -1.7)], 3)):
+        assert certificate_zeros_per_cell(instance_from_dict(one_curve_dict("g1", terms))) == d
+
+
+SQRT2 = {"tau_re": "0", "tau_im": {"d": 2, "q": "1"}}
+SQRT5 = {"tau_re": "0", "tau_im": {"d": 5, "q": "1"}}
+# the flagship with its factors' tau or its L replaced
+ZEROS_PER_CELL_VARIANTS = {
+    "tau2=tau1": lambda: variant("diag-prod-one", factors=[SQRT2, SQRT2], assertions={}),
+    "sheared": lambda: variant("diag-prod-one", factors=[dict(SQRT2, tau_re="1/2"), SQRT5],
+                               L={"basis": [["1", "-3"]]}),
+    "complex-entry": lambda: variant("diag-prod-one",
+                                     L={"basis": [[{"re": "1", "im": "1"}, "2"]]}),
+    # L = C^2 is cut to the line (1, 3/4), which the harvest walks
+    "cut-plane": lambda: variant("diag-prod-one", L={"basis": [["1", "0"], ["0", "1"]]},
+                                 solver={"seed": 1}),
+}
+
+
+@pytest.mark.parametrize("name", HARVESTABLE + tuple(ZEROS_PER_CELL_VARIANTS))
+def test_zeros_per_cell_matches_the_float_oracle(name):
+    make = ZEROS_PER_CELL_VARIANTS.get(name)
+    inst = make() if make else builtin_instance(name)
+    out = certify(inst)
+    L = out.L_used
+    system = PulledBackSystem(inst.F, tuple(complex(x) for x in L.basis[0]), inst.A)
+    want = closed_form_zeros_per_cell(system)
+    assert zeros_per_cell(out.certificate, L, inst.A) == pytest.approx(want, rel=1e-15), name
+
+
+def test_closed_exp_l_meets_w_in_the_certificate_count():
+    # tau_2 = tau_1 closes the diagonal: Lambda_L has rank 2, one cell
+    # covers exp(L), and it meets W in exactly the certificate's 4 points
+    inst = ZEROS_PER_CELL_VARIANTS["tau2=tau1"]()
+    out = solve(inst)
+    assert out.exit_code == 0
+    assert out.certify.certificate.value == 4
+    report = out.report
+    assert report.cells_exhausted and report.cells_scanned == 1
+    assert len(report.solutions) == 4 == report.closed_form_mean
+    stats = density_summary(inst, report)
+    assert stats["points"] == 4 and stats["cells"] == 1
 
 
 @pytest.mark.parametrize("name, closed_form", [
@@ -430,7 +484,8 @@ def test_verified_residual_matches_60_digits(name):
 def test_verify_points_matches_verify_solution_point_by_point(name, A1):
     if name == "one-factor":
         cfg = SolverConfig(budget_cells=4, target_count=3)
-        systems = [(system, solver.harvest_density(system, cfg, certified=True))
+        systems = [(system, solver.harvest_density(system, cfg,
+                                                   closed_form_zeros_per_cell(system)))
                    for system in one_factor_systems(A1)]
     else:
         inst, system = catalog_system(name)

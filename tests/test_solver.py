@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from eac.hull import kernel_lattice
+from eac.forms import eac_certificate, hypersurface_form, zeros_per_cell
+from eac.hull import kernel_lattice, rational_hull
 from eac.instance import builtin_instance
 from eac.multiquad import MultiQuadElem
 from eac.pipeline import certify
@@ -17,7 +18,7 @@ from eac.solver import (PulledBackSystem, SolverConfig, UncertifiedError,
                         spiral_cells, verify_points, verify_solution)
 from eac.variety import ExactSubspace, ProductVariety
 from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
-from tests.conftest import factor_sqrt
+from tests.conftest import closed_form_zeros_per_cell, factor_sqrt
 
 DIAGONAL_KERNEL = ((1, 0, 1, 0),)
 
@@ -29,6 +30,11 @@ def flagship_system(pe2, A2):
 
 def one_factor_system(A1, level=1.7):
     return PulledBackSystem(SegrePolynomial.linear(1, {1: 1, 0: -level}), (1,), A1)
+
+
+def harvest(system, cfg, **kwargs):
+    """harvest_density sized by the float oracle of the certificate's zeros per cell."""
+    return harvest_density(system, cfg, closed_form_zeros_per_cell(system), **kwargs)
 
 
 def test_spiral_first_ring_pinned():
@@ -186,13 +192,11 @@ def test_newton_caps_each_step_at_unit_length(A2, pe2):
 
 def test_harvest_rank_comes_from_the_derivative(A1, A2, pe2):
     sys_ = flagship_system(pe2, A2)
-    report = harvest_density(sys_, SolverConfig(budget_cells=2, target_count=3),
-                             certified=True)
+    report = harvest(sys_, SolverConfig(budget_cells=2, target_count=3))
     assert report.solutions
     for s in report.solutions:
         assert s.jacobian_rank == 2 == jacobian_probe(s.l, sys_.v, sys_.F, A2, pe2)
-    one = harvest_density(one_factor_system(A1), SolverConfig(), certified=True,
-                          kernel=((1, 0), (0, 1)))
+    one = harvest(one_factor_system(A1), SolverConfig(), kernel=((1, 0), (0, 1)))
     assert one.solutions and all(s.jacobian_rank == -1 for s in one.solutions)
 
 
@@ -214,15 +218,13 @@ def test_harvest_counts_newton_iterations_and_failures_by_reason(A2, pe2, monkey
 
     monkeypatch.setattr(solver, "cell_seeds", seeds_with_a_pole_seed)
     monkeypatch.setattr(solver, "newton_refine", recording)
-    report = harvest_density(sys_, SolverConfig(budget_cells=2, target_count=40),
-                             certified=True)
+    report = harvest(sys_, SolverConfig(budget_cells=2, target_count=40))
     assert not report.target_reached and report.seeds_refined == len(batches)
     assert report.failures_by_reason == {"landed on a pole": 2}
     assert report.newton_iterations == sum(r.steps for r in batches) > 0
     # nothing converges below the rounding level of G
     batches.clear()
-    stuck = harvest_density(sys_, SolverConfig(budget_cells=1, solve_tol=1e-20),
-                            certified=True)
+    stuck = harvest(sys_, SolverConfig(budget_cells=1, solve_tol=1e-20))
     assert stuck.defect
     assert stuck.failures_by_reason == {"landed on a pole": 1,
                                         "no convergence": stuck.seeds_refined - 1}
@@ -268,8 +270,7 @@ def test_harvest_evaluates_no_grid(A2, pe2, monkeypatch):
             return build(z)
 
         monkeypatch.setattr(ev, "wp_pair_grid", recording)
-    report = harvest_density(sys_, SolverConfig(budget_cells=6, target_count=100),
-                             certified=True)
+    report = harvest(sys_, SolverConfig(budget_cells=6, target_count=100))
     assert report.cells_scanned == 6
     assert shapes and all(len(shape) == 1 for shape in shapes)
     # counting, Newton and verification together stay far below the 40,000
@@ -368,34 +369,34 @@ def test_moment_roots_check_the_next_power_sum():
     assert solver.moment_roots(np.array([3, np.nan, 0, 0, 0])) is None
 
 
-def product_of(tau_d: int, direction, A1):
-    A = ProductVariety((factor_sqrt(tau_d), factor_sqrt(tau_d)), pairwise_nonisogenous=False)
+def closed_line(case, A1):
+    """A line L whose exp is closed: L = C on one curve, or a rational slope on E x E."""
+    if case == "one-factor":
+        return one_factor_system(A1), ExactSubspace.complex_span([[1]], 1), A1, (2,)
+    A = ProductVariety((factor_sqrt(2), factor_sqrt(2)), pairwise_nonisogenous=False)
+    direction = {"diagonal": [1, 1], "slope-2": [1, 2], "slope-1/2": [2, 1]}[case]
     L = ExactSubspace.complex_span([direction], 2)
     system = PulledBackSystem(SegrePolynomial.linear(2, {4: 1, 0: -1}),
                               tuple(complex(x) for x in L.basis[0]), A)
-    return system, system.cell_shifts(kernel_lattice(L, A)), (2, 2)
+    return system, L, A, (2, 2)
 
 
 @pytest.mark.parametrize("case", ["one-factor", "diagonal", "slope-2", "slope-1/2"])
 def test_counts_over_all_classes_equal_the_pole_density(A1, case):
     # with K of rank 2 the cells of Z^2 / K tile L / Lambda_L, whose zeros
     # equal its poles: [Z^2 : K] sum_j d_j |v_j|^2 Im tau_a / (|v_a|^2 Im tau_j)
-    if case == "one-factor":
-        system = one_factor_system(A1)
-        shifts = system.cell_shifts(kernel_lattice(ExactSubspace.complex_span([[1]], 1), A1))
-        degrees = (2,)
-    else:
-        direction = {"diagonal": [1, 1], "slope-2": [1, 2], "slope-1/2": [2, 1]}[case]
-        system, shifts, degrees = product_of(2, direction, A1)
+    system, L, A, degrees = closed_line(case, A1)
+    shifts = system.cell_shifts(kernel_lattice(L, A))
     classes = class_count(shifts)
     assert classes == {"slope-1/2": 4}.get(case, 1)
-    ta = system.pe.evals[system.anchor].tau
-    va = system.v[system.anchor]
-    density = sum(d * abs(c) ** 2 * ta.imag / (abs(va) ** 2 * ev.tau.imag)
-                  for d, c, ev in zip(degrees, system.v, system.pe.evals))
+    density = closed_form_zeros_per_cell(system, degrees)
     counts = [count for count, _ in cell_seeds(system, list(distinct_cells(shifts)))]
     assert sum(counts) == round(classes * density)
     assert abs(classes * density - round(classes * density)) < 1e-12
+    # exp(L) is closed, and meets W in the certificate's value of points,
+    # which is classes times the certificate's zeros per cell
+    cert = eac_certificate(hypersurface_form(*degrees), L, A, rational_hull(L, A))
+    assert classes * zeros_per_cell(cert, L, A) == sum(counts) == cert.value
 
 
 def test_cell_count_is_none_where_the_contour_fails(A2, pe2, monkeypatch):
@@ -440,7 +441,7 @@ def test_verify_points_rejects_an_unclean_or_zero_winding(A2, pe2, monkeypatch, 
 
 def test_harvest_places_points_by_position_and_finds_every_counted_zero():
     system, shifts = catalog_case("irrational-slope")
-    report = harvest_density(system, SolverConfig(target_count=40), certified=True)
+    report = harvest(system, SolverConfig(target_count=40))
     assert report.target_reached and not report.incomplete_cells
     order = list(itertools.islice(distinct_cells(shifts), report.cells_scanned + 8))
     for s in report.solutions:
@@ -459,7 +460,7 @@ def test_reported_z_is_the_verified_point(name):
     # verify_points gives at l alone is the one the report carries
     system, _ = catalog_case(name)
     cfg = SolverConfig(target_count=8)
-    report = harvest_density(system, cfg, certified=True)
+    report = harvest(system, cfg)
     assert len(report.solutions) == 8
     for s in report.solutions:
         row = system.pe.reduce([system.z_of(s.l)])[0]
@@ -478,9 +479,8 @@ def test_points_are_placed_in_the_cell_that_holds_them(A2, pe2, monkeypatch):
         return [(counted[0][0], pooled)] + [(count, []) for count, _ in counted[1:]]
 
     monkeypatch.setattr(solver, "cell_seeds", all_in_the_first)
-    report = harvest_density(flagship_system(pe2, A2),
-                             SolverConfig(budget_cells=3, target_count=40), certified=True,
-                             kernel=DIAGONAL_KERNEL)
+    report = harvest(flagship_system(pe2, A2), SolverConfig(budget_cells=3, target_count=40),
+                     kernel=DIAGONAL_KERNEL)
     assert [c["found"] for c in report.cells] == [c["expected"] for c in report.cells]
     assert report.incomplete_cells == [] and report.cells_with_solutions == {0, 1, 2}
 
@@ -492,9 +492,8 @@ def test_harvest_names_a_cell_whose_zeros_were_not_all_found(A2, pe2, monkeypatc
         return [(count, seeds[1:]) for count, seeds in real_seeds(system, cells)]
 
     monkeypatch.setattr(solver, "cell_seeds", one_seed_short)
-    report = harvest_density(flagship_system(pe2, A2),
-                             SolverConfig(budget_cells=2, target_count=40), certified=True,
-                             kernel=DIAGONAL_KERNEL)
+    report = harvest(flagship_system(pe2, A2), SolverConfig(budget_cells=2, target_count=40),
+                     kernel=DIAGONAL_KERNEL)
     assert report.incomplete_cells == [0, 1]
     assert all(c["found"] == c["expected"] - 1 for c in report.cells)
 
@@ -528,15 +527,17 @@ def test_verify_solution_accepts_true_roots_rejects_perturbed(A2, pe2):
 
 
 def test_harvest_requires_certification(A2, pe2):
+    # a vanished certificate reads as no zeros per cell, which the harvest refuses
     sys_ = flagship_system(pe2, A2)
-    with pytest.raises(UncertifiedError):
-        harvest_density(sys_, SolverConfig(), certified=False)
+    for zeros_per_cell in (0.0, -1.0, math.nan):
+        with pytest.raises(UncertifiedError, match="nonzero certificate"):
+            harvest_density(sys_, SolverConfig(), zeros_per_cell)
 
 
 def test_harvest_flagship_small_budget(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig(budget_cells=4, target_count=6)
-    report = harvest_density(sys_, cfg, certified=True)
+    report = harvest(sys_, cfg)
     assert report.solutions
     assert report.cells_scanned <= 4
     for s in report.solutions:
@@ -633,8 +634,7 @@ def test_one_factor_harvest_scans_one_cell(A1):
     # wp = 1.7 has two roots per period cell, and every l-cell is a period
     # cell, so a walk of the whole plane would only re-find those two
     sys_ = one_factor_system(A1)
-    report = harvest_density(sys_, SolverConfig(target_count=30), certified=True,
-                             kernel=((1, 0), (0, 1)))
+    report = harvest(sys_, SolverConfig(target_count=30), kernel=((1, 0), (0, 1)))
     assert report.cells_scanned == 1
     assert len(report.solutions) == 2
     assert report.cells_exhausted
@@ -648,8 +648,8 @@ def test_one_factor_harvest_scans_one_cell(A1):
 def test_harvest_counts_duplicate_seeds(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig(budget_cells=2, target_count=40)
-    plain = harvest_density(sys_, cfg, certified=True)
-    walked = harvest_density(sys_, cfg, certified=True, kernel=DIAGONAL_KERNEL)
+    plain = harvest(sys_, cfg)
+    walked = harvest(sys_, cfg, kernel=DIAGONAL_KERNEL)
     for r in (plain, walked):
         assert r.seeds_refined == len(r.solutions) + len(r.failures) + r.seeds_duplicate
     # the plain walk's second cell is (1, 0), a translate of (0, 0)
@@ -663,9 +663,9 @@ def test_harvest_deterministic_across_thread_counts(A2, pe2, monkeypatch):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig(budget_cells=6, target_count=8)
     monkeypatch.setenv("EAC_THREADS", "1")
-    serial = harvest_density(sys_, cfg, certified=True)
+    serial = harvest(sys_, cfg)
     monkeypatch.setenv("EAC_THREADS", "2")
-    threaded = harvest_density(sys_, cfg, certified=True)
+    threaded = harvest(sys_, cfg)
     key = lambda r: [(s.l, s.z, s.residual, s.verified_residual, s.winding, s.cell)
                      for s in r.solutions]
     assert key(serial) == key(threaded)
@@ -676,8 +676,7 @@ def test_harvest_deterministic_across_thread_counts(A2, pe2, monkeypatch):
 
 def test_harvest_respects_target(A2, pe2):
     sys_ = flagship_system(pe2, A2)
-    report = harvest_density(sys_, SolverConfig(budget_cells=10, target_count=2),
-                             certified=True)
+    report = harvest(sys_, SolverConfig(budget_cells=10, target_count=2))
     assert len(report.solutions) == 2
     assert report.target_reached
     assert not report.budget_exhausted
@@ -693,7 +692,7 @@ def test_harvest_defect_flag_when_nothing_survives(A2, pe2, monkeypatch):
     # certified-but-empty defect condition
     monkeypatch.setattr(solver, "verify_points", reject_every_point)
     sys_ = flagship_system(pe2, A2)
-    report = harvest_density(sys_, SolverConfig(budget_cells=3), certified=True)
+    report = harvest(sys_, SolverConfig(budget_cells=3))
     assert not report.solutions
     assert report.incomplete_cells == [0, 1, 2]
     assert report.budget_exhausted
@@ -703,8 +702,7 @@ def test_harvest_defect_flag_when_nothing_survives(A2, pe2, monkeypatch):
 
 def test_harvest_defect_when_every_distinct_cell_is_empty(A1, monkeypatch):
     monkeypatch.setattr(solver, "verify_points", reject_every_point)
-    report = harvest_density(one_factor_system(A1), SolverConfig(), certified=True,
-                             kernel=((1, 0), (0, 1)))
+    report = harvest(one_factor_system(A1), SolverConfig(), kernel=((1, 0), (0, 1)))
     assert report.cells_scanned == 1
     assert report.cells_exhausted
     assert not report.budget_exhausted
