@@ -3,28 +3,29 @@
 This is the glue the command line and the test suites share. Every flow is
 gated the same way: verdicts first, the certificate only for free and rotund
 pairs, the solver only with a nonzero certificate in hand. Refusals carry
-the witness instead of a silent zero. decide computes the rational hull of
-L once, as the first step of its hull chain, and certify pairs W's class
-against that same hull. decide, hull and certify stay on the exact layer:
-solve and density_summary import the solver, weierstrass and numpy
-themselves.
+the witness instead of a silent zero. Every flow takes the instance alone:
+W's fiber degrees come from its polynomial, and the solver configuration
+from instance.config. decide computes the rational hull of L once, as the
+first step of its hull chain, and certify pairs W's class against that same
+hull. decide, hull and certify stay on the exact layer: solve and
+density_summary import the solver, weierstrass and numpy themselves.
 """
 
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .checker import PairVerdict, SubvarietyData, check_pair, reduce_L
 from .forms import Certificate, eac_certificate, hypersurface_form, zeros_per_cell
 from .hull import HullChain, HullResult, hull_chain, kernel_lattice, rational_hull
-from .instance import Instance, SolverConfig
+from .instance import Instance
 from .segre import bidegree_of
 
 if TYPE_CHECKING:
     from .solver import SolveReport
-    from .weierstrass import ProductEvaluator
 
 
 class BidegreeMismatch(ValueError):
@@ -46,13 +47,15 @@ class Decision:
 class CertifyOutcome:
     decision: Decision
     certificate: Certificate | None
-    refused: bool
     reason: str | None
     L_used: object = None
 
+    @property
+    def refused(self) -> bool:
+        return self.certificate is None
 
-def resolve_w(instance: Instance, pe: ProductEvaluator | None = None
-              ) -> tuple[SubvarietyData, tuple[int, ...]]:
+
+def resolve_w(instance: Instance) -> tuple[SubvarietyData, tuple[int, ...]]:
     """W with its fiber degrees read from F's exponents (bidegree_of), one per factor.
 
     Returns (W, measured): a declared bidegree that disagrees with the rule
@@ -60,62 +63,61 @@ def resolve_w(instance: Instance, pe: ProductEvaluator | None = None
     zero or a nonzero constant raises NotAHypersurface.
     """
     W = instance.W
-    measured = bidegree_of(instance.F, instance.A, pe)
+    measured = bidegree_of(instance.F, instance.A)
     if W.bidegree is not None and tuple(W.bidegree) != measured:
         raise BidegreeMismatch(
             f"declared bidegree {tuple(W.bidegree)} but W's polynomial gives {measured}")
     return SubvarietyData(bidegree=measured), measured
 
 
-def decide(instance: Instance, pe: ProductEvaluator | None = None) -> Decision:
+def decide(instance: Instance) -> Decision:
     """Verdicts on the pair and the hull chain of L, whose first step is the hull."""
-    W_eff, _ = resolve_w(instance, pe)
+    W_eff, _ = resolve_w(instance)
     verdicts = check_pair(instance.L, W_eff, instance.A)
     chain = hull_chain(instance.L, instance.A)
     return Decision(verdicts=verdicts, W_effective=W_eff, chain=chain)
 
 
-def certify(instance: Instance, pe: ProductEvaluator | None = None,
-            decision: Decision | None = None) -> CertifyOutcome:
+def certify(instance: Instance) -> CertifyOutcome:
     """Produce the non-vanishing certificate or an explicit refusal.
 
     A free and rotund pair has dim L >= 1. When L is larger than a line, the
     dimension that complements the hypersurface W, it is first cut down by
     rational hyperplanes drawn from the solver seed, and the certificate
     describes the cut line and its own hull; the solver consumes the same
-    line. Otherwise the certificate reuses the decision's hull of L.
+    line. Otherwise the certificate reuses the decision's hull of L. It never
+    vanishes: a free and rotund pair has every v_j nonzero and every fiber
+    degree positive, so its cross value is positive (README, "Zero density").
     """
     A = instance.A
-    if decision is None:
-        decision = decide(instance, pe)
+    decision = decide(instance)
     v = decision.verdicts
     if not v.free.ok:
-        return CertifyOutcome(decision, None, True, f"not free: {v.free.witness}")
+        return CertifyOutcome(decision, None, f"not free: {v.free.witness}")
     if not v.rotund.ok:
-        return CertifyOutcome(decision, None, True, f"not rotund: {v.rotund.witness}")
+        return CertifyOutcome(decision, None, f"not rotund: {v.rotund.witness}")
     W = decision.W_effective
     L, hull = instance.L, decision.hull
     if L.dim > 1:
         L = reduce_L(L, W, A, seed=instance.config.seed)
         hull = rational_hull(L, A)
     cert = eac_certificate(hypersurface_form(*W.bidegree), L, A, hull)
-    if not cert.nonzero:
-        return CertifyOutcome(decision, cert, True,
-                              "certificate vanished on a free and rotund pair",
-                              L_used=L)
-    return CertifyOutcome(decision, cert, False, None, L_used=L)
+    return CertifyOutcome(decision, cert, None, L_used=L)
 
 
 @dataclass
 class SolveOutcome:
     certify: CertifyOutcome
     report: SolveReport | None
-    exit_code: int
+
+    @property
+    def exit_code(self) -> int:
+        """4 if refused before solving, 0 with a verified point, 5 without."""
+        return 4 if self.certify.refused else 0 if self.report.solutions else 5
 
 
-def solve(instance: Instance, pe: ProductEvaluator | None = None,
-          config: SolverConfig | None = None) -> SolveOutcome:
-    """Certify, then harvest verified intersection points.
+def solve(instance: Instance) -> SolveOutcome:
+    """Certify, then harvest verified intersection points with instance.config.
 
     Exit code 0: at least one verified point. 4: refused before solving.
     5: certified but nothing verified within budget, or in any of the finitely
@@ -123,23 +125,20 @@ def solve(instance: Instance, pe: ProductEvaluator | None = None,
     mean zero count per cell (forms.zeros_per_cell), sizes the harvest's
     first chunk. The kernel of exp on L is computed here, once per harvest,
     so that the walk skips cells whose image in the product was already
-    scanned.
+    scanned. Another configuration is dataclasses.replace(instance, config=...).
     """
     from .solver import PulledBackSystem, harvest_density
-    from .weierstrass import ProductEvaluator
 
-    pe = pe or ProductEvaluator(instance.A)
-    cfg = config or instance.config
-    outcome = certify(instance, pe)
+    outcome = certify(instance)
     if outcome.refused:
-        return SolveOutcome(outcome, None, 4)
+        return SolveOutcome(outcome, None)
     L = outcome.L_used
     direction = tuple(complex(x) for x in L.basis[0])
-    system = PulledBackSystem(instance.F, direction, instance.A, pe)
-    report = harvest_density(system, cfg, zeros_per_cell(outcome.certificate, L, instance.A),
+    system = PulledBackSystem(instance.F, direction, instance.A)
+    report = harvest_density(system, instance.config,
+                             zeros_per_cell(outcome.certificate, L, instance.A),
                              kernel=kernel_lattice(L, instance.A))
-    code = 0 if report.solutions else 5
-    return SolveOutcome(outcome, report, code)
+    return SolveOutcome(outcome, report)
 
 
 def density_summary(instance: Instance, report: SolveReport) -> dict:
@@ -158,9 +157,7 @@ def density_summary(instance: Instance, report: SolveReport) -> dict:
         "median_nearest_distance": None,
         "mean_zeros_per_cell": sum(counts) / len(counts) if counts else None,
         "closed_form_zeros_per_cell": report.closed_form_mean,
-        "per_cell": sorted(
-            [[c, sum(1 for s in report.solutions if s.cell == c)]
-             for c in report.cells_with_solutions]),
+        "per_cell": [[c, n] for c, n in sorted(Counter(s.cell for s in report.solutions).items())],
     }
     if len(pts) >= 2:
         import numpy as np

@@ -19,23 +19,24 @@ coefficients and at least one nonzero monomial.
 
 bidegree_of reads W's fiber degree on each factor from F's exponents, as a
 pole order. It is exact bookkeeping on exponents; only a wp'^2 term needs
-the invariants g2 and g3, and so weierstrass and numpy.
+the invariants g2 and g3. Their Eisenstein q-series is written once, here,
+in pure Python (lattice_invariants): the theta backend of weierstrass reads
+it too, so the exact layer loads no numpy for any W.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .variety import ProductVariety
 
-if TYPE_CHECKING:
-    from .weierstrass import ProductEvaluator
-
 SEGRE_DIM = {1: 3, 2: 9}
+# Target absolute tail bound of the q-series, here and in weierstrass.
+EPS = 1e-12
 # A coefficient whose terms sum to below this share of their sizes has
 # cancelled; so has g2 or g3 below this share of the discriminant.
 CANCEL = 1e-12
@@ -128,20 +129,48 @@ class _Exponents(tuple):
         return _Exponents(x + y for x, y in zip(self, other))
 
 
-def _cubic(ev) -> list[tuple[int, complex]]:
+def _qseries_terms(tau: complex, eps: float) -> int:
+    """Powers of q = exp(2 pi i tau) that bring the theta series' tail below eps."""
+    absq = math.exp(-2.0 * math.pi * tau.imag)
+    if absq >= 1.0:
+        raise ValueError("tau must have positive imaginary part")
+    if absq == 0.0:  # |q| underflowed (Im tau >= 118.6): the shortest series will do
+        return 6
+    n = int(math.log(eps * (1.0 - absq) * 0.1) / math.log(absq)) + 2
+    return max(n, 6)
+
+
+@functools.lru_cache(maxsize=64)
+def lattice_invariants(tau: complex) -> tuple[complex, complex]:
+    """(g2, g3) of Z + tau Z: (4 pi^4 / 3) E4 and (8 pi^6 / 27) E6 from their q-series.
+
+    E4 = 1 + 240 sum n^3 q^n / (1 - q^n) and E6 = 1 - 504 sum n^5 q^n / (1 - q^n)
+    (Apostol, Modular Functions and Dirichlet Series, ch. 1), summed in order
+    to the theta series' length at tail bound EPS, and at least 16 terms.
+    """
+    q = cmath.exp(2j * math.pi * tau)
+    s4 = s6 = 0j
+    for n in range(1, max(_qseries_terms(tau, EPS), 16) + 1):
+        t = q ** n / (1.0 - q ** n)
+        s4 += n ** 3 * t
+        s6 += n ** 5 * t
+    return ((4.0 * math.pi ** 4 / 3.0) * (1.0 + 240.0 * s4),
+            (8.0 * math.pi ** 6 / 27.0) * (1.0 - 504.0 * s6))
+
+
+def _cubic(tau: complex) -> list[tuple[int, complex]]:
     """wp'^2 = 4 wp^3 - g2 wp - g3 as (power of wp, coefficient) terms.
 
     g2 or g3 below CANCEL of the discriminant g2^3 - 27 g3^2 is 0, as at
     tau = rho or i.
     """
-    g2, g3 = ev.invariants()
+    g2, g3 = lattice_invariants(tau)
     floor = CANCEL * abs(g2 ** 3 - 27 * g3 ** 2)
     return [(3, 4.0), (1, -g2 if abs(g2) ** 3 >= floor else 0.0),
             (0, -g3 if 27 * abs(g3) ** 2 >= floor else 0.0)]
 
 
-def bidegree_of(F: SegrePolynomial, A: ProductVariety,
-                pe: ProductEvaluator | None = None) -> tuple[int, ...]:
+def bidegree_of(F: SegrePolynomial, A: ProductVariety) -> tuple[int, ...]:
     """Zeros of F on a generic fiber of each factor, read from F's exponents.
 
     On a fiber of factor j, F is elliptic with its only pole at the lattice,
@@ -150,14 +179,13 @@ def bidegree_of(F: SegrePolynomial, A: ProductVariety,
     2a and wp^a wp' has 2a + 3: factor j's degree is the largest order whose
     coefficient, a polynomial in the other factor, does not cancel (to CANCEL
     of the sum of its terms' sizes). segre_stack gives each coordinate's
-    exponents. g2 and g3 (from pe, when given) are read only for a wp' power
+    exponents. g2 and g3 (lattice_invariants) are read only for a wp' power
     of 2 or more. Raises NotAHypersurface when every degree is 0: F then
     cancels to zero (W is all of A) or is a nonzero constant (W is empty).
     """
     n = 2 * A.g
     unit = [_Exponents(int(k == i) for k in range(n)) for i in range(n)]
     coords = segre_stack(unit[::2], unit[1::2], _Exponents([0] * n))
-    cubics: dict[int, list[tuple[int, complex]]] = {}
     sums: dict[tuple[int, ...], complex] = {}
     sizes: dict[tuple[int, ...], float] = {}
     for expo, coeff in F.monomials:
@@ -165,12 +193,9 @@ def bidegree_of(F: SegrePolynomial, A: ProductVariety,
         per_factor = []
         for j, (a, b) in enumerate(zip(e[::2], e[1::2])):
             terms = [(a, 1.0)]
+            cubic = _cubic(A.factors[j].tau) if b > 1 else []
             for _ in range(b // 2):
-                if j not in cubics:
-                    from .weierstrass import WpEvaluator  # numpy, for a wp'^2 only
-
-                    cubics[j] = _cubic(pe.evals[j] if pe else WpEvaluator(A.factors[j].tau))
-                terms = [(p + dp, c * dc) for p, c in terms for dp, dc in cubics[j]]
+                terms = [(p + dp, c * dc) for p, c in terms for dp, dc in cubic]
             per_factor.append([((p, b % 2), c) for p, c in terms])
         for combo in itertools.product(*per_factor):
             key = tuple(x for pq, _ in combo for x in pq)

@@ -127,7 +127,7 @@ def run_selftest(verbose: bool = False, evaluator_factory=None
         if evaluator_factory is not None:
             raise AssertionError("fiber counts unavailable under a custom evaluator")
         pe = ProductEvaluator(inst.A)
-        rule = bidegree_of(inst.F, inst.A, pe)
+        rule = bidegree_of(inst.F, inst.A)
         # each fiber pinned at a generic point of the other factor
         fixed = (0.27 + 0.33 * pe.evals[1].tau, 0.31 + 0.41 * pe.evals[0].tau)
         counted = tuple(count_roots_on_fiber(inst.F, j, fixed[j], inst.A, pe) for j in (0, 1))

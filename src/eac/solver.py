@@ -47,10 +47,10 @@ import numpy as np
 from .exactlinalg import hermite_normal_form
 from .fixed import ONE as FIXED_ONE, Fixed
 from .instance import SolverConfig
-from .segre import SegrePolynomial, segre_stack
+from .segre import SegrePolynomial, _qseries_terms, segre_stack
 from .variety import ProductVariety
-from .weierstrass import (NEAR_POLE, ProductEvaluator, _qseries_terms,
-                          lattice_coords, lattice_shift, theta_const, theta_sums)
+from .weierstrass import (NEAR_POLE, ProductEvaluator, lattice_coords, lattice_shift,
+                          theta_const, theta_sums)
 
 NEWTON_STEPS = 50
 # Relative tolerance of the in-harvest rank, as in weierstrass.jacobian_probe.
@@ -100,9 +100,12 @@ class SolutionPoint:
 
 @dataclass
 class FailureRecord:
+    """A seed that gave no point: where it stopped, why, and |G| there."""
+
     l: complex
     cell: int
     reason: str
+    residual: float
 
 
 @dataclass
@@ -110,20 +113,36 @@ class SolveReport:
     solutions: list[SolutionPoint] = field(default_factory=list)
     failures: list[FailureRecord] = field(default_factory=list)
     cells_scanned: int = 0
-    cells_with_solutions: set = field(default_factory=set)
     cells: list = field(default_factory=list)
     incomplete_cells: list = field(default_factory=list)
-    seeds_refined: int = 0
     seeds_duplicate: int = 0
     newton_iterations: int = 0
-    failures_by_reason: dict = field(default_factory=dict)
     closed_form_mean: float = 0.0
     cells_counted: int = 0
-    budget_exhausted: bool = False
     cells_exhausted: bool = False
     target_reached: bool = False
-    defect: bool = False
     timings: dict = field(default_factory=dict)
+
+    @property
+    def cells_with_solutions(self) -> set[int]:
+        return {s.cell for s in self.solutions}
+
+    @property
+    def seeds_refined(self) -> int:
+        """Each refined seed gives a point, a failure or a duplicate."""
+        return len(self.solutions) + len(self.failures) + self.seeds_duplicate
+
+    @property
+    def failures_by_reason(self) -> dict[str, int]:
+        return dict(sorted(Counter(f.reason for f in self.failures).items()))
+
+    @property
+    def budget_exhausted(self) -> bool:
+        return not (self.target_reached or self.cells_exhausted)
+
+    @property
+    def defect(self) -> bool:
+        return not self.solutions
 
 
 def spiral_cells():
@@ -577,17 +596,20 @@ def cell_seeds(system: PulledBackSystem, cells) -> list[tuple[int | None, list[c
     return [(None if k in failed else counts[k], seeds[k]) for k in range(len(cells))]
 
 
-class Refined(tuple):
-    """One seed's Newton outcome: (l, residual) or (None, reason).
+@dataclass
+class Refined:
+    """One seed's Newton outcome.
 
-    steps counts the Newton steps taken; deriv is G'(l) at a converged l.
+    l is the last iterate at which G was evaluated, or the pole it landed
+    on; residual is |G(l)| there (inf at a pole). reason is None when l
+    converged, with deriv G'(l); steps counts the Newton steps taken.
     """
 
-    def __new__(cls, l, value, steps: int, deriv: complex | None = None):
-        out = super().__new__(cls, (l, value))
-        out.steps = steps
-        out.deriv = deriv
-        return out
+    l: complex
+    residual: float
+    reason: str | None
+    steps: int
+    deriv: complex | None = None
 
 
 def newton_refine(system: PulledBackSystem, seeds, cfg: SolverConfig) -> list[Refined]:
@@ -597,7 +619,8 @@ def newton_refine(system: PulledBackSystem, seeds, cfg: SolverConfig) -> list[Re
     seed follows its own rules in this order: a pole stop at distance 1e-9,
     a non-finite value, convergence at solve_tol, a singular derivative, a
     step capped at unit length, and divergence beyond three cell diameters,
-    for at most NEWTON_STEPS steps. Returns one Refined per seed, in order.
+    for at most NEWTON_STEPS steps. Returns one Refined per seed, in order;
+    a seed that fails keeps its last iterate and residual.
     """
     start = np.asarray(seeds, dtype=complex)
     if start.ndim != 1 or not start.size:
@@ -607,49 +630,48 @@ def newton_refine(system: PulledBackSystem, seeds, cfg: SolverConfig) -> list[Re
     max_move = 3.0 * max(diam, 1.0)
     out = [None] * start.size
     l = start.copy()
+    resid = np.full(start.size, np.inf)
     steps = np.zeros(start.size, dtype=int)
     active = np.arange(start.size)
 
-    def fail(indices, reason):
-        for i in indices:
-            out[i] = Refined(None, reason, int(steps[i]))
-
-    def converge(mask, res, dg):
-        for k in np.flatnonzero(mask):
-            i = active[k]
-            out[i] = Refined(complex(l[i]), float(res[k]), int(steps[i]), complex(dg[k]))
+    def settle(indices, reason, dg=None):
+        """Record the seeds at indices: failed for a reason, or converged with G' in dg."""
+        for n, i in enumerate(indices):
+            out[i] = Refined(complex(l[i]), float(resid[i]), reason, int(steps[i]),
+                             None if dg is None else complex(dg[n]))
 
     for _ in range(NEWTON_STEPS):
         pole = system.pole_distance(l[active]) < 1e-9
-        fail(active[pole], "landed on a pole")
+        resid[active[pole]] = np.inf
+        settle(active[pole], "landed on a pole")
         active = active[~pole]
         if not active.size:
             break
         g, dg = system.eval_jet(l[active])
-        res = np.abs(g)
+        resid[active] = res = np.abs(g)
         bad = ~(np.isfinite(g.real) & np.isfinite(g.imag))
         conv = ~bad & (res < cfg.solve_tol)
         singular = ~(bad | conv) & (~np.isfinite(dg.real) | (np.abs(dg) < 1e-14))
-        fail(active[bad], "non-finite value")
-        converge(conv, res, dg)
-        fail(active[singular], "singular derivative")
+        settle(active[bad], "non-finite value")
+        settle(active[conv], None, dg[conv])
+        settle(active[singular], "singular derivative")
         go = ~(bad | conv | singular)
         active, step = active[go], g[go] / dg[go]
         size = np.abs(step)
         big = size > 1.0
         step[big] = step[big] / size[big]
-        l[active] = l[active] - step
+        moved = l[active] - step
         steps[active] += 1
-        far = np.abs(l[active] - start[active]) > max_move
-        fail(active[far], "diverged from its cell")
+        far = np.abs(moved - start[active]) > max_move
+        settle(active[far], "diverged from its cell")  # l keeps the iterate before the step
         active = active[~far]
+        l[active] = moved[~far]
     if active.size:
         g, dg = system.eval_jet(l[active])
-        res = np.abs(g)
+        resid[active] = res = np.abs(g)
         conv = res < cfg.solve_tol
-        converge(conv, res, dg)
-        for k in np.flatnonzero(~conv):
-            fail([active[k]], f"no convergence, residual {res[k]:.2e}")
+        settle(active[conv], None, dg[conv])
+        settle(active[~conv], "no convergence")
     return out
 
 
@@ -718,15 +740,6 @@ def _fixed_theta_sums(tau: complex, zs, shifts):
     return theta_sums(Fixed.stack(us), q, nterms, FIXED_ONE, const, Fixed.stack(ms))
 
 
-def reduced_points(system: PulledBackSystem, ls) -> np.ndarray:
-    """The (n, g) points z_of(l) of a list of l, reduced by ProductEvaluator.reduce.
-
-    Each z_of(l) is taken in Python complex arithmetic, so a point's row does
-    not depend on the list it is reduced with.
-    """
-    return system.pe.reduce([system.z_of(l) for l in ls])
-
-
 def verify_points(system: PulledBackSystem, ls,
                   cfg: SolverConfig) -> list[tuple[bool, float, int, str]]:
     """Independent acceptance test for refined points, each stage one array pass.
@@ -784,13 +797,13 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     counts the cells whose seeds were taken and cells_counted the cells that
     cell_seeds counted; cells counted past the target are not reported. Each
     batch's converged points are reduced into the fundamental domains in one
-    reduced_points call; the walk deduplicates those rows by torus distance
-    at dedup_tol, one verify_points call takes the ones apart from the
-    accepted points and each other, as many as the target still needs, and a
-    point's z is its row, reduced by the lattice point that verify_points
-    subtracts at 40 digits. Each point is labelled with the walk index of the cell that
-    holds it; a cell whose seeds were all taken is incomplete when its points
-    found differ from its count.
+    ProductEvaluator.reduce call; the walk deduplicates those rows by torus
+    distance at dedup_tol, one verify_points call takes the ones apart from
+    the accepted points and each other, as many as the target still needs,
+    and a point's z is its row, reduced by the lattice point that
+    verify_points subtracts at 40 digits. Each point is labelled with the
+    walk index of the cell that holds it; a cell whose seeds were all taken
+    is incomplete when its points found differ from its count.
     """
     if not zeros_per_cell > 0:
         raise UncertifiedError(
@@ -835,7 +848,7 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
             group.append(i)
             if len(group) == cfg.target_count - len(report.solutions):
                 break
-        return dict(zip(group, verify_points(system, [refined[i][0] for i in group], cfg)))
+        return dict(zip(group, verify_points(system, [refined[i].l for i in group], cfg)))
 
     counted = []  # (count, seeds) of the cells counted but not yet taken
     while not report.target_reached and report.cells_scanned < cfg.budget_cells:
@@ -860,9 +873,10 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
         taken, counted = counted[:take], counted[take:]
         batch = [seed for _, seeds in taken for seed in seeds]
         refined = timed("newton_s", newton_refine, system, batch, cfg) if batch else []
-        converged = [i for i, r in enumerate(refined) if r[0] is not None]
-        zred = dict(zip(converged, timed("dedup_s", reduced_points, system,
-                                         [refined[i][0] for i in converged])))
+        converged = [i for i, r in enumerate(refined) if r.reason is None]
+        # each z_of(l) in Python complex arithmetic: a row does not depend on its batch
+        zs = [system.z_of(refined[i].l) for i in converged]
+        zred = dict(zip(converged, timed("dedup_s", system.pe.reduce, zs)))
         candidates = iter(enumerate(refined))
         checked = {}
         for cell_index, (count, seeds) in enumerate(taken, start):
@@ -871,14 +885,12 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
             report.cells_scanned += 1
             expected[cell_index] = count
             zeros_counted += count or 0
-            for seed, (k, r) in zip(seeds, candidates):
+            for k, r in itertools.islice(candidates, len(seeds)):
                 if report.target_reached:
                     break
-                report.seeds_refined += 1
                 report.newton_iterations += r.steps
-                l, res = r
-                if l is None:
-                    report.failures.append(FailureRecord(seed, cell_index, res))
+                if r.reason is not None:
+                    report.failures.append(FailureRecord(r.l, cell_index, r.reason, r.residual))
                     continue
                 dists = timed("dedup_s", system.pe.torus_distances, zred[k], accepted)
                 if np.any(dists < cfg.dedup_tol):
@@ -888,16 +900,14 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                     checked.update(timed("verify_s", verify_from, refined, zred, k))
                 ok, vres, wind, reason = checked[k]
                 if not ok:
-                    report.failures.append(FailureRecord(l, cell_index, reason))
+                    report.failures.append(FailureRecord(r.l, cell_index, reason, r.residual))
                     continue
                 rank = timed("jacobian_s", jacobian_rank, system, r.deriv)
-                cell = home(l)
                 report.solutions.append(SolutionPoint(
-                    l=l, z=tuple(complex(x) for x in zred[k]),
-                    residual=res, verified_residual=float(vres),
-                    winding=int(wind), jacobian_rank=rank, cell=cell))
+                    l=r.l, z=tuple(complex(x) for x in zred[k]),
+                    residual=r.residual, verified_residual=float(vres),
+                    winding=int(wind), jacobian_rank=rank, cell=home(r.l)))
                 accepted = np.vstack([accepted, zred[k]])
-                report.cells_with_solutions.add(cell)
                 report.target_reached = len(report.solutions) >= cfg.target_count
             else:
                 taken_whole.append(cell_index)
@@ -905,11 +915,7 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     report.cells = [{"cell": i, "expected": n, "found": found[i]}
                     for i, n in expected.items()]
     report.incomplete_cells = [i for i in taken_whole if found[i] != expected[i]]
-    report.failures_by_reason = dict(sorted(Counter(
-        f.reason.split(",")[0] for f in report.failures).items()))
     report.cells_exhausted = (report.cells_scanned == class_count(shifts)
                               and not report.target_reached)
-    report.budget_exhausted = not (report.target_reached or report.cells_exhausted)
-    report.defect = not report.solutions
     report.timings = {"total_s": time.perf_counter() - t0, **stage}
     return report

@@ -21,6 +21,8 @@ Two independent evaluation backends share one interface:
 
 The lattice-sum backend shares no formula with the theta series, so it is
 the independent cross-check that harvested points are re-evaluated with.
+g2 and g3 follow the same split: the theta backend reads the exact layer's
+q-series (segre.lattice_invariants), the lattice-sum one cosecant rows.
 Both reduce the argument to the fundamental domain first, so truncation
 orders stay uniform. A point within EPS of the lattice raises AtInfinity, a
 typed signal, never a NaN; wp_pair is its one source, and
@@ -44,14 +46,12 @@ import math
 
 import numpy as np
 
-# perfbench wraps the fiber-degree rule under the name weierstrass.bidegree_of
-from .segre import SegrePolynomial, bidegree_of, segre_stack  # noqa: F401
+# perfbench wraps the fiber-degree rule as weierstrass.bidegree_of; EPS is the
+# series' tail bound and the distance to the lattice that makes a point a pole
+from .segre import (EPS, SegrePolynomial, _qseries_terms, bidegree_of,  # noqa: F401
+                    lattice_invariants, segre_stack)
 from .variety import ProductVariety
 
-TWO_PI = 2.0 * math.pi
-# Target absolute tail bound of both backends' series, and the distance
-# from the lattice below which a point is a pole.
-EPS = 1e-12
 # Below this |z| the n = 0 factor 1 - u of the theta series is taken as
 # -expm1(2 pi i z); above it 1 - u loses under two bits to cancellation.
 NEAR_POLE = 0.1
@@ -91,16 +91,6 @@ def reduce_to_fundamental(z, tau: complex):
     """Translate z by the lattice Z + tau Z into the centered domain."""
     m, n = lattice_shift(z, tau)
     return z - m - n * tau
-
-
-def _qseries_terms(tau: complex, eps: float) -> int:
-    absq = math.exp(-TWO_PI * tau.imag)
-    if absq >= 1.0:
-        raise ValueError("tau must have positive imaginary part")
-    if absq == 0.0:  # |q| underflowed (Im tau >= 118.6): the shortest series will do
-        return 6
-    n = int(math.log(eps * (1.0 - absq) * 0.1) / math.log(absq)) + 2
-    return max(n, 6)
 
 
 def theta_const(q, nterms: int, one):
@@ -166,33 +156,15 @@ class WpEvaluator:
         self.nterms = _qseries_terms(tau, EPS)
         self.q = cmath.exp(2j * math.pi * tau)
         self.const = theta_const(self.q, self.nterms, 1.0)
-        self._invariants: tuple[complex, complex] | None = None
 
     # lattice geometry
 
     def reduce(self, z: complex) -> complex:
         return reduce_to_fundamental(z, self.tau)
 
-    # invariants
-
     def invariants(self) -> tuple[complex, complex]:
-        """(g2, g3) for this lattice."""
-        if self._invariants is None:
-            if self.backend == "theta":
-                self._invariants = self._invariants_eisenstein_q()
-            else:
-                self._invariants = self._invariants_rows()
-        return self._invariants
-
-    def _invariants_eisenstein_q(self) -> tuple[complex, complex]:
-        q = self.q
-        n = np.arange(1, max(self.nterms, 16) + 1)
-        qn = q ** n
-        e4 = 1.0 + 240.0 * np.sum(n ** 3 * qn / (1.0 - qn))
-        e6 = 1.0 - 504.0 * np.sum(n ** 5 * qn / (1.0 - qn))
-        g2 = (4.0 * math.pi ** 4 / 3.0) * e4
-        g3 = (8.0 * math.pi ** 6 / 27.0) * e6
-        return complex(g2), complex(g3)
+        """(g2, g3) for this lattice: segre.lattice_invariants, or the cosecant rows."""
+        return lattice_invariants(self.tau) if self.backend == "theta" else self._invariants_rows()
 
     def _invariants_rows(self) -> tuple[complex, complex]:
         """Eisenstein sums collapsed along the real direction into cosecant rows.
@@ -377,8 +349,7 @@ def jacobian_probe(l: complex, L_direction: tuple[complex, ...],
     """
     if A.g != 2:
         raise ValueError("the probe is implemented for two factors")
-    if pe is None:
-        pe = ProductEvaluator(A)
+    pe = pe or ProductEvaluator(A)
     v = np.array(L_direction, dtype=complex)
     z = tuple(l * c for c in L_direction)
 

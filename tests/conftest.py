@@ -24,7 +24,7 @@ def closed_form_zeros_per_cell(system, degrees=None) -> float:
     term is d_a exactly, and so the mean is d_1 exactly on one curve.
     """
     if degrees is None:
-        degrees = bidegree_of(system.F, system.A, system.pe)
+        degrees = bidegree_of(system.F, system.A)
     va, ta = abs(system.v[system.anchor]) ** 2, system.pe.evals[system.anchor].tau.imag
     return sum(d * (abs(c) ** 2 / va) * (ta / ev.tau.imag)
                for d, c, ev in zip(degrees, system.v, system.pe.evals))

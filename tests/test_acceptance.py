@@ -5,6 +5,7 @@ so a -s run reads as a checklist. Budgets and tolerances here are the
 promises, not what happens to pass today; do not loosen them to keep green.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -19,7 +20,7 @@ from eac.forms import eac_certificate, hypersurface_form, residual_covectors
 from eac.hull import rational_hull
 from eac.instance import builtin_instance, catalog_names
 from eac.multiquad import MultiQuadElem
-from eac.pipeline import certify, decide, solve
+from eac.pipeline import certify, solve
 from eac.segre import SegrePolynomial
 from eac.solver import SolverConfig
 from eac.variety import ExactSubspace, ProductVariety
@@ -118,7 +119,8 @@ def test_criterion_4_density_harvest(tmp_path, A2):
 
 
 def test_criterion_5_jacobian_rank_at_harvested_point(flagship, pe2):
-    outcome = solve(flagship, pe2, config=SolverConfig(budget_cells=4, target_count=3))
+    outcome = solve(dataclasses.replace(
+        flagship, config=SolverConfig(budget_cells=4, target_count=3)))
     assert outcome.exit_code == 0
     ranked = [s for s in outcome.report.solutions if s.jacobian_rank == 2]
     assert ranked
@@ -139,11 +141,10 @@ def test_criterion_6_catalog_concordance():
     disagreements = []
     for name in names:
         inst = builtin_instance(name)
-        decision = decide(inst)
-        ready = bool(decision.verdicts.free.ok) and bool(decision.verdicts.rotund.ok)
-        cert = certify(inst, decision=decision)
+        cert = certify(inst)
+        ready = bool(cert.decision.verdicts.free.ok) and bool(cert.decision.verdicts.rotund.ok)
         cert_nonzero = cert.certificate is not None and cert.certificate.nonzero
-        solved = solve(inst, config=cfg).exit_code == 0
+        solved = solve(dataclasses.replace(inst, config=cfg)).exit_code == 0
         if not (ready == cert_nonzero == solved):
             disagreements.append((name, ready, cert_nonzero, solved))
     assert disagreements == []

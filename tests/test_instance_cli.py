@@ -190,19 +190,30 @@ def test_validators_are_built_once_and_keep_their_messages(monkeypatch, tmp_path
 
 def test_importing_the_cli_does_not_import_jsonschema(tmp_path):
     # nor does loading a valid file and checking its valid report; check, hull
-    # and certify import nothing numeric either, and a density run afterwards
+    # and certify import nothing numeric either, also for a W with a wp'^2
+    # term, whose fiber degrees need g2 and g3, and a density run afterwards
     # still finds what solve and density_summary import themselves
     example = str(PKG_ROOT / "docs" / "examples" / "diag-prod-one.json")
+    # W: wp_1'^2 = wp_2, with no declared bidegree
+    data = json.loads(Path(example).read_text())
+    data["W"] = {"kind": "segre-hypersurface", "dim": 1, "monomials": [
+        {"exponents": [0, 0, 0, 0, 0, 0, 2, 0, 0], "re": 1.0, "im": 0.0},
+        {"exponents": [0, 1, 0, 0, 0, 0, 0, 0, 0], "re": -1.0, "im": 0.0}]}
+    squared = tmp_path / "wp1-prime-squared.json"
+    squared.write_text(json.dumps(data))
     numeric = ["numpy", "mpmath", "jsonschema", "eac.solver", "eac.weierstrass", "eac.fixed"]
     code = f"""
 import json, sys, eac.cli
 from eac.instance import builtin_instance, load_instance, validate_report
 print('jsonschema' in sys.modules)
 load_instance({example!r})
-for command in ("check", "hull", "certify"):
-    out = {str(tmp_path)!r} + "/" + command + ".json"
-    assert eac.cli.main([command, {example!r}, "--out", out]) == 0
-    validate_report(json.load(open(out)))
+for path in ({example!r}, {str(squared)!r}):
+    for command in ("check", "hull", "certify"):
+        out = {str(tmp_path)!r} + "/" + command + ".json"
+        assert eac.cli.main([command, path, "--out", out]) == 0
+        validate_report(json.load(open(out)))
+report = json.load(open({str(tmp_path)!r} + "/certify.json"))
+print("squared", report["verdicts"]["bidegree"], report["certificate"]["value"])
 print("loaded", sorted(set({numeric!r}) & set(sys.modules)))
 assert eac.cli.main(["density", {example!r}]) == 0
 """
@@ -210,6 +221,7 @@ assert eac.cli.main(["density", {example!r}]) == 0
                           env=dict(os.environ, PYTHONPATH=str(PKG_ROOT / "src")), check=True)
     lines = proc.stdout.splitlines()
     assert lines[0] == "False"
+    assert "squared [6, 2] 6*sqrt(5)+2*sqrt(2)" in lines
     assert "loaded []" in lines
 
 

@@ -34,50 +34,50 @@ def variant(name, **edits):
     return instance_from_dict(data)
 
 
-def test_resolve_w_measures_when_missing(flagship, pe2):
+def test_resolve_w_measures_when_missing(flagship):
     data = json.loads(json.dumps(flagship.raw))
     del data["W"]["bidegree"]
     inst = instance_from_dict(data)
     assert inst.W.bidegree is None
-    W, measured = resolve_w(inst, pe2)
+    W, measured = resolve_w(inst)
     assert measured == (2, 2)
     assert W.bidegree == (2, 2)
     # the evaluator only supplies g2 and g3, so the rule needs none
     assert resolve_w(inst) == (W, measured)
 
 
-def test_resolve_w_cross_checks_on_always(flagship, pe2):
+def test_resolve_w_cross_checks_on_always(flagship):
     # a declared bidegree is checked against W's polynomial on every call
-    W, measured = resolve_w(flagship, pe2)
+    W, measured = resolve_w(flagship)
     assert W == flagship.W and measured == (2, 2)
     data = json.loads(json.dumps(flagship.raw))
     data["W"]["bidegree"] = [1, 1]
     bad = instance_from_dict(data)
     with pytest.raises(BidegreeMismatch, match=r"declared bidegree \(1, 1\)"):
-        resolve_w(bad, pe2)
+        resolve_w(bad)
     # and the mismatch propagates through decide
     with pytest.raises(BidegreeMismatch):
-        decide(bad, pe2)
+        decide(bad)
 
 
-def test_resolve_w_reads_a_tiny_monomial(pe2):
+def test_resolve_w_reads_a_tiny_monomial():
     inst = instance_from_dict(tiny_monomial_dict())
-    W, measured = resolve_w(inst, pe2)
+    W, measured = resolve_w(inst)
     assert measured == W.bidegree == (2, 0)
-    free = decide(inst, pe2).verdicts.free
+    free = decide(inst).verdicts.free
     assert free.ok is False
     assert free.witness == "W is a union of translates of factor 2"
 
 
-def test_decide_flagship_composition(flagship, pe2):
-    decision = decide(flagship, pe2)
+def test_decide_flagship_composition(flagship):
+    decision = decide(flagship)
     assert decision.verdicts.certified_ready
     assert decision.W_effective.bidegree == (2, 2)
     assert decision.hull.dim == 3
     assert [s.dim for s in decision.chain.chain] == [1, 3, 2]
 
 
-def test_decide_computes_the_hull_of_L_once(flagship, pe2, monkeypatch):
+def test_decide_computes_the_hull_of_L_once(flagship, monkeypatch):
     calls = []
     real = hull.rational_hull
 
@@ -86,21 +86,21 @@ def test_decide_computes_the_hull_of_L_once(flagship, pe2, monkeypatch):
         return real(L, A)
 
     monkeypatch.setattr(hull, "rational_hull", counting)
-    decision = decide(flagship, pe2)
+    decision = decide(flagship)
     assert sum(1 for L in calls if L is flagship.L) == 1
     assert decision.hull is decision.chain.hull
     assert decision.hull == real(flagship.L, flagship.A)
 
 
-def test_certify_flagship(flagship, pe2):
-    out = certify(flagship, pe2)
+def test_certify_flagship(flagship):
+    out = certify(flagship)
     assert not out.refused
     assert out.reason is None
     assert out.certificate.value_str == "2*sqrt(5)+2*sqrt(2)"
     assert out.L_used is flagship.L
 
 
-def test_certify_refusals_name_their_witness(pe2):
+def test_certify_refusals_name_their_witness():
     out = certify(builtin_instance("axis-line"))
     assert out.refused
     assert out.reason == "not free: L lies in the subproduct of factors [1]"
@@ -110,23 +110,23 @@ def test_certify_refusals_name_their_witness(pe2):
     assert "union of translates of factor 2" in out.reason
 
 
-def test_certify_reduces_oversized_parameter_space(flagship, pe2):
+def test_certify_reduces_oversized_parameter_space(flagship):
     data = json.loads(json.dumps(flagship.raw))
     data["L"]["basis"] = [["1", "0"], ["0", "1"]]
     inst = instance_from_dict(data)
     assert inst.L.dim == 2
-    out = certify(inst, pe2)
+    out = certify(inst)
     assert not out.refused
     assert out.L_used.dim == 1
     assert out.L_used is not inst.L
     assert out.certificate.nonzero
     # the cut is seeded, so reruns agree
-    again = certify(inst, pe2)
+    again = certify(inst)
     assert again.L_used.basis == out.L_used.basis
     assert again.certificate.value == out.certificate.value
 
 
-def test_certify_computes_each_hull_once(flagship, pe2, monkeypatch):
+def test_certify_computes_each_hull_once(flagship, monkeypatch):
     # the certificate pairs against decide's hull of a line; L = C^2 adds
     # only the hull of the line it is cut down to
     calls = []
@@ -141,17 +141,17 @@ def test_certify_computes_each_hull_once(flagship, pe2, monkeypatch):
             monkeypatch.setattr(module, "rational_hull", counting)
     for name in catalog_names():
         calls.clear()
-        certify(builtin_instance(name), pe2)
+        certify(builtin_instance(name))
         assert calls == [1], name
     data = json.loads(json.dumps(flagship.raw))
     data["L"]["basis"] = [["1", "0"], ["0", "1"]]
     calls.clear()
-    assert certify(instance_from_dict(data), pe2).certificate.nonzero
+    assert certify(instance_from_dict(data)).certificate.nonzero
     assert calls == [2, 1]
 
 
-def test_solve_flagship_small_budget(flagship, pe2):
-    out = solve(flagship, pe2, config=SMALL)
+def test_solve_flagship_small_budget(flagship):
+    out = solve(dataclasses.replace(flagship, config=SMALL))
     assert out.exit_code == 0
     assert not out.certify.refused
     assert out.report.solutions
@@ -173,26 +173,26 @@ def test_solve_anti_diagonal_reaches_its_target():
     assert out.report.cells_scanned <= 16
 
 
-def test_solve_refuses_before_scanning(pe2):
+def test_solve_refuses_before_scanning():
     out = solve(builtin_instance("axis-line"))
     assert out.exit_code == 4
     assert out.report is None
     assert out.certify.refused
 
 
-def test_solve_reports_certified_emptiness(flagship, pe2, monkeypatch):
+def test_solve_reports_certified_emptiness(flagship, monkeypatch):
     # a verification that rejects every point leaves the harvest empty
     monkeypatch.setattr(solver, "verify_points", lambda system, ls, cfg: [(
         False, 1.0, 0, "doubled-precision residual too large")] * len(ls))
     cfg = SolverConfig(budget_cells=1)
-    out = solve(flagship, pe2, config=cfg)
+    out = solve(dataclasses.replace(flagship, config=cfg))
     assert out.exit_code == 5
     assert out.certify.certificate.nonzero
     assert out.report.defect
 
 
-def test_density_summary_statistics(flagship, pe2):
-    out = solve(flagship, pe2, config=SolverConfig(budget_cells=6, target_count=5))
+def test_density_summary_statistics(flagship):
+    out = solve(dataclasses.replace(flagship, config=SolverConfig(budget_cells=6, target_count=5)))
     stats = density_summary(flagship, out.report)
     assert stats["points"] == len(out.report.solutions) >= 2
     assert stats["cells"] == len(out.report.cells_with_solutions)
@@ -208,25 +208,47 @@ def test_density_summary_statistics(flagship, pe2):
         statistics.median(nearest), rel=1e-12)
 
 
-def test_density_summary_degenerate_sizes(flagship, pe2):
-    out = solve(flagship, pe2, config=SolverConfig(budget_cells=2, target_count=1))
+def test_density_summary_degenerate_sizes(flagship):
+    out = solve(dataclasses.replace(flagship, config=SolverConfig(budget_cells=2, target_count=1)))
     stats = density_summary(flagship, out.report)
     assert stats["points"] == 1
     assert stats["min_pairwise_distance"] is None
     assert stats["median_nearest_distance"] is None
 
 
-def test_catalog_verdicts_and_certificates_agree(pe2):
+def test_catalog_verdicts_and_certificates_agree():
     for name in catalog_names():
         inst = builtin_instance(name)
-        decision = decide(inst)
-        out = certify(inst, decision=decision)
-        ready = decision.verdicts.certified_ready
+        out = certify(inst)
+        ready = out.decision.verdicts.certified_ready
         assert out.refused == (not ready), name
         if out.refused:
             assert out.reason, name
         else:
             assert out.certificate.nonzero, name
+
+
+def test_certify_refuses_exactly_when_it_has_no_certificate():
+    # a free and rotund pair always gets a nonzero certificate, so a refusal
+    # is the absence of one, and it names its reason
+    squared = json.loads(json.dumps(catalog_dicts()["diag-prod-one"]))
+    squared["W"] = {"kind": "segre-hypersurface", "dim": 1, "monomials": [
+        {"exponents": [0, 0, 0, 0, 0, 0, 2, 0, 0], "re": 1.0},
+        {"exponents": [0, 1, 0, 0, 0, 0, 0, 0, 0], "re": -1.0}]}
+    instances = [builtin_instance(name) for name in catalog_names()]
+    instances += [instance_from_dict(one_curve_dict("g1", terms))
+                  for terms in ([([0, 1, 0], 1.0), ([1, 0, 0], -2.0)],
+                                [([0, 1, 0], 1.0), ([1, 0, 0], -1.7)],
+                                [([0, 0, 1], 1.0), ([1, 0, 0], -1.7)])]
+    instances.append(instance_from_dict(squared))
+    for inst in instances:
+        out = certify(inst)
+        assert out.refused is (out.certificate is None), inst.label
+        assert out.refused is not out.decision.verdicts.certified_ready, inst.label
+        assert (out.reason is not None) is out.refused, inst.label
+        assert out.refused or out.certificate.nonzero, inst.label
+    assert sum(certify(inst).refused for inst in instances) == 5
+    assert certify(instances[-1]).certificate.value_str == "6*sqrt(5)+2*sqrt(2)"
 
 
 def catalog_system(name):
@@ -286,7 +308,8 @@ def test_closed_form_sizes_one_chunk_and_keeps_the_pilot_reports(name, harvest_c
     for target in (30, 60):
         for made in harvest_calls.values():
             made.clear()
-        report = solve(inst, config=dataclasses.replace(inst.config, target_count=target)).report
+        cfg = dataclasses.replace(inst.config, target_count=target)
+        report = solve(dataclasses.replace(inst, config=cfg)).report
         [counted] = harvest_calls["counted"]
         assert report.target_reached, (name, target)
         # cells counted past the target are not reported, and Newton sees none of their seeds
@@ -300,12 +323,12 @@ def test_closed_form_sizes_one_chunk_and_keeps_the_pilot_reports(name, harvest_c
 def test_an_overestimated_mean_costs_a_chunk_not_a_point(name, harvest_calls, monkeypatch):
     inst = builtin_instance(name)
     cfg = dataclasses.replace(inst.config, target_count=60)
-    once = solve(inst, config=cfg).report
+    once = solve(dataclasses.replace(inst, config=cfg)).report
     real_mean = pipeline.zeros_per_cell
     monkeypatch.setattr(pipeline, "zeros_per_cell",
                         lambda cert, L, A: 2 * real_mean(cert, L, A))
     harvest_calls["counted"].clear()
-    twice = solve(inst, config=cfg).report
+    twice = solve(dataclasses.replace(inst, config=cfg)).report
     assert twice.closed_form_mean == 2 * once.closed_form_mean
     assert len(harvest_calls["counted"]) >= 2, name
     # every chunk that cell_seeds counted is in cells_counted, taken or not
@@ -387,7 +410,7 @@ def test_closed_exp_l_meets_w_in_the_certificate_count():
 def test_measured_mean_count_matches_the_closed_form(name, closed_form):
     inst = builtin_instance(name)
     config = dataclasses.replace(inst.config, budget_cells=100, target_count=100000)
-    out = solve(inst, config=config)
+    out = solve(dataclasses.replace(inst, config=config))
     assert out.report.cells_scanned == 100
     stats = density_summary(inst, out.report)
     assert stats["closed_form_zeros_per_cell"] == pytest.approx(closed_form, rel=1e-12)
@@ -429,7 +452,7 @@ def test_every_resolved_cell_gets_one_seed_per_zero(name):
 def test_a_100_cell_harvest_finds_every_counted_zero(name, zeros):
     inst, _ = catalog_system(name)
     cfg = dataclasses.replace(inst.config, budget_cells=100, target_count=100000)
-    report = solve(inst, config=cfg).report
+    report = solve(dataclasses.replace(inst, config=cfg)).report
     assert report.cells_scanned == 100
     assert sum(c["expected"] for c in report.cells) == len(report.solutions) == zeros
     assert all(c["found"] == c["expected"] for c in report.cells)
@@ -466,7 +489,7 @@ def test_verified_residual_matches_60_digits(name):
     inst, system = catalog_system(name)
     # every point of the 60-point harvest of `eac density`, far cells included
     cfg = dataclasses.replace(inst.config, target_count=60, budget_cells=64)
-    out = solve(inst, config=cfg)
+    out = solve(dataclasses.replace(inst, config=cfg))
     assert len(out.report.solutions) == 60, name
     for s in out.report.solutions:
         # at the doubles z_of(l), as verification evaluates: an irrational
@@ -490,7 +513,7 @@ def test_verify_points_matches_verify_solution_point_by_point(name, A1):
     else:
         inst, system = catalog_system(name)
         cfg = dataclasses.replace(inst.config, target_count=5)
-        systems = [(system, solve(inst, config=cfg).report)]
+        systems = [(system, solve(dataclasses.replace(inst, config=cfg)).report)]
     for system, report in systems:
         points = report.solutions
         assert points, name
@@ -516,7 +539,8 @@ def test_harvest_verifies_no_point_past_the_target(name, monkeypatch):
     verify_points = solver.verify_points
     monkeypatch.setattr(solver, "verify_points", counting)
     inst = builtin_instance(name)
-    report = solve(inst, config=dataclasses.replace(inst.config, target_count=60)).report
+    cfg = dataclasses.replace(inst.config, target_count=60)
+    report = solve(dataclasses.replace(inst, config=cfg)).report
     assert len(report.solutions) == 60
     # every point handed over was accepted: none was verified in vain
     assert sum(handed) == 60 and not report.failures

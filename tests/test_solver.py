@@ -105,17 +105,18 @@ def test_newton_refine_converges_from_coarse_seed(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig()
     seeds = coarse_scan(sys_, 0, 0)
-    l, res = newton_refine(sys_, [seeds[0][0]], cfg)[0]
-    assert l is not None
-    assert res < cfg.solve_tol
-    assert abs(sys_.eval_jet(np.array([l]))[0][0]) < cfg.solve_tol
+    r = newton_refine(sys_, [seeds[0][0]], cfg)[0]
+    assert r.reason is None
+    assert r.residual < cfg.solve_tol
+    assert abs(sys_.eval_jet(np.array([r.l]))[0][0]) == r.residual
 
 
 def test_newton_refine_reports_pole_landing(A2, pe2):
     sys_ = flagship_system(pe2, A2)
-    l, reason = newton_refine(sys_, [0.0 + 0.0j], SolverConfig())[0]
-    assert l is None
-    assert "pole" in reason
+    r = newton_refine(sys_, [0.0 + 0.0j], SolverConfig())[0]
+    assert r.reason == "landed on a pole"
+    # a failed seed keeps where it stopped: here the seed itself, at the pole
+    assert (r.l, r.residual, r.steps, r.deriv) == (0j, math.inf, 0, None)
 
 
 def central_difference_newton(system, seed, cfg, fd_step=1e-7):
@@ -148,12 +149,12 @@ def test_batched_newton_matches_one_seed_batches_and_the_oracle(A1, A2, pe2, cas
         one = newton_refine(sys_, [seed], cfg)[0]
         assert got == one and got.steps == one.steps and got.deriv == one.deriv
         want = central_difference_newton(sys_, seed, cfg)
-        assert (got[0] is None) == (want is None)
+        assert (got.reason is not None) == (want is None)
         if want is not None:
-            assert abs(got[0] - want) < 1e-12
+            assert abs(got.l - want) < 1e-12
             assert got.steps <= solver.NEWTON_STEPS
-    assert batch[-1] == (None, "landed on a pole") and batch[-1].steps == 0
-    assert sum(r[0] is not None for r in batch) >= 4
+    assert batch[-1].reason == "landed on a pole" and batch[-1].steps == 0
+    assert sum(r.reason is None for r in batch) >= 4
 
 
 def test_newton_refine_refuses_an_empty_batch(A2, pe2):
@@ -165,8 +166,10 @@ def test_newton_reports_no_convergence_after_the_step_limit(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig(solve_tol=1e-20)
     seeds = cell_seeds(sys_, [(0, 0)])[0][1]
-    for l, reason in newton_refine(sys_, seeds, cfg):
-        assert l is None and reason.startswith("no convergence, residual ")
+    for r in newton_refine(sys_, seeds, cfg):
+        # the residual has its own field, and the iterate is where Newton stalled
+        assert r.reason == "no convergence" and r.steps == solver.NEWTON_STEPS
+        assert r.residual == abs(sys_.eval_jet(np.array([r.l]))[0][0]) >= cfg.solve_tol
 
 
 def test_rank_from_the_derivative_flags_the_degenerate_touch(A2, pe2):
@@ -290,9 +293,7 @@ def dense_newton_roots(system, cell, n=200):
     cfg = SolverConfig()
     seeds = [l for l, _ in coarse_scan(system, *cell, n=n)]
     roots = []
-    for l, _ in newton_refine(system, seeds, cfg):
-        if l is None:
-            continue
+    for l in [r.l for r in newton_refine(system, seeds, cfg) if r.reason is None]:
         x, y = system.cell_position(l)
         if (math.floor(x), math.floor(y)) == cell and all(abs(l - r) > 1e-8 for r in roots):
             roots.append(l)
@@ -308,7 +309,7 @@ def test_cell_count_matches_a_dense_newton_search(name, cell):
     assert count == len(roots) == len(seeds) >= 4
     # each seed stands for one zero of its box, so Newton takes each seed to a
     # different one of the oracle's roots
-    refined = [l for l, _ in newton_refine(system, seeds, SolverConfig())]
+    refined = [r.l for r in newton_refine(system, seeds, SolverConfig()) if r.reason is None]
     assert all(min(abs(l - r) for r in roots) < 1e-9 for l in refined)
     assert len({min(range(len(roots)), key=lambda k: abs(l - roots[k])) for l in refined}) \
         == count
@@ -330,8 +331,9 @@ def test_power_sums_seed_three_zeros_beside_a_pole(A1, monkeypatch):
     monkeypatch.setattr(solver, "moment_roots", recording)
     count, seeds = cell_seeds(sys_, [(0, 0)])[0]
     assert count == len(seeds) == 3 and calls == [(3, True)]
-    roots = [l for l, _ in newton_refine(sys_, seeds, SolverConfig())]
-    assert None not in roots
+    refined = newton_refine(sys_, seeds, SolverConfig())
+    assert all(r.reason is None for r in refined)
+    roots = [r.l for r in refined]
     assert min(abs(a - b) for a, b in itertools.combinations(roots, 2)) > 1e-3
     for l in roots:
         x, y = sys_.cell_position(l)
@@ -350,9 +352,9 @@ def test_power_sum_seeds_reach_the_zeros_that_splitting_reaches(monkeypatch):
     cfg = SolverConfig()
     for (count, seeds), (split_count, split_seeds) in zip(default, split):
         assert count == split_count == len(seeds) == len(split_seeds) >= 2
-        got = [l for l, _ in newton_refine(system, seeds, cfg)]
-        want = [l for l, _ in newton_refine(system, split_seeds, cfg)]
-        assert None not in got and None not in want
+        got, want = (newton_refine(system, s, cfg) for s in (seeds, split_seeds))
+        assert all(r.reason is None for r in got + want)
+        got, want = [r.l for r in got], [r.l for r in want]
         assert all(min(abs(l - w) for w in want) < 1e-9 for l in got)
         assert all(min(abs(w - l) for l in got) < 1e-9 for w in want)
 
@@ -418,7 +420,9 @@ def test_cell_poles_merge_across_factors(A2, pe2):
 def test_box_windings_read_zeros_and_failures(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     _, seeds = cell_seeds(sys_, [(0, 0)])[0]
-    l, _ = newton_refine(sys_, seeds[:1], SolverConfig())[0]
+    r = newton_refine(sys_, seeds[:1], SolverConfig())[0]
+    assert r.reason is None
+    l = r.l
     assert box_windings(sys_, [l]) == [1]
     # shifted by a box half side along the cell's first side, the box's
     # edge passes within half a grid unit of the zero, and no panel resolves
@@ -432,7 +436,9 @@ def test_box_windings_read_zeros_and_failures(A2, pe2):
 def test_verify_points_rejects_an_unclean_or_zero_winding(A2, pe2, monkeypatch, winding, reason):
     sys_ = flagship_system(pe2, A2)
     _, seeds = cell_seeds(sys_, [(0, 0)])[0]
-    l, _ = newton_refine(sys_, seeds[:1], SolverConfig())[0]
+    r = newton_refine(sys_, seeds[:1], SolverConfig())[0]
+    assert r.reason is None
+    l = r.l
     monkeypatch.setattr(solver, "box_windings", lambda system, ls: [winding] * len(ls))
     ok, vres, wind, why = verify_points(sys_, [l], SolverConfig())[0]
     assert (ok, wind, why) == (False, 0, reason)
@@ -514,7 +520,9 @@ def test_verify_solution_accepts_true_roots_rejects_perturbed(A2, pe2):
     sys_ = flagship_system(pe2, A2)
     cfg = SolverConfig()
     seeds = coarse_scan(sys_, 0, 0)
-    l, _ = newton_refine(sys_, [seeds[0][0]], cfg)[0]
+    r = newton_refine(sys_, [seeds[0][0]], cfg)[0]
+    assert r.reason is None
+    l = r.l
     ok, vres, wind, reason = verify_solution(sys_, l, cfg)
     assert ok and reason == ""
     assert vres < 10 * cfg.solve_tol
@@ -565,11 +573,10 @@ def test_p_translate_cells_give_the_same_points(A2, pe2):
     def refined_zs(p, q):
         zs = []
         seeds = cell_seeds(sys_, [(p, q)])[0][1]
-        for l, _ in newton_refine(sys_, seeds, cfg):
-            if l is not None:
-                z = pe2.reduce([sys_.z_of(l)])[0]
-                if all(A2.torus_distance(z, w) > cfg.dedup_tol for w in zs):
-                    zs.append(z)
+        for l in [r.l for r in newton_refine(sys_, seeds, cfg) if r.reason is None]:
+            z = pe2.reduce([sys_.z_of(l)])[0]
+            if all(A2.torus_distance(z, w) > cfg.dedup_tol for w in zs):
+                zs.append(z)
         return zs
 
     def same_points(xs, ys):
