@@ -5,10 +5,10 @@ numpy object arrays of them (Fixed.stack), whose elements np.frompyfunc
 takes through the same int formulas. Sums are exact, and each product or
 quotient is rounded once to the nearest grid point, an absolute error of at
 most 2**-(FIX_BITS + 1), about 1.5e-39, per component. Only what
-weierstrass.theta_sums, segre.segre_stack and SegrePolynomial.eval_affine
-use is provided: + - * / with a Fixed on the left (and + * with a number on
-the left), powers to a nonnegative int and abs. Python ints, floats and
-complex numbers and mpmath numbers mix in through Fixed.lift.
+weierstrass.WpFixed and solver.pulled_back_jet use is provided: + - * /
+with a Fixed on the left (and + * with a number on the left), powers to a
+nonnegative int and abs. Python ints, floats and complex numbers and
+mpmath numbers mix in through Fixed.lift.
 
 Large values keep their relative accuracy, but a value of size d has
 relative accuracy 2**-FIX_BITS / d. The smallest divisor in the theta

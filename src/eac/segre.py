@@ -20,8 +20,8 @@ coefficients and at least one nonzero monomial.
 bidegree_of reads W's fiber degree on each factor from F's exponents, as a
 pole order. It is exact bookkeeping on exponents; only a wp'^2 term needs
 the invariants g2 and g3. Their Eisenstein q-series is written once, here,
-in pure Python (lattice_invariants): the theta backend of weierstrass reads
-it too, so the exact layer loads no numpy for any W.
+in pure Python over any number type (eisenstein_invariants): weierstrass
+reads it in doubles and at 30 digits, and the exact layer loads no numpy.
 """
 
 from __future__ import annotations
@@ -140,22 +140,27 @@ def _qseries_terms(tau: complex, eps: float) -> int:
     return max(n, 6)
 
 
-@functools.lru_cache(maxsize=64)
-def lattice_invariants(tau: complex) -> tuple[complex, complex]:
-    """(g2, g3) of Z + tau Z: (4 pi^4 / 3) E4 and (8 pi^6 / 27) E6 from their q-series.
+def eisenstein_invariants(q, pi, one, nterms: int):
+    """(g2, g3) = (4 pi^4 / 3) E4 and (8 pi^6 / 27) E6, summed to nterms powers of q.
 
     E4 = 1 + 240 sum n^3 q^n / (1 - q^n) and E6 = 1 - 504 sum n^5 q^n / (1 - q^n)
     (Apostol, Modular Functions and Dirichlet Series, ch. 1), summed in order
-    to the theta series' length at tail bound EPS, and at least 16 terms.
+    in the number type of q, pi and its unit one: doubles or eac.fixed.Fixed.
     """
-    q = cmath.exp(2j * math.pi * tau)
     s4 = s6 = 0j
-    for n in range(1, max(_qseries_terms(tau, EPS), 16) + 1):
-        t = q ** n / (1.0 - q ** n)
+    for n in range(1, nterms + 1):
+        t = q ** n / (one - q ** n)
         s4 += n ** 3 * t
         s6 += n ** 5 * t
-    return ((4.0 * math.pi ** 4 / 3.0) * (1.0 + 240.0 * s4),
-            (8.0 * math.pi ** 6 / 27.0) * (1.0 - 504.0 * s6))
+    return ((4.0 * pi ** 4 / 3.0) * (one + 240.0 * s4),
+            (8.0 * pi ** 6 / 27.0) * (one - 504.0 * s6))
+
+
+@functools.lru_cache(maxsize=64)
+def lattice_invariants(tau: complex) -> tuple[complex, complex]:
+    """(g2, g3) of Z + tau Z in doubles, to the theta length at EPS and at least 16 terms."""
+    return eisenstein_invariants(cmath.exp(2j * math.pi * tau), math.pi, 1.0,
+                                 max(_qseries_terms(tau, EPS), 16))
 
 
 def _cubic(tau: complex) -> list[tuple[int, complex]]:

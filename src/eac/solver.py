@@ -19,18 +19,14 @@ fail their checks is split in four. Every contour integral is one _Edges
 panel sum, also on the small boxes of box_windings that give pole orders
 and verification windings. The mean count per cell is the certificate
 read as a zero density (forms.zeros_per_cell), and sizes the first chunk
-of cells counted together. Newton refines a batch of seeds as one array
-with the analytic G'(l) of eval_jet: each factor enters as a first-order jet,
-with d wp = c wp' and d wp' = c (6 wp^2 - g2/2) for z = l c (DLMF 23.3).
-G' at a root also gives its Jacobian rank. verify_points recomputes a
-batch of residuals to 30 digits from the same theta series
-(weierstrass.theta_sums), in the fixed-point arithmetic of eac.fixed over
-object arrays rather than doubles, at the double point z_of(l) reduced
-exactly, and requires a positive winding on a small box. Verified points
-are deduplicated on the product variety and placed in the cell that holds
-them, so each cell reports its zeros expected against its zeros found. The
-lattice-sum backend, which shares no formula with the theta series, is the
-independent cross-check of harvested points.
+of cells counted together. G and G'(l) come from pulled_back_jet alone:
+in doubles through eval_jet, for the contours and for Newton on a batch of
+seeds as one array, and at 30 digits through verify_points, whose G' gives
+each verified point its Jacobian rank. Verified points are deduplicated on
+the product variety and placed in the cell that holds them, so each cell
+reports its zeros expected against its zeros found. The lattice-sum
+backend, which shares no formula with the theta series, is the independent
+cross-check of harvested points.
 """
 
 from __future__ import annotations
@@ -45,12 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exactlinalg import hermite_normal_form
-from .fixed import ONE as FIXED_ONE, Fixed
 from .instance import SolverConfig
-from .segre import SegrePolynomial, _qseries_terms, segre_stack
+from .segre import SegrePolynomial, segre_stack
 from .variety import ProductVariety
-from .weierstrass import (NEAR_POLE, ProductEvaluator, lattice_coords, lattice_shift,
-                          theta_const, theta_sums)
+from .weierstrass import ProductEvaluator, WpFixed, lattice_coords
 
 NEWTON_STEPS = 50
 # Relative tolerance of the in-harvest rank, as in weierstrass.jacobian_probe.
@@ -81,6 +75,11 @@ WIND_UNITS = 1 << 10
 # The first chunk holds this many times the cells that the closed-form mean
 # count per cell predicts the target needs, plus one.
 CLOSED_FORM_MARGIN = 1.15
+# eval_jet's points per array pass: 128 KiB, below numpy's 256 KiB threshold
+# for eliding temporaries into in-place loops that round differently.
+GRID_BLOCK = 8192
+# The 30-digit series of a lattice, built once per tau.
+_wp_30_digits = functools.lru_cache(maxsize=16)(WpFixed)
 
 
 class UncertifiedError(RuntimeError):
@@ -197,11 +196,10 @@ def distinct_cells(shifts: tuple[tuple[int, int], ...]):
 
 
 class Jet:
-    """A value and its derivative in l, for numpy arrays: a first-order jet.
+    """A value and its derivative in l: a first-order jet of numpy arrays or Fixed values.
 
     Sums and products follow the Leibniz rule, and other operands are
-    constants, so segre_stack and SegrePolynomial.eval_affine carry G'
-    along with G.
+    constants, so segre_stack and SegrePolynomial.eval_affine carry G' along.
     """
 
     __slots__ = ("val", "der")
@@ -228,6 +226,23 @@ class Jet:
         return Jet(self.val ** e, e * self.val ** (e - 1) * self.der)
 
 
+def pulled_back_jet(F: SegrePolynomial, series, zs, v):
+    """G and G' = dG/dl of G(l) = F(exp(z)) at points z_j = base_j + l v_j.
+
+    series holds each factor's weierstrass.ThetaSeries, all in one
+    arithmetic, and zs each factor's points. Factor j's wp and wp' enter as
+    the jets (wp, v_j wp') and (wp', v_j (6 wp^2 - g2/2)) (DLMF 23.3).
+    """
+    wps, wpps = [], []
+    for s, z, c in zip(series, zs, v):
+        p, pp = s.wp_pair_grid(z)
+        wps.append(Jet(p, c * pp))
+        wpps.append(Jet(pp, c * (6.0 * p * p - s.g2 / 2.0)))
+    one = series[0].one
+    g = F.eval_affine(segre_stack(wps, wpps, Jet(one, 0 * one)))
+    return g.val, g.der
+
+
 class PulledBackSystem:
     """G(l) = F(exp(base + l v)) on an affine complex line, base 0 by default.
 
@@ -250,23 +265,14 @@ class PulledBackSystem:
         self.anchor = next(j for j, c in enumerate(self.v) if c != 0)
 
     def eval_jet(self, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G and its derivative G' on an array of parameter values.
-
-        Factor j moves as z = base_j + l c_j, so its wp and wp' enter as the
-        jets (wp, c_j wp') and (wp', c_j (6 wp^2 - g2/2)). l may have any
-        shape.
-        """
+        """G and G' in doubles at an array l of any shape, by blocks of GRID_BLOCK points."""
         l = np.asarray(l, dtype=complex)
-        wps, wpps = [], []
+        flat = l.ravel()
         with np.errstate(invalid="ignore", over="ignore"):
-            for ev, c, z in zip(self.pe.evals, self.v, self.z_of(l)):
-                p, pp = ev.wp_pair_grid(z)
-                g2 = ev.invariants()[0]
-                wps.append(Jet(p, c * pp))
-                wpps.append(Jet(pp, c * (6.0 * p * p - g2 / 2.0)))
-            one = Jet(np.ones_like(l), np.zeros_like(l))
-            g = self.F.eval_affine(segre_stack(wps, wpps, one))
-        return g.val, g.der
+            blocks = [pulled_back_jet(self.F, self.pe.evals,
+                                      self.z_of(flat[k:k + GRID_BLOCK]), self.v)
+                      for k in range(0, max(flat.size, 1), GRID_BLOCK)]
+        return tuple(np.concatenate(parts).reshape(l.shape) for parts in zip(*blocks))
 
     def z_of(self, l):
         """The point base + l v, per factor, for a complex l or an array."""
@@ -602,14 +608,13 @@ class Refined:
 
     l is the last iterate at which G was evaluated, or the pole it landed
     on; residual is |G(l)| there (inf at a pole). reason is None when l
-    converged, with deriv G'(l); steps counts the Newton steps taken.
+    converged; steps counts the Newton steps taken.
     """
 
     l: complex
     residual: float
     reason: str | None
     steps: int
-    deriv: complex | None = None
 
 
 def newton_refine(system: PulledBackSystem, seeds, cfg: SolverConfig) -> list[Refined]:
@@ -634,11 +639,10 @@ def newton_refine(system: PulledBackSystem, seeds, cfg: SolverConfig) -> list[Re
     steps = np.zeros(start.size, dtype=int)
     active = np.arange(start.size)
 
-    def settle(indices, reason, dg=None):
-        """Record the seeds at indices: failed for a reason, or converged with G' in dg."""
-        for n, i in enumerate(indices):
-            out[i] = Refined(complex(l[i]), float(resid[i]), reason, int(steps[i]),
-                             None if dg is None else complex(dg[n]))
+    def settle(indices, reason):
+        """Record the seeds at indices: failed for a reason, or converged for None."""
+        for i in indices:
+            out[i] = Refined(complex(l[i]), float(resid[i]), reason, int(steps[i]))
 
     for _ in range(NEWTON_STEPS):
         pole = system.pole_distance(l[active]) < 1e-9
@@ -653,7 +657,7 @@ def newton_refine(system: PulledBackSystem, seeds, cfg: SolverConfig) -> list[Re
         conv = ~bad & (res < cfg.solve_tol)
         singular = ~(bad | conv) & (~np.isfinite(dg.real) | (np.abs(dg) < 1e-14))
         settle(active[bad], "non-finite value")
-        settle(active[conv], None, dg[conv])
+        settle(active[conv], None)
         settle(active[singular], "singular derivative")
         go = ~(bad | conv | singular)
         active, step = active[go], g[go] / dg[go]
@@ -670,19 +674,18 @@ def newton_refine(system: PulledBackSystem, seeds, cfg: SolverConfig) -> list[Re
         g, dg = system.eval_jet(l[active])
         resid[active] = res = np.abs(g)
         conv = res < cfg.solve_tol
-        settle(active[conv], None, dg[conv])
+        settle(active[conv], None)
         settle(active[~conv], "no convergence")
     return out
 
 
 def jacobian_rank(system: PulledBackSystem, deriv: complex) -> int:
-    """Rank of the intersection differential at a root, from G'(l).
+    """Rank of the intersection differential at a root, from G'(l) or |G'(l)|.
 
     The matrix [v, tangent of W] of weierstrass.jacobian_probe has
-    determinant G'(l), so its rank is 2 exactly when the root is simple.
-    The probe calls it 2 when its smaller singular value exceeds RANK_TOL
-    times the larger; with the larger taken as |v|, that is
-    |G'| > RANK_TOL |v|^2. One-factor systems have no such matrix: -1.
+    determinant G'(l), so its rank is 2 exactly when the root is simple. The
+    probe calls it 2 when its smaller singular value exceeds RANK_TOL times
+    the larger, |v|: |G'| > RANK_TOL |v|^2. One-factor systems give -1.
     """
     if system.A.g == 1:
         return -1
@@ -690,90 +693,33 @@ def jacobian_rank(system: PulledBackSystem, deriv: complex) -> int:
     return 2 if abs(deriv) > RANK_TOL * v2 else 1
 
 
-@functools.lru_cache(maxsize=16)
-def _lattice_30_digits(tau: complex):
-    """q = exp(2 pi i tau), the theta constant and the 1e-30 series length.
-
-    Verification needs these for each of a harvest's one or two lattices at
-    every point. q is taken at 40 digits with mpmath and rounded once onto
-    the Fixed grid; the theta constant is summed in Fixed.
-    """
-    from mpmath import mp
-
-    with mp.workdps(40):
-        q = Fixed.lift(mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag)))
-    nterms = _qseries_terms(tau, 1e-30)
-    return q, theta_const(q, nterms, FIXED_ONE), nterms
-
-
-@functools.cache
-def _two_pi_i_powers():
-    """2 pi i at 40 digits for mpmath's exp, and its square and cube in Fixed."""
-    from mpmath import mp
-
-    with mp.workdps(40):
-        two_pi_i = 2j * mp.pi
-        return two_pi_i, Fixed.lift(two_pi_i ** 2), Fixed.lift(two_pi_i ** 3)
-
-
-def _fixed_theta_sums(tau: complex, zs, shifts):
-    """theta_sums at the points zs in Fixed over arrays, to the 1e-30 tail bound.
-
-    shifts holds, per point, the integers (m, n) of the lattice point to
-    subtract. The reduced point w = z - m - n tau is taken at 40 digits, so
-    the double z is reduced exactly, and u = exp(2 pi i w) and, for w below
-    NEAR_POLE, 1 - u = -expm1(2 pi i w) come from mpmath, each rounded once
-    onto the grid.
-    """
-    from mpmath import mp
-
-    q, const, nterms = _lattice_30_digits(tau)
-    two_pi_i = _two_pi_i_powers()[0]
-    shifts = [(int(m), int(n)) for m, n in shifts]
-    with mp.workdps(40):
-        tau_mp = mp.mpc(tau.real, tau.imag)
-        lattice = {mn: mn[0] + mn[1] * tau_mp for mn in set(shifts)}
-        ws = [two_pi_i * (mp.mpc(z.real, z.imag) - lattice[mn]) for z, mn in zip(zs, shifts)]
-        us = [Fixed.lift(mp.exp(w)) for w in ws]
-        ms = [Fixed.lift(-mp.expm1(w)) if abs(z - m - n * tau) < NEAR_POLE else FIXED_ONE - u
-              for w, z, (m, n), u in zip(ws, zs, shifts, us)]
-    return theta_sums(Fixed.stack(us), q, nterms, FIXED_ONE, const, Fixed.stack(ms))
-
-
 def verify_points(system: PulledBackSystem, ls,
-                  cfg: SolverConfig) -> list[tuple[bool, float, int, str]]:
+                  cfg: SolverConfig) -> list[tuple[bool, float, int, str, float]]:
     """Independent acceptance test for refined points, each stage one array pass.
 
-    Re-evaluates each residual to 30 digits through the theta series of the
-    scan, to its 1e-30 tail bound, in eac.fixed (absolute step 2**-128), at
-    the doubles z_of(l): only that point is a double. Its reduction into the
-    fundamental domain subtracts the lattice point that
-    ProductEvaluator.reduce subtracts, at 40 digits, so the residual is
-    |G| at z_of(l) itself, not at its reduced row. A point that passes then
-    needs a positive winding of G around its box_windings box. Returns
-    (accepted, verified residual, winding, reason) per point, each a
-    function of its l alone.
+    Re-evaluates G and G' with pulled_back_jet to 30 digits (weierstrass.WpFixed)
+    at the double point z_of(l), reduced at 40 digits by the lattice point
+    that ProductEvaluator.reduce subtracts, so the residual is |G| at z_of(l)
+    itself. A point that passes then needs a positive winding of G around
+    its box_windings box. Returns (accepted, verified residual, winding,
+    reason, |G'|) per point, each a function of its l alone.
     """
     ls = np.asarray(ls, dtype=complex)
     zs = np.array([system.z_of(l) for l in ls.tolist()], dtype=complex).reshape(len(ls), system.A.g)
-    ms, ns = lattice_shift(zs, system.pe.taus)
-    _, two_pi_i_2, two_pi_i_3 = _two_pi_i_powers()
-    wps, wpps = [], []
-    for j, ev in enumerate(system.pe.evals):
-        s, sp = _fixed_theta_sums(ev.tau, zs[:, j].tolist(), list(zip(ms[:, j], ns[:, j])))
-        wps.append(two_pi_i_2 * s)
-        wpps.append(two_pi_i_3 * sp)
-    vres = [float(v) for v in abs(system.F.eval_affine(segre_stack(wps, wpps, FIXED_ONE)))]
-    out = [(False, v, 0, "doubled-precision residual too large") for v in vres]
+    g, dg = pulled_back_jet(system.F, [_wp_30_digits(ev.tau) for ev in system.pe.evals],
+                            zs.T.tolist(), system.v)
+    vres = [float(v) for v in abs(g)]
+    out = [(False, v, 0, "doubled-precision residual too large", float(d))
+           for v, d in zip(vres, abs(dg))]
     passed = [i for i, v in enumerate(vres) if v <= 10.0 * cfg.solve_tol]
     for i, w in zip(passed, box_windings(system, ls[passed])):
         reason = "no clean winding box" if w is None else "" if w >= 1 else "winding number zero"
-        out[i] = (not reason, vres[i], w or 0, reason)
+        out[i] = (not reason, vres[i], w or 0, reason, out[i][4])
     return out
 
 
 def verify_solution(system: PulledBackSystem, l: complex,
-                    cfg: SolverConfig) -> tuple[bool, float, int, str]:
+                    cfg: SolverConfig) -> tuple[bool, float, int, str, float]:
     """verify_points for one point."""
     return verify_points(system, [l], cfg)[0]
 
@@ -782,28 +728,25 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                     zeros_per_cell: float, kernel=()) -> SolveReport:
     """Scan distinct cells in spiral order until the target count or the budget.
 
-    zeros_per_cell is the mean zero count per cell that the certificate
-    gives (forms.zeros_per_cell); one that is not positive means there is no
-    nonzero certificate, and raises UncertifiedError. kernel is an integer
-    basis of Lambda_L (hull.kernel_lattice); an empty kernel walks every
-    cell, drawn from one distinct_cells generator as chunks and home cells
-    need them. Cells are counted and seeded by cell_seeds in chunks: the
+    zeros_per_cell is the certificate's mean zero count per cell
+    (forms.zeros_per_cell); one that is not positive raises UncertifiedError.
+    kernel is an integer basis of Lambda_L (hull.kernel_lattice); an empty
+    kernel walks every cell, drawn from one distinct_cells generator as chunks
+    and home cells need them. cell_seeds counts and seeds cells in chunks: the
     first holds CLOSED_FORM_MARGIN times the cells that zeros_per_cell says
-    the target needs, plus one; each later one holds as many as the mean
-    count measured so far predicts the target still needs.
-    Counted cells are taken in walk order, as many at a time as their counts
-    say the target still needs; their seeds are refined in one newton_refine
-    batch and taken in cell order until the target is reached. cells_scanned
-    counts the cells whose seeds were taken and cells_counted the cells that
-    cell_seeds counted; cells counted past the target are not reported. Each
-    batch's converged points are reduced into the fundamental domains in one
-    ProductEvaluator.reduce call; the walk deduplicates those rows by torus
-    distance at dedup_tol, one verify_points call takes the ones apart from
-    the accepted points and each other, as many as the target still needs,
-    and a point's z is its row, reduced by the lattice point that
-    verify_points subtracts at 40 digits. Each point is labelled with the
-    walk index of the cell that holds it; a cell whose seeds were all taken
-    is incomplete when its points found differ from its count.
+    the target needs, plus one, each later one as many as the mean count so
+    far predicts the target still needs. Counted cells are taken in walk
+    order, as many at a time as their counts say the target needs; their
+    seeds are refined in one newton_refine batch and taken in cell order
+    until the target is reached. cells_scanned counts the cells whose seeds
+    were taken, cells_counted those cell_seeds counted; cells counted past
+    the target are not reported. A batch's converged points are reduced in
+    one ProductEvaluator.reduce call and deduplicated by torus distance at
+    dedup_tol; one verify_points call takes the ones apart from the accepted
+    points and each other, as many as the target still needs, and its G'
+    gives their ranks. Each point is labelled with the walk index of the
+    cell that holds it; a cell whose seeds were all taken is incomplete when
+    its points found differ from its count.
     """
     if not zeros_per_cell > 0:
         raise UncertifiedError(
@@ -898,11 +841,11 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                     continue
                 if k not in checked:
                     checked.update(timed("verify_s", verify_from, refined, zred, k))
-                ok, vres, wind, reason = checked[k]
+                ok, vres, wind, reason, deriv = checked[k]
                 if not ok:
                     report.failures.append(FailureRecord(r.l, cell_index, reason, r.residual))
                     continue
-                rank = timed("jacobian_s", jacobian_rank, system, r.deriv)
+                rank = timed("jacobian_s", jacobian_rank, system, deriv)
                 report.solutions.append(SolutionPoint(
                     l=r.l, z=tuple(complex(x) for x in zred[k]),
                     residual=r.residual, verified_residual=float(vres),

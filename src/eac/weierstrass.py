@@ -2,54 +2,47 @@
 
 Two independent evaluation backends share one interface:
 
-  "theta"        q-expansions in u = exp(2 pi i z), q = exp(2 pi i tau).
-                 Terms decay like |q|^n, so a tail bound picks the
-                 truncation order from the target accuracy. The series is
-                 written once, in theta_sums, for the numpy path here (the
-                 scalar wp_pair reads it on a one-element array) and the
-                 fixed-point (eac.fixed) recomputation of a batch of points
-                 in the solver's verification; only this backend evaluates
-                 on grids. Each term costs two reciprocals and
-                 multiplications, and the constant q-sum (theta_const) is
-                 summed once per lattice.
-                 Near a pole the n = 0 factor 1 - u is taken as
-                 -expm1(2 pi i z), so values keep their relative accuracy.
+  "theta"        q-expansions in u = exp(2 pi i z), q = exp(2 pi i tau),
+                 whose terms decay like |q|^n, so a tail bound picks the
+                 truncation order. theta_sums writes the series once, with
+                 two reciprocals per term and the constant q-sum
+                 (theta_const) summed once per lattice; near a pole 1 - u
+                 is -expm1(2 pi i z), so values keep their relative accuracy.
+                 ThetaSeries.wp_pair_grid scales it to wp and wp' over
+                 arrays in one arithmetic: doubles in WpEvaluator, 30 digits
+                 of eac.fixed in WpFixed for the solver's verification.
   "lattice-sum"  row-resummed series: the double sum over the lattice is
                  collapsed along the real direction into cosecant rows,
                  sum_n pi^2 / sin^2(pi (z - n tau)) minus matching
                  constants, which again decays geometrically in n.
 
-The lattice-sum backend shares no formula with the theta series, so it is
-the independent cross-check that harvested points are re-evaluated with.
-g2 and g3 follow the same split: the theta backend reads the exact layer's
-q-series (segre.lattice_invariants), the lattice-sum one cosecant rows.
-Both reduce the argument to the fundamental domain first, so truncation
-orders stay uniform. A point within EPS of the lattice raises AtInfinity, a
-typed signal, never a NaN; wp_pair is its one source, and
-ProductEvaluator.eval_polynomial re-raises it with the factor's index.
-ProductEvaluator holds the float lattice of a curve product: its reduce and
-torus_distances apply the same reduce_to_fundamental to points of C^g.
+The lattice-sum backend shares no formula with the theta series: it is the
+independent cross-check of harvested points, and its g2 and g3 come from
+cosecant rows, the theta backend's from segre's q-series. Both reduce the
+argument to the fundamental domain first, so truncation orders stay
+uniform. A point within EPS of the lattice raises AtInfinity, never a NaN;
+wp_pair is its one source, and ProductEvaluator.eval_polynomial re-raises
+it with the factor's index. ProductEvaluator holds the float lattice of a
+curve product: its reduce and torus_distances apply reduce_to_fundamental.
 
-segre.bidegree_of reads each factor's fiber degree from F's exponents, as
-a pole order. count_roots_on_fiber counts the zeros on one fiber, and
-point_count_on_curve on a curve, with solver.cell_seeds on one period cell
-of the moving factor: the argument principle on adaptive Gauss-Legendre
-panels, plus the orders of the poles inside, each minus the winding on a
-small box around it. An unresolved count raises ContourError. The counts
-are the contour oracle of the rule.
+count_roots_on_fiber and point_count_on_curve count zeros with
+solver.cell_seeds on one period cell: the contour oracle of
+segre.bidegree_of's exponent rule. An unresolved count raises ContourError.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 
 # perfbench wraps the fiber-degree rule as weierstrass.bidegree_of; EPS is the
 # series' tail bound and the distance to the lattice that makes a point a pole
+from .fixed import ONE as FIXED_ONE, Fixed
 from .segre import (EPS, SegrePolynomial, _qseries_terms, bidegree_of,  # noqa: F401
-                    lattice_invariants, segre_stack)
+                    eisenstein_invariants, lattice_invariants, segre_stack)
 from .variety import ProductVariety
 
 # Below this |z| the n = 0 factor 1 - u of the theta series is taken as
@@ -108,17 +101,12 @@ def theta_sums(u, q, nterms: int, one, const=None, one_minus_u=None):
     """The q-series S, S' with wp = (2 pi i)^2 S and wp' = (2 pi i)^3 S'.
 
     u = exp(2 pi i z) and q = exp(2 pi i tau) for a reduced z (DLMF 23.8),
-    summed to nterms powers of q. The body uses only + - * /, so Python
-    complex, numpy arrays, mpmath numbers and eac.fixed.Fixed, also over
-    object arrays, all work; one is the unit of the caller's number type.
-
-    Each geometric factor w takes one reciprocal r = 1/(1 - w), and the
-    terms w/(1 - w)^2 = w r^2 and w(1 + w)/(1 - w)^3 = (w r^2)(1 + w) r
-    are built from it by multiplication. 1/u is taken once. const is
-    theta_const(q, nterms, one), which callers that evaluate one lattice
-    many times compute once. one_minus_u, when given, is 1 - u computed as
-    -expm1(2 pi i z): near a pole 1 - u cancels and loses about eps/|z|
-    relative accuracy in the n = 0 term.
+    summed to nterms powers of q with + - * / alone, in any number type
+    whose unit is one. Each geometric factor w takes one reciprocal
+    r = 1/(1 - w), which builds w/(1 - w)^2 = w r^2 and w(1 + w)/(1 - w)^3 =
+    (w r^2)(1 + w) r; 1/u is taken once. const is theta_const(q, nterms, one),
+    for callers to compute once per lattice. one_minus_u, when given, is
+    1 - u as -expm1(2 pi i z): near a pole 1 - u cancels, losing eps/|z|.
     """
     if const is None:
         const = theta_const(q, nterms, one)
@@ -140,12 +128,37 @@ def theta_sums(u, q, nterms: int, one, const=None, one_minus_u=None):
     return s + const, sp
 
 
-class WpEvaluator:
-    """Weierstrass wp and wp' for one lattice Z + tau Z.
+class ThetaSeries:
+    """wp and wp' of one lattice over arrays of points, from theta_sums.
+
+    A subclass fixes the arithmetic: q, const, nterms, the unit one, g2 and
+    two_pi_i_2, two_pi_i_3 = (2 pi i)^2, (2 pi i)^3 in its number type, and
+    _exponentials(z): u = exp(2 pi i w) and 1 - u at each reduced point w,
+    and a pole mask for _at_poles (by default none).
+    """
+
+    def wp_pair_grid(self, z):
+        """(wp, wp') at the points z, in the series' number type."""
+        u, one_minus_u, pole = self._exponentials(z)
+        s, sp = theta_sums(u, self.q, self.nterms, self.one, self.const, one_minus_u)
+        return (self._at_poles(self.two_pi_i_2 * s, pole),
+                self._at_poles(self.two_pi_i_3 * sp, pole))
+
+    @staticmethod
+    def _at_poles(values, pole):
+        return values
+
+
+class WpEvaluator(ThetaSeries):
+    """Weierstrass wp and wp' for one lattice Z + tau Z, in doubles.
 
     backend selects the series family; both honor EPS as a target absolute
     tail bound (values near poles are large, accuracy there is relative).
     """
+
+    one = 1.0
+    two_pi_i_2 = (2j * math.pi) ** 2
+    two_pi_i_3 = (2j * math.pi) ** 3
 
     def __init__(self, tau: complex, backend: str = "theta"):
         tau = complex(tau)
@@ -156,6 +169,7 @@ class WpEvaluator:
         self.nterms = _qseries_terms(tau, EPS)
         self.q = cmath.exp(2j * math.pi * tau)
         self.const = theta_const(self.q, self.nterms, 1.0)
+        self.g2 = lattice_invariants(tau)[0]
 
     # lattice geometry
 
@@ -192,11 +206,7 @@ class WpEvaluator:
     # scalar evaluation
 
     def wp_pair(self, z: complex) -> tuple[complex, complex]:
-        """(wp(z), wp'(z)); a lattice point raises AtInfinity.
-
-        The theta backend reads wp_pair_grid on a one-element array, so the
-        near-pole rule and the scaling are written once.
-        """
+        """(wp(z), wp'(z)); a lattice point raises AtInfinity."""
         z = complex(z)
         zr = self.reduce(z)
         if abs(zr) < EPS:
@@ -232,10 +242,9 @@ class WpEvaluator:
             total += cmath.cos(c) / cmath.sin(c) ** 3
         return -2.0 * math.pi ** 3 * total
 
-    # vectorized evaluation over numpy arrays, pole entries become inf
+    # the theta series over numpy arrays, pole entries become inf
 
-    def wp_pair_grid(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(wp, wp') over an array of points, theta backend only."""
+    def _exponentials(self, z: np.ndarray):
         if self.backend != "theta":
             raise ValueError(
                 f"grid evaluation needs the theta backend, not {self.backend!r}")
@@ -248,18 +257,61 @@ class WpEvaluator:
         near = dist < NEAR_POLE
         if near.any():
             m[near] = -np.expm1(w[near])
-        s, sp = theta_sums(u, self.q, self.nterms, 1.0, self.const, m)
-        wp = (2j * math.pi) ** 2 * s
-        wpp = (2j * math.pi) ** 3 * sp
-        wp[pole] = np.inf
-        wpp[pole] = np.inf
-        return wp, wpp
+        return u, m, pole
+
+    @staticmethod
+    def _at_poles(values: np.ndarray, pole: np.ndarray) -> np.ndarray:
+        values[pole] = np.inf
+        return values
 
     def wp_grid(self, z: np.ndarray) -> np.ndarray:
         return self.wp_pair_grid(z)[0]
 
     def wp_prime_grid(self, z: np.ndarray) -> np.ndarray:
         return self.wp_pair_grid(z)[1]
+
+
+class WpFixed(ThetaSeries):
+    """wp and wp' of one lattice to 30 digits, in eac.fixed.Fixed over object arrays.
+
+    The series runs to its 1e-30 tail bound, g2 (segre.eisenstein_invariants)
+    to 1e-30 of its n^3 weights. Points, doubles or mpmath numbers, are
+    reduced at 40 digits by the lattice point lattice_shift gives in doubles,
+    where u and (below NEAR_POLE) 1 - u = -expm1(2 pi i w) are taken, as are
+    q, pi and 2 pi i, then rounded once onto the grid. Poles raise ZeroDivisionError.
+    """
+
+    one = FIXED_ONE
+
+    def __init__(self, tau: complex):
+        from mpmath import mp
+
+        self.tau = complex(tau)
+        self.nterms = _qseries_terms(self.tau, 1e-30)
+        absq = math.exp(-2.0 * math.pi * self.tau.imag)
+        e4_terms = next(n for n in itertools.count(self.nterms) if n ** 3 * absq ** n < 1e-30)
+        with mp.workdps(40):
+            self.tau_40 = mp.mpc(self.tau.real, self.tau.imag)
+            self.two_pi_i = 2j * mp.pi
+            self.q = Fixed.lift(mp.exp(self.two_pi_i * self.tau_40))
+            self.two_pi_i_2 = Fixed.lift(self.two_pi_i ** 2)
+            self.two_pi_i_3 = Fixed.lift(self.two_pi_i ** 3)
+            pi = Fixed.lift(+mp.pi)
+        self.const = theta_const(self.q, self.nterms, FIXED_ONE)
+        self.g2 = eisenstein_invariants(self.q, pi, FIXED_ONE, e4_terms)[0]
+
+    def _exponentials(self, z):
+        from mpmath import mp
+
+        approx = np.array([complex(x) for x in z], dtype=complex)
+        shifts = [(int(m), int(n)) for m, n in zip(*lattice_shift(approx, self.tau))]
+        with mp.workdps(40):
+            lattice = {mn: mn[0] + mn[1] * self.tau_40 for mn in set(shifts)}
+            ws = [self.two_pi_i * (mp.mpc(x) - lattice[mn]) for x, mn in zip(z, shifts)]
+            us = [Fixed.lift(mp.exp(w)) for w in ws]
+            vs = [Fixed.lift(-mp.expm1(w)) if abs(a - m - n * self.tau) < NEAR_POLE
+                  else FIXED_ONE - u for w, u, a, (m, n) in zip(ws, us, approx.tolist(), shifts)]
+        return Fixed.stack(us), Fixed.stack(vs), None
 
 
 class ProductEvaluator:
@@ -308,8 +360,7 @@ def count_roots_on_fiber(F: SegrePolynomial, which: int, fixed: complex,
     line z = base + l e_which, with base placing the cell's corner at
     jitter - (1, 1) in the factor's lattice coordinates, so that exactly one
     lattice point lies inside; solver.cell_seeds counts it, and an
-    unresolved count raises ContourError. This is the contour oracle for
-    bidegree_of's exponent rule.
+    unresolved count raises ContourError.
     """
     from .solver import CELL_OFFSET, PulledBackSystem, cell_seeds
 

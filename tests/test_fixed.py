@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from eac import solver
 from eac.fixed import FIX_BITS, ONE, Fixed
-from eac.weierstrass import _qseries_terms, theta_sums
+from eac.weierstrass import WpFixed, _qseries_terms, theta_sums
 from tests.test_weierstrass import reduced_probe_points
 
 ULP = Fraction(1, 1 << FIX_BITS)
@@ -97,19 +96,22 @@ def test_python_numbers_mix_in():
 
 @pytest.mark.parametrize("tau", [0.3j, 1j, 1j * math.sqrt(2), 0.5 + 0.866j])
 def test_fixed_theta_sums_match_60_digits(tau):
+    # the 30-digit series' (wp, wp') against the theta series summed at 60
+    # digits, on the scale of the sums S, S' that its 1e-30 tail bound is set
+    # on: wp' = (2 pi i)^3 S' carries a tail of 5e-33 at tau = 0.3i as 1.2e-30
     from mpmath import mp
 
     zs = reduced_probe_points(tau, random.Random(13))
     # points close to the pole take 1 - u from expm1
     zs += [r * cmath.exp(1j * t) for r in (1e-4, 1e-6, 1e-8) for t in (0.3, 1.9, -2.6)]
+    batch = WpFixed(tau).wp_pair_grid(zs)
     with mp.workdps(60):
         one = mp.mpf(1)
         q = mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag))
         nterms = _qseries_terms(tau, 1e-60)
-        batch = solver._fixed_theta_sums(tau, zs, [(0, 0)] * len(zs))
         for k, z in enumerate(zs):
             w = 2j * mp.pi * mp.mpc(z.real, z.imag)
-            ref = theta_sums(mp.exp(w), q, nterms, one, None, -mp.expm1(w))
-            for got, want in zip(batch, ref):
-                diff = abs(mp.mpc(got.re[k], got.im[k]) / 2 ** FIX_BITS - want)
+            s, sp = theta_sums(mp.exp(w), q, nterms, one, None, -mp.expm1(w))
+            for got, want, scale in zip(batch, (s, sp), ((2j * mp.pi) ** 2, (2j * mp.pi) ** 3)):
+                diff = abs(mp.mpc(got.re[k], got.im[k]) / 2 ** FIX_BITS / scale - want)
                 assert diff <= 1e-30 * max(1, abs(want)), (tau, z)

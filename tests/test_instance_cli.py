@@ -448,7 +448,7 @@ def test_cli_solve_uncertified_exit_code(tmp_path):
 
 
 def reject_every_point(system, ls, cfg):
-    return [(False, 1.0, 0, "doubled-precision residual too large")] * len(ls)
+    return [(False, 1.0, 0, "doubled-precision residual too large", 1.0)] * len(ls)
 
 
 def test_cli_solve_certified_but_empty(tmp_path, capsys, monkeypatch):

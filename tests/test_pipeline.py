@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from eac import hull, pipeline
+from eac.fixed import FIX_BITS
 from eac.forms import eac_certificate, hypersurface_form, zeros_per_cell
 from eac.hull import kernel_lattice, rational_hull
 from eac.instance import builtin_instance, catalog_dicts, catalog_names, instance_from_dict
@@ -183,7 +184,7 @@ def test_solve_refuses_before_scanning():
 def test_solve_reports_certified_emptiness(flagship, monkeypatch):
     # a verification that rejects every point leaves the harvest empty
     monkeypatch.setattr(solver, "verify_points", lambda system, ls, cfg: [(
-        False, 1.0, 0, "doubled-precision residual too large")] * len(ls))
+        False, 1.0, 0, "doubled-precision residual too large", 1.0)] * len(ls))
     cfg = SolverConfig(budget_cells=1)
     out = solve(dataclasses.replace(flagship, config=cfg))
     assert out.exit_code == 5
@@ -499,7 +500,7 @@ def test_verified_residual_matches_60_digits(name):
         assert abs(s.verified_residual - want) <= 1e-25, (name, s.l)
     # a point moved off the root fails the residual gate
     for s in out.report.solutions[:5]:
-        ok, _, _, reason = solver.verify_solution(system, s.l + 1e-6, cfg)
+        ok, _, _, reason, _ = solver.verify_solution(system, s.l + 1e-6, cfg)
         assert not ok and reason == "doubled-precision residual too large", (name, s.l)
 
 
@@ -523,8 +524,10 @@ def test_verify_points_matches_verify_solution_point_by_point(name, A1):
         batch = solver.verify_points(system, ls, cfg)
         assert batch == [solver.verify_solution(system, l, cfg) for l in ls], name
         kept = batch[:1] + batch[2:len(points) + 1]
-        assert kept == [(True, s.verified_residual, s.winding, "") for s in points], name
-        assert all(not ok for ok, _, _, _ in batch[len(points) + 1:]), name
+        # the report's rank is read from verification's |G'|
+        assert [(*v[:4], solver.jacobian_rank(system, v[4])) for v in kept] == [
+            (True, s.verified_residual, s.winding, "", s.jacobian_rank) for s in points], name
+        assert all(not v[0] for v in batch[len(points) + 1:]), name
         assert solver.verify_points(system, [], cfg) == []
 
 
@@ -568,3 +571,32 @@ def test_analytic_derivative_matches_mpmath(name, A1):
             for l, got in zip(ls, dg):
                 want = complex(mp.diff(lambda t: mp_value(system, t), mp.mpc(l.real, l.imag)))
                 assert abs(got - want) <= 1e-11 * abs(want), (name, l, got, want)
+
+
+@pytest.mark.parametrize("name", ["diag-deriv-prod", "diag-cross-deriv"])
+def test_30_digit_g_prime_matches_a_central_difference(name):
+    # W has wp' terms, so g2 enters G'; a double g2 would miss 1e-20 by far
+    from mpmath import mp
+
+    inst, system = catalog_system(name)
+    cfg = dataclasses.replace(inst.config, target_count=6)
+    ls = [s.l for s in solve(dataclasses.replace(inst, config=cfg)).report.solutions]
+    assert len(ls) == 6
+    series = [solver._wp_30_digits(ev.tau) for ev in system.pe.evals]
+    zs = np.array([system.z_of(l) for l in ls]).T.tolist()
+    g, dg = solver.pulled_back_jet(system.F, series, zs, system.v)
+    # the G that verification reads its residuals from
+    assert [float(v) for v in abs(g)] == [v[1] for v in solver.verify_points(system, ls, cfg)]
+    with mp.workdps(40):
+        h = mp.mpf(1e-12)
+        sides = [solver.pulled_back_jet(system.F, series,
+                                        [[(mp.mpc(l) + sign * h) * c for l in ls]
+                                         for c in system.v], system.v)[0]
+                 for sign in (1, -1)]
+
+        def value(x, k):
+            return mp.mpc(x.re[k], x.im[k]) / 2 ** FIX_BITS
+
+        for k, l in enumerate(ls):
+            central = (value(sides[0], k) - value(sides[1], k)) / (2 * h)
+            assert abs(central - value(dg, k)) <= 1e-20 * abs(value(dg, k)), (name, l)

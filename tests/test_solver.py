@@ -116,7 +116,7 @@ def test_newton_refine_reports_pole_landing(A2, pe2):
     r = newton_refine(sys_, [0.0 + 0.0j], SolverConfig())[0]
     assert r.reason == "landed on a pole"
     # a failed seed keeps where it stopped: here the seed itself, at the pole
-    assert (r.l, r.residual, r.steps, r.deriv) == (0j, math.inf, 0, None)
+    assert (r.l, r.residual, r.steps) == (0j, math.inf, 0)
 
 
 def central_difference_newton(system, seed, cfg, fd_step=1e-7):
@@ -147,7 +147,7 @@ def test_batched_newton_matches_one_seed_batches_and_the_oracle(A1, A2, pe2, cas
     assert len(batch) == len(seeds)
     for seed, got in zip(seeds, batch):
         one = newton_refine(sys_, [seed], cfg)[0]
-        assert got == one and got.steps == one.steps and got.deriv == one.deriv
+        assert got == one and got.steps == one.steps
         want = central_difference_newton(sys_, seed, cfg)
         assert (got.reason is not None) == (want is None)
         if want is not None:
@@ -279,6 +279,17 @@ def test_harvest_evaluates_no_grid(A2, pe2, monkeypatch):
     # counting, Newton and verification together stay far below the 40,000
     # points a 200 x 200 grid took per cell
     assert sum(shape[0] for shape in shapes) / (2 * 6) < 4000
+
+
+def test_a_double_evaluation_does_not_depend_on_its_batch():
+    # from 16384 points (256 KiB) on, numpy elides temporaries into in-place
+    # loops that round differently; eval_jet's blocks stay below that
+    system, _ = catalog_case("irrational-slope")
+    rng = np.random.default_rng(11)
+    l = rng.uniform(-5, 5, 20000) + 1j * rng.uniform(-5, 5, 20000)
+    g, dg = system.eval_jet(l)
+    alone = system.eval_jet(l[:100])
+    assert g[:100].tobytes() == alone[0].tobytes() and dg[:100].tobytes() == alone[1].tobytes()
 
 
 def catalog_case(name):
@@ -440,7 +451,7 @@ def test_verify_points_rejects_an_unclean_or_zero_winding(A2, pe2, monkeypatch, 
     assert r.reason is None
     l = r.l
     monkeypatch.setattr(solver, "box_windings", lambda system, ls: [winding] * len(ls))
-    ok, vres, wind, why = verify_points(sys_, [l], SolverConfig())[0]
+    ok, vres, wind, why, _ = verify_points(sys_, [l], SolverConfig())[0]
     assert (ok, wind, why) == (False, 0, reason)
     assert vres < 10 * SolverConfig().solve_tol
 
@@ -511,7 +522,7 @@ def test_verify_solution_sums_to_the_30_digit_tail_bound(A2, pe2, monkeypatch):
         lengths.append(nterms)
         return theta_sums(u, q, nterms, one, const, one_minus_u)
 
-    monkeypatch.setattr(solver, "theta_sums", recording)
+    monkeypatch.setattr("eac.weierstrass.theta_sums", recording)
     verify_solution(flagship_system(pe2, A2), 0.31 + 0.27j, SolverConfig())
     assert lengths == [_qseries_terms(ev.tau, 1e-30) for ev in pe2.evals]
 
@@ -523,12 +534,12 @@ def test_verify_solution_accepts_true_roots_rejects_perturbed(A2, pe2):
     r = newton_refine(sys_, [seeds[0][0]], cfg)[0]
     assert r.reason is None
     l = r.l
-    ok, vres, wind, reason = verify_solution(sys_, l, cfg)
+    ok, vres, wind, reason, _ = verify_solution(sys_, l, cfg)
     assert ok and reason == ""
     assert vres < 10 * cfg.solve_tol
     assert wind >= 1
     # a nearby non-root must fail the doubled-precision residual gate
-    bad_ok, bad_vres, _, bad_reason = verify_solution(sys_, l + 1e-4, cfg)
+    bad_ok, bad_vres, _, bad_reason, _ = verify_solution(sys_, l + 1e-4, cfg)
     assert not bad_ok
     assert bad_vres > 10 * cfg.solve_tol
     assert "residual" in bad_reason
@@ -691,7 +702,7 @@ def test_harvest_respects_target(A2, pe2):
 
 
 def reject_every_point(system, ls, cfg):
-    return [(False, 1.0, 0, "doubled-precision residual too large")] * len(ls)
+    return [(False, 1.0, 0, "doubled-precision residual too large", 1.0)] * len(ls)
 
 
 def test_harvest_defect_flag_when_nothing_survives(A2, pe2, monkeypatch):
