@@ -130,7 +130,7 @@ class _Exponents(tuple):
 
 
 def _qseries_terms(tau: complex, eps: float) -> int:
-    """Powers of q = exp(2 pi i tau) that bring the theta series' tail below eps."""
+    """Powers of q = exp(2 pi i tau) that bring a q-series' tail below eps."""
     absq = math.exp(-2.0 * math.pi * tau.imag)
     if absq >= 1.0:
         raise ValueError("tau must have positive imaginary part")
@@ -158,7 +158,7 @@ def eisenstein_invariants(q, pi, one, nterms: int):
 
 @functools.lru_cache(maxsize=64)
 def lattice_invariants(tau: complex) -> tuple[complex, complex]:
-    """(g2, g3) of Z + tau Z in doubles, to the theta length at EPS and at least 16 terms."""
+    """(g2, g3) of Z + tau Z in doubles, to the q-series length at EPS and at least 16 terms."""
     return eisenstein_invariants(cmath.exp(2j * math.pi * tau), math.pi, 1.0,
                                  max(_qseries_terms(tau, EPS), 16))
 

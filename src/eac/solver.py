@@ -652,7 +652,8 @@ def newton_refine(system: PulledBackSystem, seeds, cfg: SolverConfig) -> list[Re
         if not active.size:
             break
         g, dg = system.eval_jet(l[active])
-        resid[active] = res = np.abs(g)
+        # hypot rounds |G| correctly, as abs does on one value; np.abs may not
+        resid[active] = res = np.hypot(g.real, g.imag)
         bad = ~(np.isfinite(g.real) & np.isfinite(g.imag))
         conv = ~bad & (res < cfg.solve_tol)
         singular = ~(bad | conv) & (~np.isfinite(dg.real) | (np.abs(dg) < 1e-14))
@@ -672,7 +673,7 @@ def newton_refine(system: PulledBackSystem, seeds, cfg: SolverConfig) -> list[Re
         l[active] = moved[~far]
     if active.size:
         g, dg = system.eval_jet(l[active])
-        resid[active] = res = np.abs(g)
+        resid[active] = res = np.hypot(g.real, g.imag)
         conv = res < cfg.solve_tol
         settle(active[conv], None)
         settle(active[~conv], "no convergence")
@@ -742,11 +743,12 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     were taken, cells_counted those cell_seeds counted; cells counted past
     the target are not reported. A batch's converged points are reduced in
     one ProductEvaluator.reduce call and deduplicated by torus distance at
-    dedup_tol; one verify_points call takes the ones apart from the accepted
-    points and each other, as many as the target still needs, and its G'
-    gives their ranks. Each point is labelled with the walk index of the
-    cell that holds it; a cell whose seeds were all taken is incomplete when
-    its points found differ from its count.
+    dedup_tol, read from one matrix of their distances to each other and to
+    the points accepted before the batch; one verify_points call takes the
+    ones apart from the accepted points and each other, as many as the
+    target still needs, and its G' gives their ranks. Each point is labelled
+    with the walk index of the cell that holds it; a cell whose seeds were
+    all taken is incomplete when its points found differ from its count.
     """
     if not zeros_per_cell > 0:
         raise UncertifiedError(
@@ -781,17 +783,17 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
             draw(len(walk) + 1)
         return index[cell]
 
-    def verify_from(refined, zred, k):
-        """One verify_points call, keyed by position, on what the walk may take from k on."""
-        near, group = accepted, []
-        for i, z in zred.items():
-            if i < k or np.any(system.pe.torus_distances(z, near) < cfg.dedup_tol):
+    def verify_from(j0):
+        """One verify_points call, keyed by batch row, on what the walk may take from row j0 on."""
+        near, group = kept.copy(), []
+        for j in range(j0, len(converged)):
+            if close[j, near].any():
                 continue
-            near = np.vstack([near, z])
-            group.append(i)
+            near[j] = True
+            group.append(j)
             if len(group) == cfg.target_count - len(report.solutions):
                 break
-        return dict(zip(group, verify_points(system, [refined[i].l for i in group], cfg)))
+        return dict(zip(group, verify_points(system, [refined[converged[j]].l for j in group], cfg)))
 
     counted = []  # (count, seeds) of the cells counted but not yet taken
     while not report.target_reached and report.cells_scanned < cfg.budget_cells:
@@ -818,8 +820,13 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
         refined = timed("newton_s", newton_refine, system, batch, cfg) if batch else []
         converged = [i for i, r in enumerate(refined) if r.reason is None]
         # each z_of(l) in Python complex arithmetic: a row does not depend on its batch
-        zs = [system.z_of(refined[i].l) for i in converged]
-        zred = dict(zip(converged, timed("dedup_s", system.pe.reduce, zs)))
+        rows = timed("dedup_s", system.pe.reduce, [system.z_of(refined[i].l) for i in converged])
+        n = len(rows)
+        d = timed("dedup_s", system.pe.torus_distances, rows[:, None], np.vstack([rows, accepted]))
+        # close[i, j]: rows i and j within dedup_tol; close[i, n]: row i within it of accepted
+        close = d.reshape(n, n + len(accepted)) < cfg.dedup_tol
+        close = np.column_stack([close[:, :n], close[:, n:].any(axis=1)])
+        row, kept = {k: j for j, k in enumerate(converged)}, np.arange(n + 1) == n
         candidates = iter(enumerate(refined))
         checked = {}
         for cell_index, (count, seeds) in enumerate(taken, start):
@@ -835,25 +842,26 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                 if r.reason is not None:
                     report.failures.append(FailureRecord(r.l, cell_index, r.reason, r.residual))
                     continue
-                dists = timed("dedup_s", system.pe.torus_distances, zred[k], accepted)
-                if np.any(dists < cfg.dedup_tol):
+                j = row[k]
+                if close[j, kept].any():
                     report.seeds_duplicate += 1
                     continue
-                if k not in checked:
-                    checked.update(timed("verify_s", verify_from, refined, zred, k))
-                ok, vres, wind, reason, deriv = checked[k]
+                if j not in checked:
+                    checked.update(timed("verify_s", verify_from, j))
+                ok, vres, wind, reason, deriv = checked[j]
                 if not ok:
                     report.failures.append(FailureRecord(r.l, cell_index, reason, r.residual))
                     continue
                 rank = timed("jacobian_s", jacobian_rank, system, deriv)
                 report.solutions.append(SolutionPoint(
-                    l=r.l, z=tuple(complex(x) for x in zred[k]),
+                    l=r.l, z=tuple(complex(x) for x in rows[j]),
                     residual=r.residual, verified_residual=float(vres),
                     winding=int(wind), jacobian_rank=rank, cell=home(r.l)))
-                accepted = np.vstack([accepted, zred[k]])
+                kept[j] = True
                 report.target_reached = len(report.solutions) >= cfg.target_count
             else:
                 taken_whole.append(cell_index)
+        accepted = np.vstack([accepted, rows[kept[:-1]]])
     found = Counter(s.cell for s in report.solutions)
     report.cells = [{"cell": i, "expected": n, "found": found[i]}
                     for i, n in expected.items()]

@@ -2,13 +2,13 @@
 
 Two independent evaluation backends share one interface:
 
-  "theta"        q-expansions in u = exp(2 pi i z), q = exp(2 pi i tau),
-                 whose terms decay like |q|^n, so a tail bound picks the
-                 truncation order. theta_sums writes the series once, with
-                 two reciprocals per term and the constant q-sum
-                 (theta_const) summed once per lattice; near a pole 1 - u
-                 is -expm1(2 pi i z), so values keep their relative accuracy.
-                 ThetaSeries.wp_pair_grid scales it to wp and wp' over
+  "theta"        Jacobi's theta_1 series in V = exp(i pi z), p = exp(i pi tau),
+                 whose m-th term has size |p|^(m^2), so a tail bound picks
+                 its length (ThetaSeries._lattice): 4 terms give 30 digits at
+                 tau = i sqrt 2. wp and wp' are its logarithmic derivatives
+                 with log sin(pi z) split off (theta1_logderivs); near a pole
+                 V - 1/V is 2 sinh(i pi z), so values keep their relative
+                 accuracy. ThetaSeries.wp_pair_grid writes them once over
                  arrays in one arithmetic: doubles in WpEvaluator, 30 digits
                  of eac.fixed in WpFixed for the solver's verification.
   "lattice-sum"  row-resummed series: the double sum over the lattice is
@@ -45,9 +45,12 @@ from .segre import (EPS, SegrePolynomial, _qseries_terms, bidegree_of,  # noqa: 
                     eisenstein_invariants, lattice_invariants, segre_stack)
 from .variety import ProductVariety
 
-# Below this |z| the n = 0 factor 1 - u of the theta series is taken as
-# -expm1(2 pi i z); above it 1 - u loses under two bits to cancellation.
+# Below this |z| the factor V - 1/V of the theta series is taken as
+# 2 sinh(i pi z); above it V - 1/V loses under two bits to cancellation.
 NEAR_POLE = 0.1
+# ThetaSeries._lattice's bound on what the series' ratios add to its first
+# term left out: 10 at most on the lattices tried, from 0.1i to 2i.
+TAIL_GAIN = 32.0
 
 
 class AtInfinity(Exception):
@@ -86,63 +89,65 @@ def reduce_to_fundamental(z, tau: complex):
     return z - m - n * tau
 
 
-def theta_const(q, nterms: int, one):
-    """The constant 1/12 - sum 2 q^n/(1 - q^n)^2 of the wp series, to nterms powers."""
-    const = one / 12
-    qn = one
-    for _ in range(nterms):
-        qn = qn * q
-        rq = one / (one - qn)
-        const = const - 2 * qn * rq * rq
-    return const
+def theta1_logderivs(v, vi, v_minus_vi, p, rho, one):
+    """(log theta_1)'' and (log theta_1)''' at pi w, from V = exp(i pi w).
 
-
-def theta_sums(u, q, nterms: int, one, const=None, one_minus_u=None):
-    """The q-series S, S' with wp = (2 pi i)^2 S and wp' = (2 pi i)^3 S'.
-
-    u = exp(2 pi i z) and q = exp(2 pi i tau) for a reduced z (DLMF 23.8),
-    summed to nterms powers of q with + - * / alone, in any number type
-    whose unit is one. Each geometric factor w takes one reciprocal
-    r = 1/(1 - w), which builds w/(1 - w)^2 = w r^2 and w(1 + w)/(1 - w)^3 =
-    (w r^2)(1 + w) r; 1/u is taken once. const is theta_const(q, nterms, one),
-    for callers to compute once per lattice. one_minus_u, when given, is
-    1 - u as -expm1(2 pi i z): near a pole 1 - u cancels, losing eps/|z|.
+    v, vi and v_minus_vi are V, 1/V and V - 1/V at reduced points w, the last
+    without cancellation near w = 0. By DLMF 20.2.1, theta_1(pi w) is
+    2 sum_n (-1)^n p^((n+1/2)^2) sin((2n+1) pi w): a constant times sin(pi w) S,
+    S = rho_0 + sum_m rho_m (y^m + yi^m) with y, yi = p V^2, p / V^2 and
+    rho_m = sum_{n >= m} (-1)^n p^(n^2 + n - m). So S^(j) = (2i)^j sum_m m^j
+    rho_m (y^m + (-1)^j yi^m), with |y|, |yi| <= 1 on reduced points, and
+    log sin(pi w) is rational in V; near a half period the two parts cancel
+    at the size of their terms, not of theta_1^(k)/theta_1. + - * and two
+    divisions per point, in any number type whose unit is one.
     """
-    if const is None:
-        const = theta_const(q, nterms, one)
-    iu = one / u
-    r = one / (one - u if one_minus_u is None else one_minus_u)
-    s = u * r * r
-    sp = s * (one + u) * r
-    qn = one
-    for _ in range(nterms):
-        qn = qn * q
-        w = qn * u
-        x = qn * iu
-        rw = one / (one - w)
-        rx = one / (one - x)
-        tw = w * rw * rw
-        tx = x * rx * rx
-        s = s + tw + tx
-        sp = sp + tw * (one + w) * rw - tx * (one + x) * rx
-    return s + const, sp
+    y, yi = p * v * v, p * vi * vi
+    ym, yim, s0, s1, s2, s3 = y, yi, rho[0], 0, 0, 0
+    for m, c in enumerate(rho[1:], 1):
+        a, b = ym + yim, ym - yim
+        s0, s1, s2, s3 = s0 + c * a, s1 + m * c * b, s2 + m * m * c * a, s3 + m ** 3 * c * b
+        ym, yim = ym * y, yim * yi
+    g, r = one / s0, one / v_minus_vi
+    e1, e2, e3, r2 = s1 * g, s2 * g, s3 * g, r * r
+    return (4 * (r2 + e1 * e1 - e2),
+            -8j * (e3 + e1 * (2 * e1 * e1 - 3 * e2) + (v + vi) * r2 * r))
 
 
 class ThetaSeries:
-    """wp and wp' of one lattice over arrays of points, from theta_sums.
+    """wp and wp' of one lattice over arrays of points, from theta1_logderivs.
 
-    A subclass fixes the arithmetic: q, const, nterms, the unit one, g2 and
-    two_pi_i_2, two_pi_i_3 = (2 pi i)^2, (2 pi i)^3 in its number type, and
-    _exponentials(z): u = exp(2 pi i w) and 1 - u at each reduced point w,
-    and a pole mask for _at_poles (by default none).
+    With sigma from theta_1 (DLMF 23.6.9) and wp = -(log sigma)'',
+    wp = c0 - pi^2 (log theta_1)''(pi z) and wp' = -pi^3 (log theta_1)'''(pi z),
+    c0 = (pi^2/3) theta_1'''(0)/theta_1'(0). A subclass fixes the arithmetic:
+    it sets tau, the unit one and g2, calls _lattice with p = exp(i pi tau)
+    and pi in its number type, and gives _exponentials(z): V, 1/V and V - 1/V
+    at each reduced point, and a pole mask for _at_poles (by default none).
     """
+
+    def _lattice(self, p, pi, eps: float):
+        """theta_terms, the rho_m, pi^2, -pi^3 and c0, for wp and wp' to eps.
+
+        The term left out, m = theta_terms + 1, has size |p|^(m^2) and weight
+        8 m^3 in S'''. wp' carries pi^3 and, for Im tau < 1, values of size
+        Im tau^-3 (wp'(z; tau) = tau^-3 wp'(z/tau; -1/tau)); TAIL_GAIN bounds
+        what the ratios add. p underflowing to 0.0 (Im tau > 237) leaves one term.
+        """
+        absp = math.exp(-math.pi * self.tau.imag)
+        gain = TAIL_GAIN * math.pi ** 3 * max(1.0, self.tau.imag ** -3)
+        n = next(n for n in itertools.count(1) if gain * (n + 1) ** 3 * absp ** ((n + 1) ** 2) < eps)
+        a = [(-1) ** k * p ** (k * k + k) for k in range(n + 1)]
+        self.p, self.theta_terms, self.pi2, self.minus_pi3 = p, n, pi * pi, pi * pi * pi * -1
+        self.rho = [sum((-1) ** k * p ** (k * k + k - m) for k in range(m, n + 1)) for m in range(n + 1)]
+        self.c0 = self.pi2 * sum((2 * k + 1) ** 3 * x for k, x in enumerate(a)) / (
+            sum((2 * k + 1) * x for k, x in enumerate(a)) * -3)
 
     def wp_pair_grid(self, z):
         """(wp, wp') at the points z, in the series' number type."""
-        u, one_minus_u, pole = self._exponentials(z)
-        s, sp = theta_sums(u, self.q, self.nterms, self.one, self.const, one_minus_u)
-        return (self._at_poles(self.two_pi_i_2 * s, pole),
-                self._at_poles(self.two_pi_i_3 * sp, pole))
+        v, vi, v_minus_vi, pole = self._exponentials(z)
+        l2, l3 = theta1_logderivs(v, vi, v_minus_vi, self.p, self.rho, self.one)
+        return (self._at_poles(self.c0 - self.pi2 * l2, pole),
+                self._at_poles(self.minus_pi3 * l3, pole))
 
     @staticmethod
     def _at_poles(values, pole):
@@ -157,8 +162,6 @@ class WpEvaluator(ThetaSeries):
     """
 
     one = 1.0
-    two_pi_i_2 = (2j * math.pi) ** 2
-    two_pi_i_3 = (2j * math.pi) ** 3
 
     def __init__(self, tau: complex, backend: str = "theta"):
         tau = complex(tau)
@@ -166,9 +169,8 @@ class WpEvaluator(ThetaSeries):
             raise ValueError(f"unknown backend {backend!r}")
         self.tau = tau
         self.backend = backend
-        self.nterms = _qseries_terms(tau, EPS)
-        self.q = cmath.exp(2j * math.pi * tau)
-        self.const = theta_const(self.q, self.nterms, 1.0)
+        self.nterms = _qseries_terms(tau, EPS)  # the lattice-sum rows
+        self._lattice(cmath.exp(1j * math.pi * tau), math.pi, 1e-17)  # a tail below rounding
         self.g2 = lattice_invariants(tau)[0]
 
     # lattice geometry
@@ -189,16 +191,11 @@ class WpEvaluator(ThetaSeries):
           sum_m (z + m)^-6 |_{z=n tau} = pi^6 (2 s^2/15 + c^2 s^4 + c^4 s^6),
         and the n = 0 rows are 2 zeta(4) and 2 zeta(6).
         """
-        tau = self.tau
-        pi = math.pi
-        G4 = 2.0 * pi ** 4 / 90.0
-        G6 = 2.0 * pi ** 6 / 945.0
-        nrows = self.nterms + 4
-        for n in range(1, nrows + 1):
-            s = 1.0 / cmath.sin(pi * n * tau)
-            c = cmath.cos(pi * n * tau)
-            s2 = s * s
-            c2 = c * c
+        tau, pi = self.tau, math.pi
+        G4, G6 = 2.0 * pi ** 4 / 90.0, 2.0 * pi ** 6 / 945.0
+        for n in range(1, self.nterms + 5):
+            s, c = 1.0 / cmath.sin(pi * n * tau), cmath.cos(pi * n * tau)
+            s2, c2 = s * s, c * c
             G4 += 2.0 * pi ** 4 * (s2 / 3.0 + c2 * s2 * s2)
             G6 += 2.0 * pi ** 6 * (2.0 * s2 / 15.0 + c2 * s2 * s2 + c2 * c2 * s2 * s2 * s2)
         return complex(60.0 * G4), complex(140.0 * G6)
@@ -223,24 +220,14 @@ class WpEvaluator(ThetaSeries):
         return self.wp_pair(z)[1]
 
     def _wp_rows(self, z: complex) -> complex:
-        tau = self.tau
-        nrows = self.nterms + 1
-        total = 0.0 + 0.0j
-        for n in range(-nrows, nrows + 1):
-            total += 1.0 / cmath.sin(math.pi * (z - n * tau)) ** 2
-        const = 0.0 + 0.0j
-        for n in range(1, nrows + 1):
-            const += 2.0 / cmath.sin(math.pi * n * tau) ** 2
+        ns = range(-self.nterms - 1, self.nterms + 2)
+        total = sum((1.0 / cmath.sin(math.pi * (z - n * self.tau)) ** 2 for n in ns), 0j)
+        const = sum((2.0 / cmath.sin(math.pi * n * self.tau) ** 2 for n in ns if n > 0), 0j)
         return math.pi ** 2 * (total - const) - math.pi ** 2 / 3.0
 
     def _wp_prime_rows(self, z: complex) -> complex:
-        tau = self.tau
-        nrows = self.nterms + 1
-        total = 0.0 + 0.0j
-        for n in range(-nrows, nrows + 1):
-            c = math.pi * (z - n * tau)
-            total += cmath.cos(c) / cmath.sin(c) ** 3
-        return -2.0 * math.pi ** 3 * total
+        cs = (math.pi * (z - n * self.tau) for n in range(-self.nterms - 1, self.nterms + 2))
+        return -2.0 * math.pi ** 3 * sum((cmath.cos(c) / cmath.sin(c) ** 3 for c in cs), 0j)
 
     # the theta series over numpy arrays, pole entries become inf
 
@@ -251,13 +238,14 @@ class WpEvaluator(ThetaSeries):
         zr = self.reduce(np.asarray(z, dtype=complex))
         dist = np.abs(zr)
         pole = dist < EPS
-        w = 2j * math.pi * np.where(pole, 0.25, zr)
-        u = np.exp(w)
-        m = 1.0 - u
+        w = 1j * math.pi * np.where(pole, 0.25, zr)
+        v = np.exp(w)
+        vi = 1.0 / v
+        d = v - vi
         near = dist < NEAR_POLE
         if near.any():
-            m[near] = -np.expm1(w[near])
-        return u, m, pole
+            d[near] = 2.0 * np.sinh(w[near])
+        return v, vi, d, pole
 
     @staticmethod
     def _at_poles(values: np.ndarray, pole: np.ndarray) -> np.ndarray:
@@ -277,8 +265,9 @@ class WpFixed(ThetaSeries):
     The series runs to its 1e-30 tail bound, g2 (segre.eisenstein_invariants)
     to 1e-30 of its n^3 weights. Points, doubles or mpmath numbers, are
     reduced at 40 digits by the lattice point lattice_shift gives in doubles,
-    where u and (below NEAR_POLE) 1 - u = -expm1(2 pi i w) are taken, as are
-    q, pi and 2 pi i, then rounded once onto the grid. Poles raise ZeroDivisionError.
+    where V = exp(i pi w) and, below NEAR_POLE, V - 1/V = 2i sin(pi w) are
+    taken, as are p and pi, then rounded once onto the grid; 1/V is a Fixed
+    quotient. Poles raise ZeroDivisionError.
     """
 
     one = FIXED_ONE
@@ -287,31 +276,31 @@ class WpFixed(ThetaSeries):
         from mpmath import mp
 
         self.tau = complex(tau)
-        self.nterms = _qseries_terms(self.tau, 1e-30)
         absq = math.exp(-2.0 * math.pi * self.tau.imag)
-        e4_terms = next(n for n in itertools.count(self.nterms) if n ** 3 * absq ** n < 1e-30)
+        e4_terms = next(n for n in itertools.count(_qseries_terms(self.tau, 1e-30))
+                        if n ** 3 * absq ** n < 1e-30)
         with mp.workdps(40):
             self.tau_40 = mp.mpc(self.tau.real, self.tau.imag)
-            self.two_pi_i = 2j * mp.pi
-            self.q = Fixed.lift(mp.exp(self.two_pi_i * self.tau_40))
-            self.two_pi_i_2 = Fixed.lift(self.two_pi_i ** 2)
-            self.two_pi_i_3 = Fixed.lift(self.two_pi_i ** 3)
+            p = Fixed.lift(mp.expjpi(self.tau_40))
             pi = Fixed.lift(+mp.pi)
-        self.const = theta_const(self.q, self.nterms, FIXED_ONE)
-        self.g2 = eisenstein_invariants(self.q, pi, FIXED_ONE, e4_terms)[0]
+        self._lattice(p, pi, 1e-30)
+        self.g2 = eisenstein_invariants(p * p, pi, FIXED_ONE, e4_terms)[0]
 
     def _exponentials(self, z):
         from mpmath import mp
 
         approx = np.array([complex(x) for x in z], dtype=complex)
-        shifts = [(int(m), int(n)) for m, n in zip(*lattice_shift(approx, self.tau))]
+        m, n = lattice_shift(approx, self.tau)
+        near = np.abs(approx - m - n * self.tau) < NEAR_POLE
+        shifts = list(zip(m.astype(int).tolist(), n.astype(int).tolist()))
         with mp.workdps(40):
             lattice = {mn: mn[0] + mn[1] * self.tau_40 for mn in set(shifts)}
-            ws = [self.two_pi_i * (mp.mpc(x) - lattice[mn]) for x, mn in zip(z, shifts)]
-            us = [Fixed.lift(mp.exp(w)) for w in ws]
-            vs = [Fixed.lift(-mp.expm1(w)) if abs(a - m - n * self.tau) < NEAR_POLE
-                  else FIXED_ONE - u for w, u, a, (m, n) in zip(ws, us, approx.tolist(), shifts)]
-        return Fixed.stack(us), Fixed.stack(vs), None
+            ws = [mp.mpc(x) - lattice[mn] for x, mn in zip(z, shifts)]
+            v = Fixed.stack([Fixed.lift(mp.expjpi(w)) for w in ws])
+            s = Fixed.stack([Fixed.lift(2j * mp.sinpi(w) if c else 0) for w, c in zip(ws, near)])
+        vi = FIXED_ONE / v
+        d = v - vi
+        return v, vi, Fixed(np.where(near, s.re, d.re), np.where(near, s.im, d.im)), None
 
 
 class ProductEvaluator:

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from eac import fixed
 from eac.fixed import FIX_BITS, ONE, Fixed
-from eac.weierstrass import WpFixed, _qseries_terms, theta_sums
+from eac.weierstrass import WpFixed
+from tests.reference import wp_pair_reference
 from tests.test_weierstrass import reduced_probe_points
 
 ULP = Fraction(1, 1 << FIX_BITS)
@@ -94,24 +96,43 @@ def test_python_numbers_mix_in():
         x ** -1
 
 
-@pytest.mark.parametrize("tau", [0.3j, 1j, 1j * math.sqrt(2), 0.5 + 0.866j])
+@pytest.mark.parametrize("tau", [0.3j, 1j, 1j * math.sqrt(2), 1j * math.sqrt(5), 0.5 + 0.866j])
 def test_fixed_theta_sums_match_60_digits(tau):
-    # the 30-digit series' (wp, wp') against the theta series summed at 60
-    # digits, on the scale of the sums S, S' that its 1e-30 tail bound is set
-    # on: wp' = (2 pi i)^3 S' carries a tail of 5e-33 at tau = 0.3i as 1.2e-30
+    # the 30-digit series' (wp, wp') against the q-series summed at 60 digits,
+    # on the scale of wp and wp' themselves: the tail bound is set on them
     from mpmath import mp
 
     zs = reduced_probe_points(tau, random.Random(13))
-    # points close to the pole take 1 - u from expm1
+    # points close to the pole take V - 1/V from sinh
     zs += [r * cmath.exp(1j * t) for r in (1e-4, 1e-6, 1e-8) for t in (0.3, 1.9, -2.6)]
     batch = WpFixed(tau).wp_pair_grid(zs)
     with mp.workdps(60):
-        one = mp.mpf(1)
-        q = mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag))
-        nterms = _qseries_terms(tau, 1e-60)
         for k, z in enumerate(zs):
-            w = 2j * mp.pi * mp.mpc(z.real, z.imag)
-            s, sp = theta_sums(mp.exp(w), q, nterms, one, None, -mp.expm1(w))
-            for got, want, scale in zip(batch, (s, sp), ((2j * mp.pi) ** 2, (2j * mp.pi) ** 3)):
-                diff = abs(mp.mpc(got.re[k], got.im[k]) / 2 ** FIX_BITS / scale - want)
+            for got, want in zip(batch, wp_pair_reference(tau, z)):
+                diff = abs(mp.mpc(got.re[k], got.im[k]) / 2 ** FIX_BITS - want)
                 assert diff <= 1e-30 * max(1, abs(want)), (tau, z)
+
+
+def test_powers_square_and_multiply(monkeypatch):
+    calls = []
+    real = fixed._MUL
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fixed, "_MUL", counting)
+    x = Fixed.lift(0.6 + 0.8j)
+    for e in (2, 3, 43, 1000):
+        calls.clear()
+        got = as_complex(x ** e)
+        assert len(calls) <= 2 * e.bit_length() - 2, e
+        assert abs(got - complex(0.6 + 0.8j) ** e) <= 1e-12
+    # an evaluator's Eisenstein terms grow 3.1 times from tau = 0.3i to 0.1i:
+    # its products 4 times, where n products per q^n made them 9 times
+    counts = []
+    for tau in (0.3j, 0.1j):
+        calls.clear()
+        WpFixed(tau)
+        counts.append(len(calls))
+    assert counts[1] < 5 * counts[0]

@@ -18,8 +18,9 @@ from eac.pipeline import (BidegreeMismatch, certify, decide, density_summary,
 from eac.segre import SegrePolynomial, segre_stack
 from eac import solver
 from eac.solver import PulledBackSystem, SolverConfig
-from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
+from eac.weierstrass import _qseries_terms, jacobian_probe
 from tests.conftest import closed_form_zeros_per_cell, one_curve_dict, tiny_monomial_dict
+from tests.reference import theta_sums
 
 SMALL = SolverConfig(budget_cells=4, target_count=3)
 # the catalog instances with a nonzero certificate and a one-dimensional L

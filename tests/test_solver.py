@@ -17,7 +17,7 @@ from eac.solver import (PulledBackSystem, SolverConfig, UncertifiedError,
                         harvest_density, newton_refine, reduce_cell,
                         spiral_cells, verify_points, verify_solution)
 from eac.variety import ExactSubspace, ProductVariety
-from eac.weierstrass import _qseries_terms, jacobian_probe, theta_sums
+from eac.weierstrass import WpFixed, jacobian_probe, theta1_logderivs
 from tests.conftest import closed_form_zeros_per_cell, factor_sqrt
 
 DIAGONAL_KERNEL = ((1, 0, 1, 0),)
@@ -518,13 +518,17 @@ def test_harvest_names_a_cell_whose_zeros_were_not_all_found(A2, pe2, monkeypatc
 def test_verify_solution_sums_to_the_30_digit_tail_bound(A2, pe2, monkeypatch):
     lengths = []
 
-    def recording(u, q, nterms, one, const=None, one_minus_u=None):
-        lengths.append(nterms)
-        return theta_sums(u, q, nterms, one, const, one_minus_u)
+    def recording(v, vi, v_minus_vi, p, rho, one):
+        lengths.append(len(rho) - 1)
+        return theta1_logderivs(v, vi, v_minus_vi, p, rho, one)
 
-    monkeypatch.setattr("eac.weierstrass.theta_sums", recording)
+    monkeypatch.setattr("eac.weierstrass.theta1_logderivs", recording)
     verify_solution(flagship_system(pe2, A2), 0.31 + 0.27j, SolverConfig())
-    assert lengths == [_qseries_terms(ev.tau, 1e-30) for ev in pe2.evals]
+    assert lengths == [WpFixed(ev.tau).theta_terms for ev in pe2.evals]
+    assert all(n > ev.theta_terms for n, ev in zip(lengths, pe2.evals))
+    # terms of size |p|^(m^2), p = exp(i pi tau): at most 5 at i sqrt 2 and 4 at i sqrt 5
+    assert [ev.tau for ev in pe2.evals] == [1j * math.sqrt(2), 1j * math.sqrt(5)]
+    assert lengths[0] <= 5 and lengths[1] <= 4
 
 
 def test_verify_solution_accepts_true_roots_rejects_perturbed(A2, pe2):

@@ -11,10 +11,11 @@ from eac.multiquad import MultiQuadElem
 from eac.segre import NotAHypersurface, SegrePolynomial, bidegree_of, lattice_invariants
 from eac.variety import EllipticFactor, ProductVariety
 from eac.weierstrass import (NEAR_POLE, AtInfinity, ContourError, ProductEvaluator,
-                             WpEvaluator, _qseries_terms, count_roots_on_fiber,
-                             jacobian_probe, point_count_on_curve,
-                             reduce_to_fundamental, theta_const, theta_sums)
+                             ThetaSeries, WpEvaluator, WpFixed, count_roots_on_fiber,
+                             jacobian_probe, point_count_on_curve, reduce_to_fundamental,
+                             theta1_logderivs)
 from tests.conftest import factor_sqrt
+from tests.reference import wp_pair_reference
 
 TAUS = [1j, 0.5 + 0.5j * math.sqrt(3), 1j * math.sqrt(2), 1j * math.sqrt(5),
         0.5 + 1j, 0.3 + 1.1j]
@@ -87,13 +88,34 @@ def test_tau_validation_and_backend_names():
 
 @pytest.mark.parametrize("tau_im", [120.0, 1000.0])
 def test_underflowing_q_keeps_the_shortest_series(tau_im):
-    # past Im tau = 118.6, |q| = exp(-2 pi Im tau) is 0.0 in doubles; the
-    # q-series then reduces to its q = 0 limit pi^2 (1/sin^2(pi z) - 1/3)
+    # from Im tau = 3.83 the doubles' theta_1 series keeps one term, and
+    # past 237 p = exp(i pi tau) is 0.0 in doubles; wp then reduces to its
+    # p = 0 limit pi^2 (1/sin^2(pi z) - 1/3)
     ev = WpEvaluator(1j * tau_im)
-    assert ev.nterms == 6
+    assert ev.theta_terms == 1
     z = 0.3 + 0.2j
     want = math.pi ** 2 * (1 / cmath.sin(math.pi * z) ** 2 - 1 / 3)
     assert abs(ev.wp(z) - want) <= 1e-12 * abs(want)
+
+
+def test_large_imaginary_parts_stay_finite():
+    # at tau = 1000i reduced points reach Im z = 500, where exp(2 pi i z)
+    # underflows; V = exp(i pi z) stays finite, and wp and wp' are those of
+    # pi^2 (csc^2(pi z) - 1/3), on the grid and as scalars
+    from mpmath import mp
+
+    ev = WpEvaluator(1000j)
+    zs = [0.3 + 117j, 0.3 + 119j]
+    grid = ev.wp_pair_grid(np.array(zs))
+    for k, z in enumerate(zs):
+        with mp.workdps(30):
+            w = mp.pi * mp.mpc(z.real, z.imag)
+            want = (mp.pi ** 2 * (mp.csc(w) ** 2 - mp.mpf(1) / 3),
+                    -2 * mp.pi ** 3 * mp.csc(w) ** 2 * mp.cot(w))
+        for got in ((ev.wp(z), ev.wp_prime(z)), (grid[0][k], grid[1][k])):
+            assert all(cmath.isfinite(x) for x in got)
+            for a, b in zip(got, want):
+                assert abs(a - complex(b)) <= 1e-15 * max(1.0, abs(complex(b)))
 
 
 @pytest.mark.parametrize("tau", TAUS)
@@ -134,59 +156,99 @@ def test_backends_agree_pointwise():
 
 
 def reduced_probe_points(tau, rng):
-    """Random reduced points, points near the pole at 0, and points with
-    |Im z| close to Im tau / 2, where u or 1/u is largest."""
+    """Random reduced points, points near the pole at 0, points with |Im z|
+    close to Im tau / 2, where V or 1/V is largest, and the half periods,
+    where wp' vanishes."""
     zs = [rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau for _ in range(30)]
-    zs += [r * cmath.exp(2j * math.pi * rng.random()) for r in (1e-2, 1e-3, 1e-4)]
+    zs += [r * cmath.exp(2j * math.pi * rng.random()) for r in (1e-2, 1e-3, 1e-4, 1e-8)]
     zs += [rng.uniform(-0.5, 0.5) + sign * 0.499 * tau for sign in (1, -1) for _ in range(5)]
-    return zs
+    return zs + [0.5, tau / 2, (1 + tau) / 2]
 
 
-@pytest.mark.parametrize("tau", [1j * math.sqrt(2), 1j * math.sqrt(5), 0.5 + 0.866j])
+@pytest.mark.parametrize("tau", [1j * math.sqrt(2), 1j * math.sqrt(5), 0.5 + 0.866j, 1j, 0.3j])
 def test_fused_theta_sums_match_the_lattice_sum_backend(tau):
+    # and the 60-digit q-series, on the same scale
+    from mpmath import mp
+
     theta = WpEvaluator(tau)
     rows = WpEvaluator(tau, backend="lattice-sum")
     zs = reduced_probe_points(tau, random.Random(11))
     grid_wp, grid_wpp = theta.wp_pair_grid(np.array(zs))
     for z, gp, gpp in zip(zs, grid_wp, grid_wpp):
-        want = rows.wp_pair(z)
-        for got in (theta.wp_pair(z), (gp, gpp)):
-            for a, b in zip(got, want):
-                assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+        with mp.workdps(60):
+            reference = [complex(x) for x in wp_pair_reference(tau, z)]
+        for want in (rows.wp_pair(z), reference):
+            for got in (theta.wp_pair(z), (gp, gpp)):
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * max(abs(b), 1.0)
+
+
+class MpSeries(ThetaSeries):
+    """The 30-digit series' terms and constants, summed in mpmath at 60 digits."""
+
+    one = 1
+
+    def __init__(self, tau):
+        from mpmath import mp
+
+        self.tau = tau
+        with mp.workdps(60):
+            self._lattice(mp.expjpi(mp.mpc(tau.real, tau.imag)), +mp.pi, 1e-30)
+
+    def _exponentials(self, z):
+        from mpmath import mp
+
+        with mp.workdps(60):
+            w = [mp.mpc(x) for x in reduce_to_fundamental(np.array(z), self.tau)]
+            v = np.array([mp.expjpi(x) for x in w], dtype=object)
+            return v, 1 / v, np.array([2j * mp.sinpi(x) for x in w], dtype=object), None
 
 
 @pytest.mark.parametrize("tau", [0.3j, 1j, 1j * math.sqrt(2), 0.5 + 0.866j])
 def test_verification_series_length_reaches_30_digits(tau):
+    # the theta_1 series to the 30-digit term count, summed at 60 digits, is
+    # held to the q-series on the scale of wp and wp' themselves
     from mpmath import mp
 
-    n = _qseries_terms(tau, 1e-30)
+    zs = reduced_probe_points(tau, random.Random(13))
+    series = MpSeries(tau)
+    assert series.theta_terms == WpFixed(tau).theta_terms
     with mp.workdps(60):
-        one = mp.mpf(1)
-        q = mp.exp(2j * mp.pi * mp.mpc(tau.real, tau.imag))
-        for z in reduced_probe_points(tau, random.Random(13)):
-            u = mp.exp(2j * mp.pi * mp.mpc(z.real, z.imag))
-            got = theta_sums(u, q, n, one)
-            ref = theta_sums(u, q, _qseries_terms(tau, 1e-60), one)
-            for a, b in zip(got, ref):
-                assert abs(a - b) < 1e-30
+        got = series.wp_pair_grid(zs)
+        for k, z in enumerate(zs):
+            for a, b in zip((got[0][k], got[1][k]), wp_pair_reference(tau, z)):
+                assert abs(a - b) <= 1e-30 * max(1, abs(b)), (tau, z)
+
+
+@pytest.mark.parametrize("tau", [1j * math.sqrt(2), 0.5 + 0.866j, 0.3j])
+def test_theta1_logderivs_match_jacobi_theta(tau):
+    # the second and third logarithmic derivatives of theta_1 at pi z
+    # against mpmath's jtheta and its derivatives
+    from mpmath import mp
+
+    zs = reduced_probe_points(tau, random.Random(17))
+    series = MpSeries(tau)
+    with mp.workdps(60):
+        v, vi, d, _ = series._exponentials(zs)
+        l2, l3 = theta1_logderivs(v, vi, d, series.p, series.rho, 1)
+        for k, z in enumerate(zs):
+            w, p = mp.pi * mp.mpc(z.real, z.imag), series.p
+            t1, t2, t3 = (mp.jtheta(1, w, p, j) / mp.jtheta(1, w, p) for j in (1, 2, 3))
+            for a, b in ((l2[k], t2 - t1 ** 2), (l3[k], t3 - 3 * t1 * t2 + 2 * t1 ** 3)):
+                assert abs(a - b) <= 1e-30 * max(1, abs(b)), (tau, z)
 
 
 @pytest.mark.parametrize("tau", [1j * math.sqrt(2), 1j * math.sqrt(5), 0.5 + 0.866j])
 def test_theta_backend_keeps_relative_accuracy_near_a_pole(tau):
-    # 1 - u cancels for small z; at 50 digits the plain series is the reference
+    # V - 1/V cancels for small z; at 50 digits the q-series is the reference
     from mpmath import mp
 
     ev = WpEvaluator(tau)
     zs = [r * cmath.exp(1j * t) for r in (1e-4, 1e-6, 1e-8) for t in (0.3, 1.9, -2.6)]
     grid = ev.wp_pair_grid(np.array(zs))
     with mp.workdps(50):
-        one = mp.mpf(1)
-        two_pi_i = 2j * mp.pi
-        q = mp.exp(two_pi_i * mp.mpc(tau.real, tau.imag))
         for k, z in enumerate(zs):
-            u = mp.exp(two_pi_i * mp.mpc(z.real, z.imag))
-            s, sp = theta_sums(u, q, _qseries_terms(tau, 1e-50), one)
-            want = (two_pi_i ** 2 * s, two_pi_i ** 3 * sp)
+            want = wp_pair_reference(tau, z, 50)
             for got in (ev.wp_pair(z), (grid[0][k], grid[1][k])):
                 for a, b in zip(got, want):
                     assert abs(a - b) <= 1e-14 * abs(b), (z, a, b)
@@ -194,22 +256,30 @@ def test_theta_backend_keeps_relative_accuracy_near_a_pole(tau):
 
 @pytest.mark.parametrize("tau", [1j * math.sqrt(2), 0.5 + 0.866j])
 def test_hoisted_constant_leaves_values_away_from_poles_bit_identical(tau):
-    # the evaluator sums the q-constant once; away from the poles its values
-    # must be the plain series' to the last bit, on grids and scalars alike
-    # (a scalar is read on a one-element grid)
+    # the evaluator takes c0 and the rho_m once per lattice; away from the
+    # poles its values must be theta1_logderivs' to the last bit, on grids
+    # and scalars alike (a scalar is read on a one-element grid), and c0 is
+    # the q-series' constant (2 pi i)^2 (1/12 - sum 2 q^n/(1 - q^n)^2)
     ev = WpEvaluator(tau)
     rng = np.random.default_rng(3)
     z = rng.uniform(-2, 2, 400) + 1j * rng.uniform(-2, 2, 400)
     zr = ev.reduce(z)
     z, zr = z[np.abs(zr) >= NEAR_POLE], zr[np.abs(zr) >= NEAR_POLE]
-    s, sp = theta_sums(np.exp(2j * math.pi * zr), ev.q, ev.nterms, 1.0)
+
+    def plain(zr):
+        v = np.exp(1j * math.pi * zr)
+        l2, l3 = theta1_logderivs(v, 1.0 / v, v - 1.0 / v, ev.p, ev.rho, 1.0)
+        return ev.c0 - math.pi * math.pi * l2, -(math.pi * math.pi * math.pi) * l3
+
     wp, wpp = ev.wp_pair_grid(z)
-    assert np.array_equal(wp, (2j * math.pi) ** 2 * s)
-    assert np.array_equal(wpp, (2j * math.pi) ** 3 * sp)
-    assert ev.const == theta_const(ev.q, ev.nterms, 1.0)
+    want = plain(zr)
+    assert np.array_equal(wp, want[0]) and np.array_equal(wpp, want[1])
+    q = cmath.exp(2j * math.pi * tau)
+    const = 1 / 12 - sum(2 * q ** n / (1 - q ** n) ** 2 for n in range(1, 40))
+    assert abs(ev.c0 - (2j * math.pi) ** 2 * const) <= 1e-14 * abs(ev.c0)
     for k in range(0, len(z), 37):
-        s, sp = theta_sums(np.exp(2j * math.pi * zr[k:k + 1]), ev.q, ev.nterms, 1.0)
-        assert ev.wp_pair(z[k]) == ((2j * math.pi) ** 2 * s[0], (2j * math.pi) ** 3 * sp[0])
+        wp, wpp = plain(zr[k:k + 1])
+        assert ev.wp_pair(z[k]) == (wp[0], wpp[0])
 
 
 def test_at_infinity_raised_on_lattice_points():
