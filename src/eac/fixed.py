@@ -7,8 +7,8 @@ quotient is rounded once to the nearest grid point, an absolute error of at
 most 2**-(FIX_BITS + 1), about 1.5e-39, per component. Only what
 weierstrass.WpFixed and solver.pulled_back_jet use is provided: + - * /
 with a Fixed on the left (and + * with a number on the left), powers to a
-nonnegative int and abs. Python ints, floats and complex numbers and
-mpmath numbers mix in through Fixed.lift.
+nonnegative int, abs, exp, PI and complex() of a scalar. Python ints,
+floats and complex numbers mix in through Fixed.lift.
 
 Large values keep their relative accuracy, but a value of size d has
 relative accuracy 2**-FIX_BITS / d. The smallest divisor in the theta
@@ -24,6 +24,7 @@ import numpy as np
 
 FIX_BITS = 128
 _HALF = 1 << (FIX_BITS - 1)
+_TAYLOR = tuple((j, j << (FIX_BITS - 1)) for j in range(26, 0, -1))  # exp's Horner steps
 
 
 def _round_shift(n: int, s: int) -> int:
@@ -34,14 +35,11 @@ def _round_shift(n: int, s: int) -> int:
 
 
 def _to_grid(x) -> int:
-    """x * 2**FIX_BITS rounded, for an int, a float or an mpmath mpf."""
+    """x * 2**FIX_BITS rounded, for an int or a float."""
     if isinstance(x, int):
         return x << FIX_BITS
-    if isinstance(x, float):
-        n, d = x.as_integer_ratio()
-        return _round_shift(n, d.bit_length() - 1 - FIX_BITS)
-    n, e = x.man_exp  # the mantissa of an mpf carries no sign
-    return _round_shift(-n if x < 0 else n, -e - FIX_BITS)
+    n, d = x.as_integer_ratio()
+    return _round_shift(n, d.bit_length() - 1 - FIX_BITS)
 
 
 def _mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -54,8 +52,21 @@ def _div(a: int, b: int, c: int, d: int) -> tuple[int, int]:
             (((b * c - a * d) << (FIX_BITS + 1)) + n) // (2 * n))
 
 
+def _exp(a: int, b: int) -> tuple[int, int]:
+    k = max(0, ((9 * (a * a + b * b) - 1).bit_length() + 1) // 2 - FIX_BITS)  # |x| / 2**k <= 1/3
+    a, b = _round_shift(a, k), _round_shift(b, k)
+    re, im = 1 << FIX_BITS, 0
+    for j, half in _TAYLOR:  # (n >> FIX_BITS) // j is n // (j << FIX_BITS): one rounding
+        re, im = ((1 << FIX_BITS) + ((a * re - b * im + half) >> FIX_BITS) // j,
+                  ((a * im + b * re + half) >> FIX_BITS) // j)
+    for _ in range(k):
+        re, im = _mul(re, im, re, im)
+    return re, im
+
+
 _MUL = np.frompyfunc(_mul, 4, 2)
 _DIV = np.frompyfunc(_div, 4, 2)
+_EXP = np.frompyfunc(_exp, 2, 2)
 _ISQRT = np.frompyfunc(math.isqrt, 1, 1)
 
 
@@ -116,5 +127,14 @@ class Fixed:
     def __abs__(self):
         return _ISQRT(self.re * self.re + self.im * self.im) / (1 << FIX_BITS)
 
+    def __complex__(self) -> complex:
+        """The nearest double to each part of a scalar: int / int rounds once."""
+        return complex(self.re / (1 << FIX_BITS), self.im / (1 << FIX_BITS))
+
+    def exp(self) -> Fixed:
+        """e**self by halving, Horner's Taylor sum to y**26 / 26! and squaring (Brent-Zimmermann 4.3)."""
+        return Fixed(*_EXP(self.re, self.im))
+
 
 ONE = Fixed(1 << FIX_BITS)
+PI = Fixed(1069028584064966747859680373161870783301)  # round(pi * 2**128)

@@ -699,8 +699,8 @@ def verify_points(system: PulledBackSystem, ls,
     """Independent acceptance test for refined points, each stage one array pass.
 
     Re-evaluates G and G' with pulled_back_jet to 30 digits (weierstrass.WpFixed)
-    at the double point z_of(l), reduced at 40 digits by the lattice point
-    that ProductEvaluator.reduce subtracts, so the residual is |G| at z_of(l)
+    at the double point z_of(l), reduced exactly on its grid by the lattice
+    point that ProductEvaluator.reduce subtracts, so the residual is |G| at z_of(l)
     itself. A point that passes then needs a positive winding of G around
     its box_windings box. Returns (accepted, verified residual, winding,
     reason, |G'|) per point, each a function of its l alone.

@@ -7,8 +7,8 @@ Two independent evaluation backends share one interface:
                  its length (ThetaSeries._lattice): 4 terms give 30 digits at
                  tau = i sqrt 2. wp and wp' are its logarithmic derivatives
                  with log sin(pi z) split off (theta1_logderivs); near a pole
-                 V - 1/V is 2 sinh(i pi z), so values keep their relative
-                 accuracy. ThetaSeries.wp_pair_grid writes them once over
+                 V - 1/V is 2 sinh(i pi z) in doubles, so values keep their
+                 relative accuracy. ThetaSeries.wp_pair_grid writes them once over
                  arrays in one arithmetic: doubles in WpEvaluator, 30 digits
                  of eac.fixed in WpFixed for the solver's verification.
   "lattice-sum"  row-resummed series: the double sum over the lattice is
@@ -40,7 +40,7 @@ import numpy as np
 
 # perfbench wraps the fiber-degree rule as weierstrass.bidegree_of; EPS is the
 # series' tail bound and the distance to the lattice that makes a point a pole
-from .fixed import ONE as FIXED_ONE, Fixed
+from .fixed import ONE as FIXED_ONE, PI, Fixed
 from .segre import (EPS, SegrePolynomial, _qseries_terms, bidegree_of,  # noqa: F401
                     eisenstein_invariants, lattice_invariants, segre_stack)
 from .variety import ProductVariety
@@ -238,6 +238,8 @@ class WpEvaluator(ThetaSeries):
         zr = self.reduce(np.asarray(z, dtype=complex))
         dist = np.abs(zr)
         pole = dist < EPS
+        if self.p == 0:  # Im tau > 237: past |Im z| = 200, wp and wp' are the clipped point's
+            np.clip(zr.imag, -200.0, 200.0, out=zr.imag)
         w = 1j * math.pi * np.where(pole, 0.25, zr)
         v = np.exp(w)
         vi = 1.0 / v
@@ -263,44 +265,32 @@ class WpFixed(ThetaSeries):
     """wp and wp' of one lattice to 30 digits, in eac.fixed.Fixed over object arrays.
 
     The series runs to its 1e-30 tail bound, g2 (segre.eisenstein_invariants)
-    to 1e-30 of its n^3 weights. Points, doubles or mpmath numbers, are
-    reduced at 40 digits by the lattice point lattice_shift gives in doubles,
-    where V = exp(i pi w) and, below NEAR_POLE, V - 1/V = 2i sin(pi w) are
-    taken, as are p and pi, then rounded once onto the grid; 1/V is a Fixed
-    quotient. Poles raise ZeroDivisionError.
+    to 1e-30 of its n^3 weights. Points, doubles or Fixed, and tau's double are
+    taken exactly onto the grid and reduced there by lattice_shift's lattice
+    point. V = exp(i pi w) and p = exp(i pi tau) are Fixed.exp; V - 1/V, off by
+    about 2^-127, is 1e-31 relative at |w| = 1e-8. Poles raise ZeroDivisionError.
     """
 
     one = FIXED_ONE
 
     def __init__(self, tau: complex):
-        from mpmath import mp
-
         self.tau = complex(tau)
         absq = math.exp(-2.0 * math.pi * self.tau.imag)
         e4_terms = next(n for n in itertools.count(_qseries_terms(self.tau, 1e-30))
                         if n ** 3 * absq ** n < 1e-30)
-        with mp.workdps(40):
-            self.tau_40 = mp.mpc(self.tau.real, self.tau.imag)
-            p = Fixed.lift(mp.expjpi(self.tau_40))
-            pi = Fixed.lift(+mp.pi)
-        self._lattice(p, pi, 1e-30)
-        self.g2 = eisenstein_invariants(p * p, pi, FIXED_ONE, e4_terms)[0]
+        self.tau_grid = Fixed.lift(self.tau)
+        p = (1j * PI * self.tau_grid).exp()
+        self._lattice(p, PI, 1e-30)
+        self.g2 = eisenstein_invariants(p * p, PI, FIXED_ONE, e4_terms)[0]
 
     def _exponentials(self, z):
-        from mpmath import mp
-
-        approx = np.array([complex(x) for x in z], dtype=complex)
-        m, n = lattice_shift(approx, self.tau)
-        near = np.abs(approx - m - n * self.tau) < NEAR_POLE
-        shifts = list(zip(m.astype(int).tolist(), n.astype(int).tolist()))
-        with mp.workdps(40):
-            lattice = {mn: mn[0] + mn[1] * self.tau_40 for mn in set(shifts)}
-            ws = [mp.mpc(x) - lattice[mn] for x, mn in zip(z, shifts)]
-            v = Fixed.stack([Fixed.lift(mp.expjpi(w)) for w in ws])
-            s = Fixed.stack([Fixed.lift(2j * mp.sinpi(w) if c else 0) for w, c in zip(ws, near)])
+        m, n = (np.array(k.astype(int).tolist(), dtype=object)
+                for k in lattice_shift(np.array([complex(x) for x in z]), self.tau))
+        w = Fixed.stack([Fixed.lift(x) for x in z]) - Fixed(
+            m * FIXED_ONE.re + n * self.tau_grid.re, n * self.tau_grid.im)
+        v = (1j * PI * w).exp()
         vi = FIXED_ONE / v
-        d = v - vi
-        return v, vi, Fixed(np.where(near, s.re, d.re), np.where(near, s.im, d.im)), None
+        return v, vi, v - vi, None
 
 
 class ProductEvaluator:

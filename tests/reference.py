@@ -6,6 +6,7 @@ formula with the theta_1 series, so at 60 digits it is an independent
 reference for both of its arithmetics.
 """
 
+from eac.fixed import FIX_BITS, Fixed
 from eac.segre import _qseries_terms
 from eac.weierstrass import lattice_shift
 
@@ -57,3 +58,17 @@ def wp_pair_reference(tau: complex, z, dps: int = 60):
         s, sp = theta_sums(mp.exp(w), mp.exp(2j * mp.pi * t), _qseries_terms(tau, 10.0 ** -dps),
                            mp.mpf(1), -mp.expm1(w))
         return (2j * mp.pi) ** 2 * s, (2j * mp.pi) ** 3 * sp
+
+
+def lift_mp(x) -> Fixed:
+    """An mpmath number rounded to the nearest point of the eac.fixed grid."""
+    from mpmath import mp
+
+    return Fixed(*(int(mp.nint(part * 2 ** FIX_BITS)) for part in (mp.re(x), mp.im(x))))
+
+
+def mp_of(x: Fixed, k: int):
+    """Element k of an array Fixed as an mpmath number at working precision."""
+    from mpmath import mp
+
+    return mp.mpc(x.re[k], x.im[k]) / 2 ** FIX_BITS

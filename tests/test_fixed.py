@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from eac import fixed
-from eac.fixed import FIX_BITS, ONE, Fixed
+from eac.fixed import FIX_BITS, ONE, PI, Fixed
 from eac.weierstrass import WpFixed
-from tests.reference import wp_pair_reference
+from tests.reference import mp_of, wp_pair_reference
 from tests.test_weierstrass import reduced_probe_points
 
 ULP = Fraction(1, 1 << FIX_BITS)
@@ -29,15 +29,42 @@ def within(x: Fixed, want: complex | tuple, ulps: float) -> bool:
 
 
 def test_lift_is_exact_for_ints_floats_and_complex():
-    from mpmath import mp
-
     for x in (0, 7, -3, 0.1, -2.5e-14, 1e16, 0.3 - 1.7j, complex(-1e-9, 4.0)):
         assert within(Fixed.lift(x), complex(x), 0)
-    # an mpf mantissa carries no sign of its own
-    assert within(Fixed.lift(mp.mpf(-1.5)), -1.5 + 0j, 0)
-    assert within(Fixed.lift(mp.mpc(0.25, -0.75)), 0.25 - 0.75j, 0)
     # below the grid a float is rounded, not truncated to zero
     assert Fixed.lift(0.75 * 2.0 ** -FIX_BITS).re == 1
+
+
+def test_complex_rounds_to_the_nearest_double():
+    rng = random.Random(3)
+    for _ in range(200):
+        x = Fixed(rng.randrange(-1 << 140, 1 << 140), rng.randrange(-1 << 60, 1 << 60))
+        re, im = exact(x)
+        assert complex(x) == complex(float(re), float(im))
+        assert complex(Fixed.lift(complex(x))) == complex(x)
+
+
+def test_pi_is_the_nearest_grid_point():
+    from mpmath import mp
+
+    with mp.workdps(60):
+        assert PI.re == int(mp.nint(mp.pi * 2 ** FIX_BITS)) and PI.im == 0
+
+
+def test_exp_matches_60_digits():
+    from mpmath import mp
+
+    rng = random.Random(19)
+    # |x| from 1e-12 to 40, log-uniform, in every direction, and the real axis
+    xs = [cmath.rect(10 ** rng.uniform(-12, math.log10(40)), rng.uniform(-math.pi, math.pi))
+          for _ in range(300)]
+    xs += [40.0, -40.0, 40j, 1e-12, -1e-12j]
+    got = Fixed.stack([Fixed.lift(x) for x in xs]).exp()
+    with mp.workdps(60):
+        for k, x in enumerate(xs):
+            want = mp.exp(mp.mpc(x.real, x.imag))
+            assert abs(mp_of(got, k) - want) <= 1e-35 * max(1, abs(want)), x
+    assert exact(Fixed(0).exp()) == (1, 0)
 
 
 def test_products_and_quotients_round_once():
@@ -111,6 +138,19 @@ def test_fixed_theta_sums_match_60_digits(tau):
             for got, want in zip(batch, wp_pair_reference(tau, z)):
                 diff = abs(mp.mpc(got.re[k], got.im[k]) / 2 ** FIX_BITS - want)
                 assert diff <= 1e-30 * max(1, abs(want)), (tau, z)
+
+
+@pytest.mark.parametrize("tau", [1j * math.sqrt(2), 0.5 + 0.866j])
+def test_fixed_points_evaluate_as_their_doubles(tau):
+    # a batch of grid values gives the doubles' wp and wp' bit for bit,
+    # lattice translates and points near a pole included
+    rng = random.Random(23)
+    zs = [z + rng.randint(-9, 9) + rng.randint(-9, 9) * tau
+          for z in reduced_probe_points(tau, rng)]
+    series = WpFixed(tau)
+    for got, want in zip(series.wp_pair_grid([Fixed.lift(z) for z in zs]),
+                         series.wp_pair_grid(zs)):
+        assert list(got.re) == list(want.re) and list(got.im) == list(want.im)
 
 
 def test_powers_square_and_multiply(monkeypatch):

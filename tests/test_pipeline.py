@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from eac import hull, pipeline
-from eac.fixed import FIX_BITS
 from eac.forms import eac_certificate, hypersurface_form, zeros_per_cell
 from eac.hull import kernel_lattice, rational_hull
 from eac.instance import builtin_instance, catalog_dicts, catalog_names, instance_from_dict
@@ -20,7 +19,7 @@ from eac import solver
 from eac.solver import PulledBackSystem, SolverConfig
 from eac.weierstrass import _qseries_terms, jacobian_probe
 from tests.conftest import closed_form_zeros_per_cell, one_curve_dict, tiny_monomial_dict
-from tests.reference import theta_sums
+from tests.reference import lift_mp, mp_of, theta_sums
 
 SMALL = SolverConfig(budget_cells=4, target_count=3)
 # the catalog instances with a nonzero certificate and a one-dimensional L
@@ -591,13 +590,9 @@ def test_30_digit_g_prime_matches_a_central_difference(name):
     with mp.workdps(40):
         h = mp.mpf(1e-12)
         sides = [solver.pulled_back_jet(system.F, series,
-                                        [[(mp.mpc(l) + sign * h) * c for l in ls]
+                                        [[lift_mp((mp.mpc(l) + sign * h) * c) for l in ls]
                                          for c in system.v], system.v)[0]
                  for sign in (1, -1)]
-
-        def value(x, k):
-            return mp.mpc(x.re[k], x.im[k]) / 2 ** FIX_BITS
-
         for k, l in enumerate(ls):
-            central = (value(sides[0], k) - value(sides[1], k)) / (2 * h)
-            assert abs(central - value(dg, k)) <= 1e-20 * abs(value(dg, k)), (name, l)
+            central = (mp_of(sides[0], k) - mp_of(sides[1], k)) / (2 * h)
+            assert abs(central - mp_of(dg, k)) <= 1e-20 * abs(mp_of(dg, k)), (name, l)

@@ -100,12 +100,12 @@ def test_underflowing_q_keeps_the_shortest_series(tau_im):
 
 def test_large_imaginary_parts_stay_finite():
     # at tau = 1000i reduced points reach Im z = 500, where exp(2 pi i z)
-    # underflows; V = exp(i pi z) stays finite, and wp and wp' are those of
-    # pi^2 (csc^2(pi z) - 1/3), on the grid and as scalars
+    # underflows and, past Im z = 226, V = exp(i pi z) or 1/V overflows;
+    # wp and wp' are those of pi^2 (csc^2(pi z) - 1/3), on the grid and as scalars
     from mpmath import mp
 
     ev = WpEvaluator(1000j)
-    zs = [0.3 + 117j, 0.3 + 119j]
+    zs = [0.3 + 117j, 0.3 + 119j, 0.3 + 230j, 0.3 - 230j, 0.3 + 300j, 0.3 - 300j]
     grid = ev.wp_pair_grid(np.array(zs))
     for k, z in enumerate(zs):
         with mp.workdps(30):
