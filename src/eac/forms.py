@@ -344,9 +344,6 @@ class Certificate:
     value_float: float
     cross_value: object
     cross_float: float
-    omega_T: ExteriorForm
-    omega_T_prime: ExteriorForm
-    eta_W: ExteriorForm
 
     @property
     def nonzero(self) -> bool:
@@ -422,9 +419,6 @@ def eac_certificate(eta_W: ExteriorForm, L: ExactSubspace, A: ProductVariety,
         value_float=float(value),
         cross_value=cross,
         cross_float=float(cross),
-        omega_T=omega_T,
-        omega_T_prime=omega_Tp,
-        eta_W=eta_W,
     )
 
 

@@ -3,10 +3,10 @@
 An instance bundles the curve product (periods as exact literals), the
 parameter subspace L (basis vectors with multiquadratic string entries), the
 hypersurface W (a polynomial in Segre coordinates, optional bidegree), and
-solver settings. Files are JSON validated against a strict schema; parse
-errors carry the offending line or field path. Rules on values belong to the
-model constructors (EllipticFactor, ExactSubspace, SegrePolynomial.from_dict);
-instance_from_dict only adds the field path to their ValueErrors.
+solver settings. Files and reports are held to strict Draft 7 schemas by one check compiled
+from each, which decides validity and words a rejection at its field path; parse errors
+carry the offending line. Rules on values belong to the model constructors (EllipticFactor,
+ExactSubspace, SegrePolynomial.from_dict); instance_from_dict adds the field path to them.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -35,68 +36,92 @@ def _load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-# Draft 7 types as jsonschema tests them: a bool is no number, 3.0 is an integer
-_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "boolean": lambda x: isinstance(x, bool),
-    "null": lambda x: x is None,
-    "number": lambda x: (type(x) is float or type(x) is int
-                         or isinstance(x, numbers.Number) and not isinstance(x, bool)),
-    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
-                          or (isinstance(x, float) and x.is_integer())),
-}
+def _types() -> dict:
+    """Draft 7 types as jsonschema tests them, new on each call so that each rule owns its why."""
+    return {  # a bool is no number, 3.0 is an integer
+        "object": lambda x: isinstance(x, dict),
+        "array": lambda x: isinstance(x, list),
+        "string": lambda x: isinstance(x, str),
+        "boolean": lambda x: isinstance(x, bool),
+        "null": lambda x: x is None,
+        "number": lambda x: (type(x) is float or type(x) is int
+                             or isinstance(x, numbers.Number) and not isinstance(x, bool)),
+        "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
+                              or (isinstance(x, float) and x.is_integer())),
+    }
 
 
 def _keyword(key: str, value, schema: dict):
-    """(the type test of the values a keyword applies to, or None for all, and its test)."""
-    obj, arr, num = _TYPES["object"], _TYPES["array"], _TYPES["number"]
+    """(the type test of the values a keyword applies to, or None for all, its test, its why)."""
+    types = _types()
+    obj, arr, num = types["object"], types["array"], types["number"]
     if key == "type":
-        kinds = [_TYPES[t] for t in ([value] if isinstance(value, str) else value)]
-        return None, kinds[0] if len(kinds) == 1 else lambda x: any(k(x) for k in kinds)
+        names = [value] if isinstance(value, str) else value
+        kinds = [types[t] for t in names]
+        return (None, kinds[0] if len(kinds) == 1 else lambda x: any(k(x) for k in kinds),
+                lambda x: (f"{x!r} is not of type {', '.join(map(repr, names))}",))
     if key in ("enum", "const"):  # jsonschema's equality: True != 1 == 1.0
         values = value if key == "enum" else [value]
         if any(isinstance(v, (list, dict)) for v in values):
             raise ValueError(f"schema keyword {key!r} over arrays or objects is not compiled")
-        return None, lambda x: any(v is x if isinstance(v, bool) or isinstance(x, bool)
-                                   else v == x for v in values)
-    if key == "oneOf":
+        return (None, lambda x: any(v is x if isinstance(v, bool) or isinstance(x, bool)
+                                    else v == x for v in values), lambda x: (
+            f"{x!r} is not one of {value!r}" if key == "enum" else f"{value!r} was expected",))
+    if key == "oneOf":  # worded at the oneOf, never inside a branch
         branches = [_compile(s) for s in value]
-        return None, lambda x: sum(branch(x) for branch in branches) == 1
+        return (None, lambda x: sum(branch(x) for branch in branches) == 1, lambda x: (
+            f"{x!r} is valid under {sum(b(x) for b in branches)} of the given schemas, not 1",))
     if key == "properties":
         props = {k: _compile(s) for k, s in value.items()}
-        return obj, lambda x: all(props[k](v) for k, v in x.items() if k in props)
+        return (obj, lambda x: all(props[k](v) for k, v in x.items() if k in props),
+                lambda x: next((k,) + props[k].why(v) for k, v in x.items()
+                               if k in props and not props[k](v)))
     if key == "additionalProperties":
         known = schema.get("properties", {})
         extra = _compile(value) if isinstance(value, dict) else lambda _: value
-        return obj, lambda x: all(extra(v) for k, v in x.items() if k not in known)
-    if key in ("propertyNames", "items"):
-        sub = _compile(value)
-        return (obj if key == "propertyNames" else arr), lambda x: all(map(sub, x))
-    tests = {"required": (obj, lambda x: x.keys() >= set(value)),
-             "minItems": (arr, lambda x: len(x) >= value),
-             "maxItems": (arr, lambda x: len(x) <= value),
-             "maxLength": (_TYPES["string"], lambda x: len(x) <= value),
-             "minimum": (num, lambda x: not x < value),  # so NaN passes
-             "exclusiveMinimum": (num, lambda x: not x <= value)}
+
+        def why(x):
+            extras = sorted(k for k in x if k not in known)
+            if value is False:
+                return (f"Additional properties are not allowed ({', '.join(map(repr, extras))} "
+                        f"{'was' if len(extras) == 1 else 'were'} unexpected)",)
+            return next((k,) + extra.why(x[k]) for k in extras if not extra(x[k]))
+        return obj, lambda x: all(extra(v) for k, v in x.items() if k not in known), why
+    if key in ("propertyNames", "items"):  # a name's error is at its object, as in jsonschema
+        sub, items = _compile(value), key == "items"
+        return (arr if items else obj), lambda x: all(map(sub, x)), lambda x: next(
+            ((i,) if items else ()) + sub.why(v) for i, v in enumerate(x) if not sub(v))
+    tests = {"required": (obj, lambda x: x.keys() >= set(value), lambda x: (
+                 f"{next(k for k in value if k not in x)!r} is a required property",)),
+             "minItems": (arr, lambda x: len(x) >= value, lambda x: (f"{x!r} is too short",)),
+             "maxItems": (arr, lambda x: len(x) <= value, lambda x: (f"{x!r} is too long",)),
+             "maxLength": (types["string"], lambda x: len(x) <= value,
+                           lambda x: (f"{x!r} is too long",)),
+             "minimum": (num, lambda x: not x < value,  # so NaN passes
+                         lambda x: (f"{x!r} is less than the minimum of {value!r}",)),
+             "exclusiveMinimum": (num, lambda x: not x <= value, lambda x: (
+                 f"{x!r} is less than or equal to the minimum of {value!r}",))}
     if key not in tests:
         raise ValueError(f"schema keyword {key!r} is not compiled")
     return tests[key]
 
 
 def _compile(schema: dict):
-    """A test deciding what Draft7Validator(schema).is_valid decides, for the keywords above."""
+    """A test deciding what Draft7Validator(schema).is_valid decides, for the keywords above;
+    its why(x), for a rejected x, is (*path, message) of the shallowest failure, first on ties."""
     if not isinstance(schema, dict):
         raise ValueError(f"schema {schema!r} is not an object")
     tests = [_keyword(k, v, schema) for k, v in schema.items() if k not in ("$schema", "title")]
 
     def check(x) -> bool:
-        for applies, test in tests:
+        for applies, test, _ in tests:
             if (applies is None or applies(x)) and not test(x):
                 return False
         return True
-    return tests[0][1] if len(tests) == 1 and tests[0][0] is None else check
+    rule = tests[0][1] if len(tests) == 1 and tests[0][0] is None else check
+    rule.why = lambda x: min((why(x) for applies, test, why in tests
+                              if (applies is None or applies(x)) and not test(x)), key=len)
+    return rule
 
 
 @functools.cache
@@ -104,30 +129,16 @@ def _checker(name: str):
     return _compile(_load_schema(name))
 
 
-@functools.cache
-def _validator(name: str):
-    """The Draft 7 validator of one packaged schema, which words a rejection."""
-    import jsonschema
-
-    return jsonschema.Draft7Validator(_load_schema(name))
-
-
-def _schema_error(obj, name: str):
-    """The best jsonschema.ValidationError of obj, or None: jsonschema only words a rejection."""
-    if _checker(name)(obj):
-        return None
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator(name).iter_errors(obj))
-    if error is None:
-        raise RuntimeError(f"{name}: the compiled check rejects what jsonschema accepts")
-    return error
+def _validate(obj, name: str, error: type):
+    """Raise error naming the field path, as $['factors'][0], and the rule if obj is invalid."""
+    if not _checker(name)(obj):
+        *path, message = _checker(name).why(obj)
+        where = "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]" for p in path)
+        raise error(f"{name.split('.')[0]} validation failed at ${where}: {message}")
 
 
 def validate_report(obj: dict):
-    error = _schema_error(obj, "report.schema.json")
-    if error is not None:
-        raise error
+    _validate(obj, "report.schema.json", ValueError)
 
 
 @dataclass(frozen=True)
@@ -173,7 +184,8 @@ def _parse_rational(s: str, where: str) -> Fraction:
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
-        raise InstanceError(f"{where}: bad rational literal {s!r} ({e})") from None
+        why = e if isinstance(e, ValueError) else "zero denominator"
+        raise InstanceError(f"{where}: bad rational literal {s!r} ({why})") from None
 
 
 def _parse_tau_im(spec, where: str) -> MultiQuadElem:
@@ -192,11 +204,7 @@ def _parse_entry(spec, where: str) -> ComplexMQ:
 
 
 def instance_from_dict(data: dict, label_fallback: str = "unnamed") -> Instance:
-    error = _schema_error(data, "instance.schema.json")
-    if error is not None:
-        path = "$" + "".join(f"[{p!r}]" if isinstance(p, str) else f"[{p}]"
-                             for p in error.absolute_path)
-        raise InstanceError(f"instance validation failed at {path}: {error.message}")
+    _validate(data, "instance.schema.json", InstanceError)
     g = len(data["factors"])
     factors = []
     for j, f in enumerate(data["factors"]):
@@ -252,8 +260,6 @@ def load_instance(path: str) -> Instance:
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     if not isinstance(data, dict):
         raise InstanceError(f"{path}: top level must be an object")
-    import os
-
     return instance_from_dict(data, label_fallback=os.path.basename(path))
 
 

@@ -8,7 +8,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import jsonschema
 import pytest
 
 from eac import instance, solver
@@ -164,35 +163,37 @@ def test_removed_solver_settings_fail_validation(field, value):
 
 
 def test_validators_are_built_once_and_keep_their_messages(monkeypatch, tmp_path):
-    # each schema is compiled once; jsonschema's validator is built on the
-    # first rejection only, to word it
+    # each schema is compiled once, and a rejection is worded from that same
+    # compiled check, building nothing more
     compiled = []
     real = instance._compile
     monkeypatch.setattr(instance, "_compile",
                         lambda schema: compiled.append(schema.get("title")) or real(schema))
     monkeypatch.setattr(instance, "_checker", functools.cache(instance._checker.__wrapped__))
-    monkeypatch.setattr(instance, "_validator", functools.cache(instance._validator.__wrapped__))
     out = tmp_path / "r.json"
     for _ in range(3):
         assert main(["check", "catalog:diag-prod-one", "--out", str(out)]) == 0
         validate_report(json.loads(out.read_text()))
-    assert instance._validator.cache_info().currsize == 0
+    built = len(compiled)
     for _ in range(3):
-        with pytest.raises(jsonschema.ValidationError, match="'label' is a required"):
+        with pytest.raises(ValueError, match=r"at \$: 'label' is a required property"):
             validate_report({"command": "check"})
     data = flagship_dict()
     data["factors"][0]["tau_re"] = 3
     with pytest.raises(InstanceError, match=r"at \$\['factors'\]\[0\]\['tau_re'\]: 3 is not"):
         instance_from_dict(data)
     assert [t for t in compiled if t] == ["eac instance file", "eac command report"]
-    assert instance._validator.cache_info().misses == 2
+    assert len(compiled) == built
+    assert instance._checker.cache_info().misses == 2
 
 
 def test_importing_the_cli_does_not_import_jsonschema(tmp_path):
-    # nor does loading a valid file and checking its valid report; check, hull
-    # and certify import nothing numeric either, also for a W with a wp'^2
-    # term, whose fiber degrees need g2 and g3, and a density run afterwards
-    # still finds what solve and density_summary import themselves
+    # nor can any command: with jsonschema blocked, valid files and their valid
+    # reports are checked, a rejected file exits 1 naming its field path, and an
+    # invalid report raises ValueError naming its path. check, hull and certify
+    # import nothing numeric either, also for a W with a wp'^2 term, whose fiber
+    # degrees need g2 and g3, and a density run afterwards still finds what
+    # solve and density_summary import themselves
     example = str(PKG_ROOT / "docs" / "examples" / "diag-prod-one.json")
     # W: wp_1'^2 = wp_2, with no declared bidegree
     data = json.loads(Path(example).read_text())
@@ -201,11 +202,16 @@ def test_importing_the_cli_does_not_import_jsonschema(tmp_path):
         {"exponents": [0, 1, 0, 0, 0, 0, 0, 0, 0], "re": -1.0, "im": 0.0}]}
     squared = tmp_path / "wp1-prime-squared.json"
     squared.write_text(json.dumps(data))
-    numeric = ["numpy", "mpmath", "jsonschema", "eac.solver", "eac.weierstrass", "eac.fixed"]
+    data = json.loads(Path(example).read_text())
+    data["factors"][0]["tau_re"] = 3
+    rejected = tmp_path / "tau-re-number.json"
+    rejected.write_text(json.dumps(data))
+    numeric = ["numpy", "mpmath", "eac.solver", "eac.weierstrass", "eac.fixed"]
     code = f"""
 import json, sys, eac.cli
 from eac.instance import builtin_instance, load_instance, validate_report
 print('jsonschema' in sys.modules)
+sys.modules['jsonschema'] = None
 load_instance({example!r})
 for path in ({example!r}, {str(squared)!r}):
     for command in ("check", "hull", "certify"):
@@ -216,6 +222,12 @@ report = json.load(open({str(tmp_path)!r} + "/certify.json"))
 print("squared", report["verdicts"]["bidegree"], report["certificate"]["value"])
 print("loaded", sorted(set({numeric!r}) & set(sys.modules)))
 assert eac.cli.main(["density", {example!r}]) == 0
+print("rejected", eac.cli.main(["check", {str(rejected)!r}]))
+report["certificate"]["value"] = 3
+try:
+    validate_report(report)
+except ValueError as e:
+    print("invalid report:", e)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(PKG_ROOT / "src")), check=True)
@@ -223,6 +235,11 @@ assert eac.cli.main(["density", {example!r}]) == 0
     assert lines[0] == "False"
     assert "squared [6, 2] 6*sqrt(5)+2*sqrt(2)" in lines
     assert "loaded []" in lines
+    assert "rejected 1" in lines
+    assert proc.stderr.splitlines() == ["error: instance validation failed at "
+                                        "$['factors'][0]['tau_re']: 3 is not of type 'string'"]
+    assert ("invalid report: report validation failed at $['certificate']['value']: "
+            "3 is not of type 'string', 'null'") in lines
 
 
 def test_one_parser_serves_successive_main_calls(tmp_path):
@@ -529,7 +546,7 @@ def test_cli_non_finite_coefficient_is_one_error_line(literal, command, tmp_path
     (lambda d: d["factors"][0].update(tau_im=TINY_TAU_IM), "factors[0]: tau must lie"),
     (lambda d: d.update(solver={"dedup_tol": math.inf}), "solver: dedup_tol must be"),
     (lambda d: d["factors"][0].update(tau_re="1/0"),
-     "factors[0].tau_re: bad rational literal '1/0'"),
+     "factors[0].tau_re: bad rational literal '1/0' (zero denominator)"),
 ], ids=["tau-tiny", "infinite-dedup-tol", "zero-denominator"])
 def test_cli_unusable_value_is_one_error_line(edit, message, tmp_path, capsys):
     data = flagship_dict()
@@ -871,5 +888,5 @@ def test_cli_solve_block_counts_newton_iterations_and_failures(tmp_path):
     # reasons are the solver's prefixes, with positive counts
     for bad in ({"no convergence, residual 1e-3": 2}, {"no convergence": 0}):
         sol["failures_by_reason"] = bad
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(ValueError, match=r"\['solve'\]\['failures_by_reason'\]"):
             validate_report(report)
