@@ -122,8 +122,8 @@ def solve(instance: Instance) -> SolveOutcome:
     Exit code 0: at least one verified point. 4: refused before solving.
     5: certified but nothing verified within budget, or in any of the finitely
     many distinct cells (reported as a defect). The certificate, read as the
-    mean zero count per cell (forms.zeros_per_cell), sizes the harvest's
-    first chunk. The kernel of exp on L is computed here, once per harvest,
+    mean zero count per cell (forms.zeros_per_cell), sizes every chunk of
+    the harvest. The kernel of exp on L is computed here, once per harvest,
     so that the walk skips cells whose image in the product was already
     scanned. Another configuration is dataclasses.replace(instance, config=...).
     """
@@ -146,7 +146,7 @@ def density_summary(instance: Instance, report: SolveReport) -> dict:
 
     mean_zeros_per_cell is the mean of the scanned cells' resolved zero
     counts, beside the certificate's closed form that the harvest sized its
-    first chunk from.
+    chunks from.
     """
     pts = [s.z for s in report.solutions]
     counts = [c["expected"] for c in report.cells if c["expected"] is not None]

@@ -18,8 +18,8 @@ Van Barel et al., Comput. Phys. Commun. 124 (2000)). A box whose roots
 fail their checks is split in four. Every contour integral is one _Edges
 panel sum, also on the small boxes of box_windings that give pole orders
 and verification windings. The mean count per cell is the certificate
-read as a zero density (forms.zeros_per_cell), and sizes the first chunk
-of cells counted together. G and G'(l) come from pulled_back_jet alone:
+read as a zero density (forms.zeros_per_cell), and sizes every chunk of
+cells counted together. G and G'(l) come from pulled_back_jet alone:
 in doubles through eval_jet, for the contours and for Newton on a batch of
 seeds as one array, and at 30 digits through verify_points, whose G' gives
 each verified point its Jacobian rank. Verified points are deduplicated on
@@ -72,9 +72,6 @@ MAX_PANELS_PER_CELL = 1000
 # Pole orders and verification windings are read on boxes of this half side
 # (about 1e-3 of a cell side); poles closer than two half sides count as one.
 WIND_UNITS = 1 << 10
-# The first chunk holds this many times the cells that the closed-form mean
-# count per cell predicts the target needs, plus one.
-CLOSED_FORM_MARGIN = 1.15
 # eval_jet's points per array pass: 128 KiB, below numpy's 256 KiB threshold
 # for eliding temporaries into in-place loops that round differently.
 GRID_BLOCK = 8192
@@ -733,15 +730,13 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     (forms.zeros_per_cell); one that is not positive raises UncertifiedError.
     kernel is an integer basis of Lambda_L (hull.kernel_lattice); an empty
     kernel walks every cell, drawn from one distinct_cells generator as chunks
-    and home cells need them. cell_seeds counts and seeds cells in chunks: the
-    first holds CLOSED_FORM_MARGIN times the cells that zeros_per_cell says
-    the target needs, plus one, each later one as many as the mean count so
-    far predicts the target still needs. Counted cells are taken in walk
-    order, as many at a time as their counts say the target needs; their
-    seeds are refined in one newton_refine batch and taken in cell order
-    until the target is reached. cells_scanned counts the cells whose seeds
-    were taken, cells_counted those cell_seeds counted; cells counted past
-    the target are not reported. A batch's converged points are reduced in
+    and home cells need them. cell_seeds counts and seeds cells in chunks,
+    each of the ceil(need / zeros_per_cell) cells that the certificate says
+    the target still needs, capped at the budget. Each chunk's seeds are
+    refined in one newton_refine batch and taken in cell order until the
+    target is reached. cells_scanned counts the cells whose seeds were
+    taken, cells_counted those cell_seeds counted; cells counted past the
+    target are not reported. A batch's converged points are reduced in
     one ProductEvaluator.reduce call and deduplicated by torus distance at
     dedup_tol, read from one matrix of their distances to each other and to
     the points accepted before the batch; one verify_points call takes the
@@ -762,7 +757,6 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
     stage = dict.fromkeys(("scan_s", "newton_s", "dedup_s", "verify_s", "jacobian_s"), 0.0)
     expected = {}
     taken_whole = []
-    zeros_counted = 0
 
     def timed(name, fn, *args):
         ts = time.perf_counter()
@@ -795,28 +789,17 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
                 break
         return dict(zip(group, verify_points(system, [refined[converged[j]].l for j in group], cfg)))
 
-    counted = []  # (count, seeds) of the cells counted but not yet taken
     while not report.target_reached and report.cells_scanned < cfg.budget_cells:
         start = report.cells_scanned
         need = cfg.target_count - len(report.solutions)
-        if not counted:
-            if start:
-                size = math.ceil(need / max(zeros_counted / start, 0.5))
-            else:
-                size = math.ceil(CLOSED_FORM_MARGIN * need / report.closed_form_mean) + 1
-            end = min(start + size, cfg.budget_cells)
-            draw(end)
-            cells = walk[start:end]
-            if not cells:
-                break
-            counted = timed("scan_s", cell_seeds, system, cells)
-            report.cells_counted += len(cells)
-        take, covered = 0, 0
-        while take < len(counted) and covered < need:
-            covered += counted[take][0] or 0
-            take += 1
-        taken, counted = counted[:take], counted[take:]
-        batch = [seed for _, seeds in taken for seed in seeds]
+        end = min(start + math.ceil(need / zeros_per_cell), cfg.budget_cells)
+        draw(end)
+        cells = walk[start:end]
+        if not cells:
+            break
+        counted = timed("scan_s", cell_seeds, system, cells)
+        report.cells_counted += len(cells)
+        batch = [seed for _, seeds in counted for seed in seeds]
         refined = timed("newton_s", newton_refine, system, batch, cfg) if batch else []
         converged = [i for i, r in enumerate(refined) if r.reason is None]
         # each z_of(l) in Python complex arithmetic: a row does not depend on its batch
@@ -829,12 +812,11 @@ def harvest_density(system: PulledBackSystem, cfg: SolverConfig,
         row, kept = {k: j for j, k in enumerate(converged)}, np.arange(n + 1) == n
         candidates = iter(enumerate(refined))
         checked = {}
-        for cell_index, (count, seeds) in enumerate(taken, start):
+        for cell_index, (count, seeds) in enumerate(counted, start):
             if report.target_reached:
                 break
             report.cells_scanned += 1
             expected[cell_index] = count
-            zeros_counted += count or 0
             for k, r in itertools.islice(candidates, len(seeds)):
                 if report.target_reached:
                     break

@@ -303,21 +303,29 @@ def harvest_calls(monkeypatch):
     return calls
 
 
+def seeds_of(chunks):
+    """The seeds of every cell in a list of cell_seeds results, in walk order."""
+    return [seed for counted in chunks for _, seeds in counted for seed in seeds]
+
+
 @pytest.mark.parametrize("name", HARVESTABLE)
-def test_closed_form_sizes_one_chunk_and_keeps_the_pilot_reports(name, harvest_calls):
+def test_the_certificate_sizes_every_chunk(name, harvest_calls):
     inst = builtin_instance(name)
     for target in (30, 60):
         for made in harvest_calls.values():
             made.clear()
         cfg = dataclasses.replace(inst.config, target_count=target)
         report = solve(dataclasses.replace(inst, config=cfg)).report
-        [counted] = harvest_calls["counted"]
+        chunks = harvest_calls["counted"]
         assert report.target_reached, (name, target)
-        # cells counted past the target are not reported, and Newton sees none of their seeds
-        assert len(report.cells) == report.cells_scanned <= len(counted), name
-        assert report.cells_counted == len(counted), name
-        assert harvest_calls["refined"] == [
-            seed for _, seeds in counted[:report.cells_scanned] for seed in seeds], name
+        assert len(chunks[0]) == math.ceil(target / report.closed_form_mean), (name, target)
+        # every counted cell is scanned, and Newton sees exactly their seeds
+        assert len(report.cells) == report.cells_scanned == report.cells_counted, (name, target)
+        assert report.cells_counted == sum(map(len, chunks)), (name, target)
+        assert harvest_calls["refined"] == seeds_of(chunks), (name, target)
+        # the cells short of the mean leave one harvest a second chunk
+        want = [8, 1] if (name, target) == ("diag-cross-deriv", 30) else [report.cells_counted]
+        assert list(map(len, chunks)) == want, (name, target)
 
 
 @pytest.mark.parametrize("name", ["diag-prod-one", "irrational-slope"])
@@ -336,6 +344,24 @@ def test_an_overestimated_mean_costs_a_chunk_not_a_point(name, harvest_calls, mo
     assert twice.cells_counted == sum(map(len, harvest_calls["counted"])), name
     assert twice.cells_counted >= twice.cells_scanned
     assert harvest_fields(twice) == harvest_fields(once), name
+
+
+@pytest.mark.parametrize("name", ["diag-prod-one", "irrational-slope"])
+def test_an_underestimated_mean_costs_newton_work_not_a_point(name, harvest_calls, monkeypatch):
+    inst = builtin_instance(name)
+    cfg = dataclasses.replace(inst.config, target_count=60)
+    once = solve(dataclasses.replace(inst, config=cfg)).report
+    real_mean = pipeline.zeros_per_cell
+    monkeypatch.setattr(pipeline, "zeros_per_cell",
+                        lambda cert, L, A: real_mean(cert, L, A) / 2)
+    for made in harvest_calls.values():
+        made.clear()
+    half = solve(dataclasses.replace(inst, config=cfg)).report
+    assert half.closed_form_mean == once.closed_form_mean / 2
+    # the cells past the target are counted and refined, and reported nowhere
+    assert half.cells_counted > half.cells_scanned, name
+    assert harvest_calls["refined"] == seeds_of(harvest_calls["counted"]), name
+    assert harvest_fields(half) == harvest_fields(once), name
 
 
 def certificate_zeros_per_cell(inst, degrees=None):
